@@ -1,6 +1,6 @@
 // Machine-readable performance regression suite (BENCH_PR1.json +
 // BENCH_PR3.json + BENCH_PR5.json + BENCH_PR6.json + BENCH_PR7.json +
-// BENCH_PR8.json + BENCH_PR10.json).
+// BENCH_PR8.json).
 //
 // BENCH_PR1 — one JSON record per kernel/routing benchmark:
 //   { "bench": ..., "n": ..., "wall_seconds": ..., "work": ..., "bytes_moved": ... }
@@ -60,15 +60,6 @@
 // wall clock.  Hard gate (non-smoke): process-backend wall <= 2x the
 // thread backend on the edit and ulam batch workloads at n = 2000.
 //
-// BENCH_PR10 (--out7) — the TCP socket backend: the BENCH_PR7 batch
-// workloads run a third time with machine bodies in forked workers that
-// stream their results back over localhost TCP frames, alongside the
-// thread-backend baseline.  Distances and trace structural hashes are
-// cross-checked identical against the thread run.  Hard gate (non-smoke):
-// socket-backend wall <= 4x the thread backend on the edit and ulam batch
-// workloads at n = 2000 — the per-round fork + connect + frame overhead on
-// localhost must stay in the same ballpark as the process backend's.
-//
 // BENCH_PR8 (--out6) — the cost-model query router: one skewed
 // near-duplicate batch (n = 2000, B = 32; 75% of pairs within edit
 // distance 8, the rest ~n/8 edits away) solved in kThroughput mode with
@@ -83,6 +74,8 @@
 //
 // `--smoke` runs tiny sizes once, checks the emitted JSON parses, and skips
 // the speedup gates — registered in ctest so the suite itself cannot rot.
+// A smoke run writes every output not named on the command line under the
+// build directory of this binary, never over the committed BENCH_PR*.json.
 // `--full` adds the expensive points (ulam n=4096 with B up to 64, edit
 // kParallelGuess at n=1024).
 #include <algorithm>
@@ -383,13 +376,12 @@ void write_router_json(const std::vector<RouterRecord>& records,
 int main(int argc, char** argv) {
   bool smoke = false;
   bool full = false;
-  std::string out_path = "BENCH_PR1.json";
-  std::string out2_path = "BENCH_PR3.json";
-  std::string out3_path = "BENCH_PR5.json";
-  std::string out4_path = "BENCH_PR6.json";
-  std::string out5_path = "BENCH_PR7.json";
-  std::string out6_path = "BENCH_PR8.json";
-  std::string out7_path = "BENCH_PR10.json";
+  std::string out_path;
+  std::string out2_path;
+  std::string out3_path;
+  std::string out4_path;
+  std::string out5_path;
+  std::string out6_path;
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
@@ -400,12 +392,25 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--out4") == 0 && i + 1 < argc) out4_path = argv[++i];
     if (std::strcmp(argv[i], "--out5") == 0 && i + 1 < argc) out5_path = argv[++i];
     if (std::strcmp(argv[i], "--out6") == 0 && i + 1 < argc) out6_path = argv[++i];
-    if (std::strcmp(argv[i], "--out7") == 0 && i + 1 < argc) out7_path = argv[++i];
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     }
   }
   if (smoke) full = false;
+  // Unnamed outputs default to the committed BENCH_PR*.json in the current
+  // directory, except in smoke runs, whose tiny-size numbers land under
+  // this binary's build directory instead of overwriting committed data.
+  const std::string default_dir =
+      smoke ? std::string(MPCSD_PERF_SUITE_BINARY_DIR) + "/" : std::string();
+  const auto default_to = [&](std::string& path, const char* name) {
+    if (path.empty()) path = default_dir + name;
+  };
+  default_to(out_path, "BENCH_PR1.json");
+  default_to(out2_path, "BENCH_PR3.json");
+  default_to(out3_path, "BENCH_PR5.json");
+  default_to(out4_path, "BENCH_PR6.json");
+  default_to(out5_path, "BENCH_PR7.json");
+  default_to(out6_path, "BENCH_PR8.json");
   // Wall-clock ratio gates compare medians of 3 runs (see wall_median);
   // smoke keeps 1 rep — it never evaluates the ratio gates.
   const int wall_reps = smoke ? 1 : 3;
@@ -717,12 +722,8 @@ int main(int argc, char** argv) {
   // ---- BENCH_PR7: execution backends, thread pool vs forked processes. ----
   // The same batch workload per algorithm on both backends.  Everything
   // metered must agree bit for bit (checked here); only wall clock may
-  // move, and the gate below caps how far.  The same workloads run a third
-  // time on the socket backend (BENCH_PR10, --out7): the thread baseline
-  // plus the socket records go into their own artifact with the same
-  // bit-for-bit cross-checks.
+  // move, and the gate below caps how far.
   std::vector<Record> backend_records;
-  std::vector<Record> socket_records;
   {
     const std::int64_t backend_n = smoke ? 128 : 2000;
     const std::size_t backend_b = smoke ? 2 : 4;
@@ -758,29 +759,14 @@ int main(int argc, char** argv) {
       process_rec.bytes_moved = forked.trace.total_comm_bytes();
       backend_records.push_back(process_rec);
 
-      core::BatchResult socketed;
-      Record socket_rec{std::string(algo) + "_batch_backend_socket",
-                        backend_n};
-      socket_rec.wall_seconds = wall_median(
-          [&] { socketed = solve(mpc::BackendKind::kSocket); }, wall_reps);
-      socket_rec.work = socketed.trace.total_work();
-      socket_rec.bytes_moved = socketed.trace.total_comm_bytes();
-      // BENCH_PR10 carries its thread baseline so the artifact is
-      // self-contained.
-      socket_records.push_back(thread_rec);
-      socket_records.push_back(socket_rec);
-
-      if (forked.trace.structural_hash() != threaded.trace.structural_hash() ||
-          socketed.trace.structural_hash() !=
-              threaded.trace.structural_hash()) {
+      if (forked.trace.structural_hash() != threaded.trace.structural_hash()) {
         std::fprintf(stderr,
                      "FATAL: %s batch trace hash differs across backends\n",
                      algo);
         return 1;
       }
       for (std::size_t q = 0; q < queries.size(); ++q) {
-        if (forked.queries[q].distance != threaded.queries[q].distance ||
-            socketed.queries[q].distance != threaded.queries[q].distance) {
+        if (forked.queries[q].distance != threaded.queries[q].distance) {
           std::fprintf(stderr,
                        "FATAL: %s query %zu distance differs across backends\n",
                        algo, q);
@@ -905,7 +891,6 @@ int main(int argc, char** argv) {
   write_batch_json(batch_records, out2_path);
   write_json(isa_records, out4_path);
   write_json(backend_records, out5_path);
-  write_json(socket_records, out7_path);
   write_router_json(router_records, out6_path);
   std::printf("perf_suite: %zu records -> %s\n", records.size(), out_path.c_str());
   for (const Record& r : records) {
@@ -925,14 +910,6 @@ int main(int argc, char** argv) {
   std::printf("perf_suite: %zu backend records -> %s\n",
               backend_records.size(), out5_path.c_str());
   for (const Record& r : backend_records) {
-    std::printf("  %-28s n=%-8lld wall=%.6fs work=%llu bytes_moved=%llu\n",
-                r.bench.c_str(), static_cast<long long>(r.n), r.wall_seconds,
-                static_cast<unsigned long long>(r.work),
-                static_cast<unsigned long long>(r.bytes_moved));
-  }
-  std::printf("perf_suite: %zu socket-backend records -> %s\n",
-              socket_records.size(), out7_path.c_str());
-  for (const Record& r : socket_records) {
     std::printf("  %-28s n=%-8lld wall=%.6fs work=%llu bytes_moved=%llu\n",
                 r.bench.c_str(), static_cast<long long>(r.n), r.wall_seconds,
                 static_cast<unsigned long long>(r.work),
@@ -1074,10 +1051,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out6_path.c_str());
       return 1;
     }
-    if (!json_well_formed(out7_path, socket_records.size())) {
-      std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out7_path.c_str());
-      return 1;
-    }
     // The aggregate must have seen every re-emitted record plus the traced
     // batch run's round/stage/pass spans.
     if (aggregate->spans().size() < records.size() + batch_records.size()) {
@@ -1179,26 +1152,6 @@ int main(int argc, char** argv) {
     if (!(overhead <= 2.0)) {
       std::fprintf(stderr,
                    "FAIL: %s process backend %.2fx thread backend > 2x\n", algo,
-                   overhead);
-      return 1;
-    }
-  }
-
-  // ---- BENCH_PR10 socket gate: TCP round overhead stays bounded. ----
-  // Each socket round pays fork + connect-back + framed result streaming;
-  // on localhost at n=2000 that must stay within 4x of the thread backend,
-  // or the wire has priced the backend out of local use entirely.
-  for (const char* algo : {"ulam", "edit"}) {
-    const double thread_wall = record_wall(
-        socket_records, std::string(algo) + "_batch_backend_thread", 2000);
-    const double socket_wall = record_wall(
-        socket_records, std::string(algo) + "_batch_backend_socket", 2000);
-    const double overhead = socket_wall / thread_wall;
-    std::printf("%s socket-backend overhead at n=2000: %.2fx (gate: <= 4x)\n",
-                algo, overhead);
-    if (!(overhead <= 4.0)) {
-      std::fprintf(stderr,
-                   "FAIL: %s socket backend %.2fx thread backend > 4x\n", algo,
                    overhead);
       return 1;
     }

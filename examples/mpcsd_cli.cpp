@@ -5,7 +5,6 @@
 //   mpcsd_cli batch <ulam|edit> <pairs_file> [--x X] [--eps E] [--seed S]
 //                    [--mode {parallel,throughput}] [--router {off,auto,always-seq}]
 //   mpcsd_cli demo [--n 20000] [--edits 300]
-//   mpcsd_cli --worker <host:port[,host:port...]>
 //
 // Files are read as whitespace-separated integer symbols if every token is
 // numeric, otherwise byte-wise as text.  `ulam` requires repeat-free
@@ -32,7 +31,6 @@
 #include "core/api.hpp"
 #include "core/tsv.hpp"
 #include "mpc/backend.hpp"
-#include "mpc/transport_socket.hpp"
 #include "obs/recorder.hpp"
 #include "obs/sinks.hpp"
 
@@ -77,7 +75,7 @@ const char* flag_string(int argc, char** argv, const char* name,
   return fallback;
 }
 
-/// Parses `--backend {thread,process,socket}` (default: auto, which honours
+/// Parses `--backend {thread,process}` (default: auto, which honours
 /// the MPCSD_BACKEND environment variable).  Exits with a message on an
 /// unrecognized value.
 mpc::BackendKind flag_backend(int argc, char** argv) {
@@ -85,10 +83,9 @@ mpc::BackendKind flag_backend(int argc, char** argv) {
   if (value == nullptr) return mpc::BackendKind::kAuto;
   const auto kind = mpc::backend_from_string(value);
   if (!kind.has_value()) {
-    std::fprintf(
-        stderr,
-        "error: --backend must be 'thread', 'process', or 'socket', got '%s'\n",
-        value);
+    std::fprintf(stderr,
+                 "error: --backend must be 'thread' or 'process', got '%s'\n",
+                 value);
     std::exit(2);
   }
   return *kind;
@@ -186,12 +183,10 @@ int usage() {
                "  mpcsd_cli batch <ulam|edit> <pairs_file> [--x X] [--eps E] [--seed S]\n"
                "      [--mode {parallel,throughput}] [--router {off,auto,always-seq}]\n"
                "  mpcsd_cli demo [--n N] [--edits K]\n"
-               "  mpcsd_cli --worker <host:port[,host:port...]>\n"
                "common flags:\n"
-               "  --backend {thread,process,socket}   execution backend for the\n"
-               "      machine bodies (default: thread, or the MPCSD_BACKEND env\n"
-               "      var); 'process' runs bodies in forked, memory-isolated\n"
-               "      workers; 'socket' streams results over localhost TCP frames\n"
+               "  --backend {thread,process}   execution backend for the machine\n"
+               "      bodies (default: thread, or the MPCSD_BACKEND env var);\n"
+               "      'process' runs bodies in forked, memory-isolated workers\n"
                "  --router {off,auto,always-seq}   query router for edit batches in\n"
                "      throughput mode (default: off, or the MPCSD_ROUTER env var);\n"
                "      'auto' retires near-duplicates on the sequential fast path\n"
@@ -275,27 +270,6 @@ int run_batch(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string mode = argv[1];
-
-  if (mode == "--worker") {
-#if defined(__linux__)
-    if (argc < 3) {
-      std::fprintf(stderr,
-                   "error: --worker needs a coordinator list "
-                   "(host:port[,host:port...])\n");
-      return 2;
-    }
-    try {
-      const auto coordinators = mpc::parse_host_port_list(argv[2]);
-      return mpc::run_socket_worker(coordinators, stderr);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-#else
-    std::fprintf(stderr, "error: --worker requires Linux\n");
-    return 2;
-#endif
-  }
 
   if (mode == "demo") {
     const auto n = static_cast<std::int64_t>(flag_value(argc, argv, "--n", 20000));

@@ -1,7 +1,7 @@
 // Fuzz harness for the transport frame protocol: the 14-byte frame header
-// and every wire record that rides in a frame payload (barrier, hello,
-// assign, machine-result records) — the bytes a socket peer or a corrupt
-// arena can feed the coordinator.
+// and every wire record that crosses a process boundary (barrier and
+// machine-result records) — the bytes a dying worker or a corrupt arena
+// can feed the host.
 //
 // Invariants under arbitrary input bytes:
 //   * decoding never crashes, never reads out of bounds, and never
@@ -57,38 +57,8 @@ void check_records(const std::byte* bytes, std::size_t size) {
   }
 
   try {
-    ByteReader r(bytes, size);
-    const HelloRecord h = decode_hello(r);
-    ByteWriter w;
-    encode_hello(w, h);
-    ByteReader rr(w.bytes().data(), w.bytes().size());
-    const HelloRecord h2 = decode_hello(rr);
-    if (h2.slot != h.slot || h2.body_affinity != h.body_affinity ||
-        h2.round != h.round) {
-      std::abort();
-    }
-  } catch (const FrameError&) {
-  } catch (const ContractViolation&) {
-  }
-
-  try {
-    ByteReader r(bytes, size);
-    const AssignRecord a = decode_assign(r);
-    ByteWriter w;
-    encode_assign(w, a);
-    ByteReader rr(w.bytes().data(), w.bytes().size());
-    const AssignRecord a2 = decode_assign(rr);
-    if (a2.round != a.round || a2.seed != a.seed || a2.begin != a.begin ||
-        a2.end != a.end) {
-      std::abort();
-    }
-  } catch (const FrameError&) {
-  } catch (const ContractViolation&) {
-  }
-
-  try {
-    // A stream of machine-result records, the shape of a kResults payload
-    // (and of a process-backend arena).
+    // A stream of machine-result records, the shape of a process-backend
+    // arena.
     ByteReader r(bytes, size);
     MachineReport report;
     Bytes stash;

@@ -6,7 +6,7 @@
 #      compiler cannot enforce;
 #   2. mpcsd_verify (tools/mpcsd_verify), the token/AST conformance
 #      analyzer.  When the binary exists in the build dir it supersedes
-#      grep rules 3/4/6/7/8/8b/9 for src/ with lexer-accurate matching (no
+#      grep rules 3/4/6/7/8/9 for src/ with lexer-accurate matching (no
 #      string/comment false hits) and adds the purity and determinism
 #      rules grep cannot express; the remaining grep passes of those rules
 #      then only cover fuzz/ and examples/.  `--no-ast` forces the full
@@ -129,30 +129,15 @@ hits=$(grep -rnE '#include[[:space:]]*<(immintrin|x86intrin|emmintrin|smmintrin|
 [ -n "$hits" ] && fail "intrinsics header outside src/seq/*_simd*.cpp and src/common/cpu.*; keep ISA-specific code behind the dispatch boundary" "$hits"
 
 # --- Rule 8: process-isolation primitives are confined to the process
-# backend TU (src/mpc/backend_process.cpp) and the socket transport TU
-# (src/mpc/transport_socket.cpp, which forks its connect-back workers).
-# fork/mmap/memfd scattered through the simulator would make "bodies
-# cannot touch host memory" a property of many files instead of one
-# reviewable boundary, and a second fork site could silently skip the
-# round-barrier/reap protocol.
+# backend TU (src/mpc/backend_process.cpp).  fork/mmap/memfd scattered
+# through the simulator would make "bodies cannot touch host memory" a
+# property of many files instead of one reviewable boundary, and a second
+# fork site could silently skip the round-barrier/reap protocol.
 # (Superseded by mpcsd_verify conf-process-primitive for src/.)
 hits=$(grep -rnE '\b(fork|vfork|mmap|munmap|memfd_create|shm_open|shm_unlink)\s*\(' \
   "${conf_sources[@]}" --include='*.hpp' --include='*.cpp' \
-  | grep -v '^src/mpc/backend_process\.cpp:' \
-  | grep -v '^src/mpc/transport_socket\.cpp:' || true)
-[ -n "$hits" ] && fail "process/shared-memory primitives outside src/mpc/backend_process.cpp and src/mpc/transport_socket.cpp; keep isolation in the backend boundary" "$hits"
-
-# --- Rule 8b: socket primitives are confined to the socket transport TU
-# (src/mpc/transport_socket.cpp) — every byte that leaves the process over
-# a network fd crosses one reviewable boundary, so the frame protocol (and
-# its counters) cannot be bypassed.  std::bind is the false friend here;
-# it is filtered, not allowed.
-# (Superseded by mpcsd_verify conf-socket-primitive for src/.)
-hits=$(grep -rnE '\b(socket|bind|listen|accept4?|connect)\s*\(' \
-  "${conf_sources[@]}" --include='*.hpp' --include='*.cpp' \
-  | grep -v 'std::bind' \
-  | grep -v '^src/mpc/transport_socket\.cpp:' || true)
-[ -n "$hits" ] && fail "socket primitives outside src/mpc/transport_socket.cpp; network bytes go through the socket transport boundary" "$hits"
+  | grep -v '^src/mpc/backend_process\.cpp:' || true)
+[ -n "$hits" ] && fail "process/shared-memory primitives outside src/mpc/backend_process.cpp; keep isolation in the backend boundary" "$hits"
 
 # --- Rule 9: router heuristics and cost-model constants are confined to
 # src/core/router.* — every kRouter* knob (nanosecond coefficients, the
@@ -172,7 +157,7 @@ fi
 echo "lint: invariant rules OK"
 
 # --- Layer 2: mpcsd_verify conformance analyzer (mandatory pass when the
-# binary exists; supersedes rules 3/4/6/7/8/8b/9 for src/ and adds the
+# binary exists; supersedes rules 3/4/6/7/8/9 for src/ and adds the
 # purity/determinism rules).
 if [ "$ast_active" -eq 1 ]; then
   echo "lint: mpcsd_verify over src/"
@@ -183,7 +168,7 @@ if [ "$ast_active" -eq 1 ]; then
   }
   echo "lint: mpcsd_verify OK"
 else
-  echo "lint: mpcsd_verify not available; grep fallback covered rules 3/4/6/7/8/8b/9"
+  echo "lint: mpcsd_verify not available; grep fallback covered rules 3/4/6/7/8/9"
 fi
 
 # --- Layer 3: clang-tidy (optional tool, mandatory pass when present).

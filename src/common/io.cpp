@@ -4,9 +4,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#if defined(__linux__)
-#include <sys/socket.h>
-#endif
 #define MPCSD_HAVE_POSIX_IO 1
 #endif
 
@@ -43,26 +40,6 @@ bool write_full(int fd, const void* data, std::size_t n) noexcept {
   return true;
 }
 
-bool write_full_nosignal(int fd, const void* data, std::size_t n) noexcept {
-#if defined(__linux__)
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      // ENOTSOCK: caller handed us a pipe; finish with plain writes.
-      if (errno == ENOTSOCK) return write_full(fd, p, n);
-      return false;
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-#else
-  return write_full(fd, data, n);
-#endif
-}
-
 void close_fd(int& fd) noexcept {
   if (fd >= 0) {
     ::close(fd);  // no EINTR retry: the fd is gone either way (Linux)
@@ -74,9 +51,6 @@ void close_fd(int& fd) noexcept {
 
 bool read_full(int, void*, std::size_t) noexcept { return false; }
 bool write_full(int, const void*, std::size_t) noexcept { return false; }
-bool write_full_nosignal(int, const void*, std::size_t) noexcept {
-  return false;
-}
 void close_fd(int& fd) noexcept { fd = -1; }
 
 #endif

@@ -1,13 +1,11 @@
-// EINTR-safe file-descriptor IO, shared by every transport that moves
-// bytes across a process boundary (the process backend's round-barrier
-// pipes, the socket backend's TCP frame streams).
+// EINTR-safe file-descriptor IO for the bytes that cross a process
+// boundary (the process backend's round-barrier pipes).
 //
 // POSIX read/write may transfer fewer bytes than asked (signals, pipe
-// buffers, TCP segmentation).  Before this helper existed each caller
-// carried its own retry loop; a site that forgot one turned EINTR in the
-// middle of a 17-byte barrier into a corrupt-barrier failure.  These are
-// the only retry loops in the codebase — everything above them speaks in
-// whole messages.
+// buffers).  Before this helper existed each caller carried its own retry
+// loop; a site that forgot one turned EINTR in the middle of a 17-byte
+// barrier into a corrupt-barrier failure.  These are the only retry loops
+// in the codebase — everything above them speaks in whole messages.
 #pragma once
 
 #include <cstddef>
@@ -23,12 +21,6 @@ namespace mpcsd::io {
 /// Writes exactly `n` bytes from `data`, retrying on EINTR and resuming
 /// partial writes.  Returns false on a write error.
 [[nodiscard]] bool write_full(int fd, const void* data, std::size_t n) noexcept;
-
-/// `write_full` for sockets: uses send(MSG_NOSIGNAL) so a peer that closed
-/// mid-message surfaces as `false` (EPIPE) instead of a process-killing
-/// SIGPIPE.  Falls back to `write_full` on non-socket fds / non-Linux.
-[[nodiscard]] bool write_full_nosignal(int fd, const void* data,
-                                       std::size_t n) noexcept;
 
 /// Closes `fd` if it is valid and resets it to -1.  Deliberately does NOT
 /// retry on EINTR: on Linux the descriptor is released even when close()

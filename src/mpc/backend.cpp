@@ -7,7 +7,6 @@
 #include "common/env.hpp"
 #include "mpc/backend_process.hpp"
 #include "mpc/backend_thread.hpp"
-#include "mpc/transport_socket.hpp"
 
 namespace mpcsd::mpc {
 
@@ -15,7 +14,6 @@ std::optional<BackendKind> backend_from_string(std::string_view name) {
   if (name == "auto") return BackendKind::kAuto;
   if (name == "thread") return BackendKind::kThread;
   if (name == "process") return BackendKind::kProcess;
-  if (name == "socket") return BackendKind::kSocket;
   return std::nullopt;
 }
 
@@ -25,8 +23,6 @@ const char* backend_kind_name(BackendKind kind) noexcept {
       return "thread";
     case BackendKind::kProcess:
       return "process";
-    case BackendKind::kSocket:
-      return "socket";
     case BackendKind::kAuto:
       break;
   }
@@ -53,7 +49,7 @@ std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
     // Fail loudly, once per process: a typo'd override silently running the
     // thread backend would fake a process-isolation CI leg.
     static std::atomic<bool> warned{false};
-    warn_env_once(warned, "MPCSD_BACKEND", env, "thread|process|socket",
+    warn_env_once(warned, "MPCSD_BACKEND", env, "thread|process",
                   "using the thread backend");
   }
   if (resolved.kind == BackendKind::kProcess) {
@@ -62,14 +58,6 @@ std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
 #else
     throw std::runtime_error(
         "the process execution backend requires Linux (fork + memfd)");
-#endif
-  }
-  if (resolved.kind == BackendKind::kSocket) {
-#if defined(__linux__)
-    return std::make_unique<SocketBackend>(std::move(pool), recorder);
-#else
-    throw std::runtime_error(
-        "the socket execution backend requires Linux (fork + TCP loopback)");
 #endif
   }
   (void)recorder;

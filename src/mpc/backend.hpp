@@ -6,7 +6,7 @@
 //   * machine-body execution (this layer) — how the per-machine bodies of
 //     one round actually run and how their outputs come back.
 //
-// Three backends implement the contract:
+// Two backends implement the contract:
 //   * `ThreadBackend`  — the seed path: bodies run on the cluster's shared
 //     thread pool inside one address space.  Extracted verbatim; pinned
 //     byte-identical by the golden traces.
@@ -16,14 +16,11 @@
 //     physically cannot corrupt another machine's fragment.  Results travel
 //     back through per-worker shared-memory arenas (memfd) carrying the
 //     shared machine-result records, with framed round barriers over pipes.
-//   * `SocketBackend`  — bodies run in forked workers that connect back to
-//     the host's TCP coordinator and stream the same records as
-//     length-prefixed frames (transport_socket.hpp).  See docs/BACKENDS.md.
+//     See docs/BACKENDS.md.
 //
-// Every backend owns a `Transport` (mpc/transport.hpp): the one framed
-// record layer all cross-machine bytes go through, with uniform
-// frames/bytes/flushes/barrier counters the cluster surfaces on the obs
-// spine after each round.
+// Every backend owns a `Transport` (mpc/transport.hpp): the uniform
+// frames/bytes/flushes/barrier counters for its cross-machine bytes, which
+// the cluster surfaces on the obs spine after each round.
 //
 // The determinism contract every backend must satisfy: given the same
 // (inputs, body, seed, round), the per-machine outboxes (envelope order,
@@ -53,15 +50,13 @@ enum class BackendKind : std::uint8_t {
   kAuto = 0,     ///< resolve from MPCSD_BACKEND (default: thread)
   kThread = 1,   ///< shared-address-space thread pool (seed semantics)
   kProcess = 2,  ///< forked worker processes + shared-memory result arenas
-  kSocket = 3,   ///< forked workers streaming frames over localhost TCP
 };
 
 /// Parses a `MPCSD_BACKEND` / `--backend` value; nullopt if unrecognised.
 [[nodiscard]] std::optional<BackendKind> backend_from_string(
     std::string_view name);
 
-/// Lower-case kind name ("auto" | "thread" | "process" | "socket"), for
-/// logs/flags.
+/// Lower-case kind name ("auto" | "thread" | "process"), for logs/flags.
 [[nodiscard]] const char* backend_kind_name(BackendKind kind) noexcept;
 
 /// Pure resolution of a requested kind against an environment override —

@@ -43,10 +43,10 @@ ProcessBackend::~ProcessBackend() {
 void ProcessBackend::run_worker(const RoundWork& work, std::size_t begin,
                                 std::size_t end, int arena_fd, int pipe_fd) {
   // The forked child: pool threads did not survive the fork, so the
-  // partition runs serially (run_round_partition, shared with the socket
-  // backend's workers).  Everything the bodies read (inputs, captured
-  // driver state) is a copy-on-write snapshot of the host at fork time;
-  // everything they produce leaves only through the arena below.
+  // partition runs serially (run_round_partition).  Everything the bodies
+  // read (inputs, captured driver state) is a copy-on-write snapshot of the
+  // host at fork time; everything they produce leaves only through the
+  // arena below.
   ByteWriter out;
   BarrierRecord barrier = run_round_partition(work, begin, end, out);
 

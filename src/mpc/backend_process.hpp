@@ -71,7 +71,7 @@ class ProcessBackend final : public ExecutionBackend {
 
   std::shared_ptr<ThreadPool> pool_;
   obs::Recorder* recorder_;
-  CountingTransport transport_{"shm"};
+  Transport transport_{"shm"};
   /// One memfd per worker slot, created lazily and kept across rounds so
   /// steady-state rounds reuse the same shared-memory object.
   std::vector<int> arena_fds_;

@@ -35,7 +35,7 @@ class ThreadBackend final : public ExecutionBackend {
 
  private:
   std::shared_ptr<ThreadPool> pool_;
-  CountingTransport transport_{"inproc"};
+  Transport transport_{"inproc"};
 };
 
 }  // namespace mpcsd::mpc

@@ -136,8 +136,8 @@ class MachineContext {
  private:
   friend class Cluster;
   friend class ThreadBackend;
-  /// The worker side of the isolating backends (process, socket) builds
-  /// contexts through the shared partition runner in transport.cpp.
+  /// The process backend's workers build contexts through the partition
+  /// runner in transport.cpp.
   friend BarrierRecord run_round_partition(const RoundWork& work,
                                            std::size_t begin, std::size_t end,
                                            ByteWriter& out);

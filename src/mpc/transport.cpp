@@ -36,8 +36,7 @@ FrameHeader decode_frame_header(const std::byte* data, std::size_t size) {
     throw FrameError("unsupported frame version " + std::to_string(version));
   }
   const auto tag = r.get<std::uint8_t>();
-  if (tag < static_cast<std::uint8_t>(FrameTag::kHello) ||
-      tag > static_cast<std::uint8_t>(FrameTag::kPong)) {
+  if (tag != static_cast<std::uint8_t>(FrameTag::kBarrier)) {
     throw FrameError("unknown frame tag " + std::to_string(tag));
   }
   const auto payload_bytes = r.get<std::uint64_t>();
@@ -54,13 +53,8 @@ bool FrameStream::send(FrameTag tag, ByteSpan payload) {
   header.reserve(kFrameHeaderBytes);
   encode_frame_header(header, tag, payload.size());
   const bool ok =
-      medium_ == Medium::kSocket
-          ? io::write_full_nosignal(fd_, header.bytes().data(),
-                                    header.bytes().size()) &&
-                io::write_full_nosignal(fd_, payload.data(), payload.size())
-          : io::write_full(fd_, header.bytes().data(),
-                           header.bytes().size()) &&
-                io::write_full(fd_, payload.data(), payload.size());
+      io::write_full(fd_, header.bytes().data(), header.bytes().size()) &&
+      io::write_full(fd_, payload.data(), payload.size());
   if (ok && counters_ != nullptr) {
     ++counters_->frames_sent;
     counters_->bytes_sent += kFrameHeaderBytes + payload.size();
@@ -106,45 +100,6 @@ BarrierRecord decode_barrier(ByteReader& r) {
   }
   record.result_bytes = r.get<std::uint64_t>();
   record.body_seconds = r.get<double>();
-  return record;
-}
-
-void encode_hello(ByteWriter& w, const HelloRecord& record) {
-  w.put<std::uint32_t>(record.slot);
-  w.put<std::uint8_t>(record.body_affinity);
-  w.put<std::uint64_t>(record.round);
-}
-
-HelloRecord decode_hello(ByteReader& r) {
-  HelloRecord record;
-  record.slot = r.get<std::uint32_t>();
-  record.body_affinity = r.get<std::uint8_t>();
-  if (record.body_affinity > 1) {
-    throw FrameError("bad body-affinity flag " +
-                     std::to_string(record.body_affinity) + " in hello");
-  }
-  record.round = r.get<std::uint64_t>();
-  return record;
-}
-
-void encode_assign(ByteWriter& w, const AssignRecord& record) {
-  w.put<std::uint64_t>(record.round);
-  w.put<std::uint64_t>(record.seed);
-  w.put<std::uint64_t>(record.begin);
-  w.put<std::uint64_t>(record.end);
-}
-
-AssignRecord decode_assign(ByteReader& r) {
-  AssignRecord record;
-  record.round = r.get<std::uint64_t>();
-  record.seed = r.get<std::uint64_t>();
-  record.begin = r.get<std::uint64_t>();
-  record.end = r.get<std::uint64_t>();
-  if (record.begin > record.end) {
-    throw FrameError("inverted machine range [" +
-                     std::to_string(record.begin) + ", " +
-                     std::to_string(record.end) + ") in assign record");
-  }
   return record;
 }
 

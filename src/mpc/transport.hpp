@@ -4,14 +4,14 @@
 //
 //   payload codecs (plan.hpp)       typed values <-> payload bytes
 //   records + frames (this file)    envelopes, machine results, barriers,
-//                                   control records, framed messages
+//                                   framed messages
 //   byte streams (common/io.hpp)    EINTR-safe fd reads/writes
 //
 // Before this layer existed the middle tier was smeared across three
 // ad-hoc copies: the in-process router moved `Envelope`s directly, the
 // process backend hand-rolled the same record layout into its memfd
-// arenas plus a bespoke 17-byte pipe barrier, and a socket backend would
-// have been a fourth copy.  Now every backend speaks the same records:
+// arenas plus a bespoke 17-byte pipe barrier.  Now every backend speaks the
+// same records:
 //
 //   * `Envelope`            one routed message (the unit of communication
 //                           metering) — moved here from cluster.hpp, since
@@ -20,8 +20,7 @@
 //                           produced, in the exact byte layout the process
 //                           backend's arenas pinned in PR 7;
 //   * `BarrierRecord`       the end-of-round worker status (the former
-//                           17-byte pipe barrier, now a frame payload);
-//   * control records       hello / assign handshakes for remote workers.
+//                           17-byte pipe barrier, now a frame payload).
 //
 // Frames wrap records for fd-based transports: a fixed 14-byte header
 // (magic, version, tag, payload length — all length-prefixed, validated
@@ -30,8 +29,8 @@
 // spine can report frames/bytes/flushes/barrier-waits per backend.
 //
 // Determinism contract: records are pure functions of machine outputs —
-// byte-identical across {thread, process, socket} backends and worker
-// counts, pinned by test_determinism.cpp and the golden traces.
+// byte-identical across {thread, process} backends and worker counts,
+// pinned by test_determinism.cpp and the golden traces.
 #pragma once
 
 #include <cstdint>
@@ -63,16 +62,10 @@ class FrameError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Message kinds carried on a frame stream.
+/// Message kinds carried on a frame stream.  kBarrier's byte stays 4 so the
+/// committed fuzz corpus keeps decoding; every other tag byte is rejected.
 enum class FrameTag : std::uint8_t {
-  kHello = 1,     ///< worker -> coordinator: slot, body affinity, round
-  kAssign = 2,    ///< coordinator -> worker: round, seed, machine range
-  kResults = 3,   ///< worker -> coordinator: machine-result records
-  kBarrier = 4,   ///< worker -> coordinator: end-of-round BarrierRecord
-  kError = 5,     ///< worker -> coordinator: failure message (string)
-  kShutdown = 6,  ///< coordinator -> worker: disconnect, reason (string)
-  kPing = 7,      ///< liveness probe (payload echoed back)
-  kPong = 8,      ///< liveness reply
+  kBarrier = 4,  ///< worker -> host: end-of-round BarrierRecord
 };
 
 /// "MPCF" little-endian; the first 4 bytes of every frame.
@@ -85,12 +78,12 @@ inline constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 1 + 8;
 inline constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 30;
 
 struct FrameHeader {
-  FrameTag tag = FrameTag::kHello;
+  FrameTag tag = FrameTag::kBarrier;
   std::uint64_t payload_bytes = 0;
 };
 
 struct Frame {
-  FrameTag tag = FrameTag::kHello;
+  FrameTag tag = FrameTag::kBarrier;
   Bytes payload;
 };
 
@@ -110,7 +103,7 @@ void encode_frame_header(ByteWriter& w, FrameTag tag,
 /// Uniform counters every transport maintains; surfaced on the obs spine
 /// as `transport.*` after each round.  What a "frame" is depends on the
 /// transport (see docs/BACKENDS.md): an envelope handed to the in-process
-/// router, one published arena for shm, one wire frame for tcp.
+/// router, one published arena or barrier frame for shm.
 struct TransportCounters {
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
@@ -120,43 +113,29 @@ struct TransportCounters {
   std::uint64_t barrier_waits = 0;  ///< end-of-round barriers awaited
 };
 
-/// A transport owns the counters for one backend's boundary crossings.
+/// A transport owns the counters for one backend's boundary crossings,
+/// under the wire name the obs spine reports ("inproc" for the in-process
+/// router, "shm" for the process backend's shared-memory arenas).
 class Transport {
  public:
-  virtual ~Transport() = default;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
+  explicit Transport(const char* name) noexcept : name_(name) {}
+  [[nodiscard]] const char* name() const noexcept { return name_; }
   [[nodiscard]] const TransportCounters& counters() const noexcept {
     return counters_;
   }
   [[nodiscard]] TransportCounters& counters() noexcept { return counters_; }
 
  private:
+  const char* name_;
   TransportCounters counters_;
 };
 
-/// Counter-only transport for backends whose wire is a memory move (the
-/// in-process router) or a shared-memory arena (the process backend).
-class CountingTransport final : public Transport {
- public:
-  explicit CountingTransport(const char* name) noexcept : name_(name) {}
-  [[nodiscard]] const char* name() const noexcept override { return name_; }
-
- private:
-  const char* name_;
-};
-
-/// Framed messages over an fd (round-barrier pipes, TCP sockets).  Does
-/// not own the fd.  `counters` (optional) meters every frame moved.
+/// Framed messages over an fd (the round-barrier pipes).  Does not own the
+/// fd.  `counters` (optional) meters every frame moved.
 class FrameStream {
  public:
-  enum class Medium : std::uint8_t {
-    kPipe,    ///< plain write()
-    kSocket,  ///< send(MSG_NOSIGNAL): peer loss is an error, not SIGPIPE
-  };
-
-  explicit FrameStream(int fd, TransportCounters* counters = nullptr,
-                       Medium medium = Medium::kPipe) noexcept
-      : fd_(fd), counters_(counters), medium_(medium) {}
+  explicit FrameStream(int fd, TransportCounters* counters = nullptr) noexcept
+      : fd_(fd), counters_(counters) {}
 
   /// Sends one frame (header + payload).  False on a write failure.
   [[nodiscard]] bool send(FrameTag tag, ByteSpan payload);
@@ -169,7 +148,6 @@ class FrameStream {
  private:
   int fd_;
   TransportCounters* counters_;
-  Medium medium_;
 };
 
 // --- wire records ------------------------------------------------------
@@ -194,31 +172,6 @@ void encode_barrier(ByteWriter& w, const BarrierRecord& record);
 /// ContractViolation as everywhere else).
 [[nodiscard]] BarrierRecord decode_barrier(ByteReader& r);
 
-/// Worker slot of a connection with no machine partition (an external
-/// `mpcsd_cli --worker` joining for control traffic only).
-inline constexpr std::uint32_t kWorkerSlotNone = 0xFFFFFFFFu;
-
-/// Worker -> coordinator handshake.
-struct HelloRecord {
-  std::uint32_t slot = kWorkerSlotNone;
-  std::uint8_t body_affinity = 0;  ///< 1: forked from this round's host
-  std::uint64_t round = 0;
-};
-
-/// Coordinator -> worker round assignment (echoes the partition so both
-/// sides agree before any body runs).
-struct AssignRecord {
-  std::uint64_t round = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-};
-
-void encode_hello(ByteWriter& w, const HelloRecord& record);
-[[nodiscard]] HelloRecord decode_hello(ByteReader& r);
-void encode_assign(ByteWriter& w, const AssignRecord& record);
-[[nodiscard]] AssignRecord decode_assign(ByteReader& r);
-
 /// Appends one machine-result record — report, stash, then the outbox as
 /// a count plus (dest, payload) pairs.  This is the PR 7 arena layout,
 /// byte for byte; docs/BACKENDS.md documents it as the wire contract.
@@ -232,11 +185,10 @@ void encode_machine_result(ByteWriter& w, const MachineReport& report,
 void decode_machine_result(ByteReader& r, MachineReport* report, Bytes* stash,
                            std::vector<Envelope>* outbox);
 
-// --- worker-side round execution (shared by isolating backends) --------
+// --- worker-side round execution ---------------------------------------
 
 /// Runs machines [begin, end) of `work` serially — the worker side of the
-/// process and socket backends, where pool threads did not survive the
-/// fork — appending one machine-result record per machine to `out`.  On a
+/// process backend, where pool threads did not survive the fork — appending one machine-result record per machine to `out`.  On a
 /// body exception `out` is replaced by the exception message (put_string)
 /// and the returned status says kWorkerBodyThrew.  The returned
 /// result_bytes is out's final size; body_seconds covers the body loop.

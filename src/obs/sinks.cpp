@@ -187,8 +187,7 @@ void AggregateSink::record(const TraceEvent& event) {
     return;
   }
   // Instants aggregate like zero-duration spans: they still count.
-  SpanStats& s = spans_[event.name];
-  s.category = event.category;
+  SpanStats& s = spans_[SpanKey{event.category, event.name}];
   ++s.count;
   s.total_dur_us += event.dur_us;
   s.min_dur_us = std::min(s.min_dur_us, event.dur_us);
@@ -199,11 +198,11 @@ void AggregateSink::record(const TraceEvent& event) {
 std::string AggregateSink::to_json() const {
   std::string out = "{\"spans\":[\n";
   std::size_t i = 0;
-  for (const auto& [name, s] : spans_) {
+  for (const auto& [key, s] : spans_) {
     out += "  {\"name\":\"";
-    out += json_escape(name);
+    out += json_escape(key.second);
     out += "\",\"cat\":\"";
-    out += json_escape(s.category);
+    out += json_escape(key.first);
     out += "\",\"count\":";
     out += json_number(static_cast<double>(s.count));
     out += ",\"total_us\":";

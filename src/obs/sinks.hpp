@@ -9,9 +9,9 @@
 //                       (complete) events, counters "C", instants "i".
 //                       Open the file directly in chrome://tracing or
 //                       https://ui.perfetto.dev.
-//   * AggregateSink   — in-memory rollup: spans aggregate per name
-//                       (count / total / min / max duration, last args),
-//                       counters per name (count / last / sum).  The perf
+//   * AggregateSink   — in-memory rollup: spans aggregate per (category,
+//                       name) (count / total / min / max duration, last
+//                       args), counters per name (count / last / sum).  The perf
 //                       suite serialises this summary as BENCH_PR5.json.
 //
 // Sinks are driven single-threaded (the Recorder serialises dispatch);
@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/recorder.hpp"
@@ -68,13 +69,16 @@ class ChromeTraceSink : public Sink {
 
 class AggregateSink : public Sink {
  public:
+  /// (category, name).  Spans of different categories may share a label
+  /// (a plan stage and the round it runs in) yet time different things, so
+  /// they never merge.
+  using SpanKey = std::pair<std::string, std::string>;
   struct SpanStats {
-    std::string category;
     std::uint64_t count = 0;
     std::uint64_t total_dur_us = 0;
     std::uint64_t min_dur_us = UINT64_MAX;
     std::uint64_t max_dur_us = 0;
-    /// The args of the most recent span with this name (benches emit one
+    /// The args of the most recent span with this key (benches emit one
     /// uniquely named span per record, so "last" is "the" record).
     std::vector<Arg> last_args;
   };
@@ -86,7 +90,7 @@ class AggregateSink : public Sink {
 
   void record(const TraceEvent& event) override;
 
-  [[nodiscard]] const std::map<std::string, SpanStats>& spans() const noexcept {
+  [[nodiscard]] const std::map<SpanKey, SpanStats>& spans() const noexcept {
     return spans_;
   }
   [[nodiscard]] const std::map<std::string, CounterStats>& counters()
@@ -94,12 +98,13 @@ class AggregateSink : public Sink {
     return counters_;
   }
 
-  /// {"spans": [...], "counters": [...]} with one row per name.
+  /// {"spans": [...], "counters": [...]} with one span row per (category,
+  /// name) and one counter row per name.
   [[nodiscard]] std::string to_json() const;
   bool write_file(const std::string& path) const;
 
  private:
-  std::map<std::string, SpanStats> spans_;
+  std::map<SpanKey, SpanStats> spans_;
   std::map<std::string, CounterStats> counters_;
 };
 

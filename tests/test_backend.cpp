@@ -1,7 +1,7 @@
 // The pluggable execution-backend layer: kind parsing / resolution policy,
-// thread/process/socket byte equivalence on raw cluster rounds, the
-// unmetered stash side channel, and worker-failure propagation from forked
-// bodies (via shared-memory arenas and TCP frames alike).
+// thread/process byte equivalence on raw cluster rounds, the unmetered
+// stash side channel, and worker-failure propagation from forked bodies
+// through their shared-memory arenas.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,13 +26,14 @@ Bytes payload_of(std::uint64_t v) {
 
 TEST(Backend, KindParsingRoundTrips) {
   for (const auto kind : {BackendKind::kAuto, BackendKind::kThread,
-                          BackendKind::kProcess, BackendKind::kSocket}) {
+                          BackendKind::kProcess}) {
     const auto parsed = backend_from_string(backend_kind_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(backend_from_string("fork").has_value());
   EXPECT_FALSE(backend_from_string("tcp").has_value());
+  EXPECT_FALSE(backend_from_string("socket").has_value());  // retired
   EXPECT_FALSE(backend_from_string("Thread").has_value());
   EXPECT_FALSE(backend_from_string("").has_value());
 }
@@ -45,18 +46,13 @@ TEST(Backend, ResolutionPolicy) {
               BackendKind::kThread);
     EXPECT_EQ(resolve_backend(BackendKind::kProcess, env).kind,
               BackendKind::kProcess);
-    EXPECT_EQ(resolve_backend(BackendKind::kSocket, env).kind,
-              BackendKind::kSocket);
     EXPECT_TRUE(resolve_backend(BackendKind::kProcess, env).recognised);
-    EXPECT_TRUE(resolve_backend(BackendKind::kSocket, env).recognised);
   }
   // kAuto resolves through the environment, defaulting to thread.
   EXPECT_EQ(resolve_backend(BackendKind::kAuto, nullptr).kind,
             BackendKind::kThread);
   EXPECT_EQ(resolve_backend(BackendKind::kAuto, "process").kind,
             BackendKind::kProcess);
-  EXPECT_EQ(resolve_backend(BackendKind::kAuto, "socket").kind,
-            BackendKind::kSocket);
   EXPECT_EQ(resolve_backend(BackendKind::kAuto, "thread").kind,
             BackendKind::kThread);
   // An unrecognised env value falls back to thread and is flagged so the
@@ -64,6 +60,10 @@ TEST(Backend, ResolutionPolicy) {
   const BackendResolution bogus = resolve_backend(BackendKind::kAuto, "forky");
   EXPECT_EQ(bogus.kind, BackendKind::kThread);
   EXPECT_FALSE(bogus.recognised);
+  // The retired socket backend is an unrecognised value like any typo.
+  const BackendResolution socket = resolve_backend(BackendKind::kAuto, "socket");
+  EXPECT_EQ(socket.kind, BackendKind::kThread);
+  EXPECT_FALSE(socket.recognised);
   // "auto" in the environment is itself not a resolution; it means default.
   EXPECT_EQ(resolve_backend(BackendKind::kAuto, "auto").kind,
             BackendKind::kThread);
@@ -79,9 +79,6 @@ TEST(Backend, MakeBackendReportsIsolation) {
       make_backend(BackendKind::kProcess, pool, nullptr);
   EXPECT_STREQ(process_backend->name(), "process");
   EXPECT_TRUE(process_backend->isolates_machine_memory());
-  const auto socket_backend = make_backend(BackendKind::kSocket, pool, nullptr);
-  EXPECT_STREQ(socket_backend->name(), "socket");
-  EXPECT_TRUE(socket_backend->isolates_machine_memory());
 }
 
 TEST(Backend, BackendsExposeTheirTransport) {
@@ -94,9 +91,6 @@ TEST(Backend, BackendsExposeTheirTransport) {
   EXPECT_STREQ(
       make_backend(BackendKind::kProcess, pool, nullptr)->transport().name(),
       "shm");
-  EXPECT_STREQ(
-      make_backend(BackendKind::kSocket, pool, nullptr)->transport().name(),
-      "tcp");
 }
 
 TEST(Backend, ProcessRoundByteIdenticalToThreadRound) {
@@ -141,8 +135,7 @@ TEST(Backend, ProcessRoundByteIdenticalToThreadRound) {
                            cluster.trace().structural_hash());
   };
   const auto base = run(BackendKind::kThread, 1);
-  for (const auto backend : {BackendKind::kThread, BackendKind::kProcess,
-                             BackendKind::kSocket}) {
+  for (const auto backend : {BackendKind::kThread, BackendKind::kProcess}) {
     for (const std::size_t workers : {1ul, 3ul, 8ul}) {
       const auto got = run(backend, workers);
       EXPECT_EQ(std::get<0>(got), std::get<0>(base))
@@ -156,8 +149,7 @@ TEST(Backend, ProcessRoundByteIdenticalToThreadRound) {
 }
 
 TEST(Backend, StashRoundTripThroughPlanDriver) {
-  for (const auto backend : {BackendKind::kThread, BackendKind::kProcess,
-                             BackendKind::kSocket}) {
+  for (const auto backend : {BackendKind::kThread, BackendKind::kProcess}) {
     ClusterConfig cfg;
     cfg.workers = 2;
     cfg.backend = backend;
@@ -183,32 +175,27 @@ TEST(Backend, StashRoundTripThroughPlanDriver) {
 
 TEST(Backend, IsolatingBackendsPropagateBodyFailure) {
   // A body exception inside a forked worker must surface host-side with
-  // the same message whether the record travelled through a shared-memory
-  // arena (process) or a TCP frame (socket).
-  for (const auto backend : {BackendKind::kProcess, BackendKind::kSocket}) {
-    ClusterConfig cfg;
-    cfg.workers = 2;
-    cfg.backend = backend;
-    Cluster cluster(cfg);
-    std::vector<Bytes> inputs;
-    for (std::uint64_t i = 0; i < 8; ++i) inputs.push_back(payload_of(i));
-    try {
-      cluster.run_round("doomed", inputs, [](MachineContext& ctx) {
-        auto r = ctx.reader();
-        if (r.get<std::uint64_t>() == 5) {
-          throw std::runtime_error("machine 5 exploded");
-        }
-      });
-      FAIL() << "expected the worker failure to propagate on "
-             << backend_kind_name(backend);
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("machine body failed in worker process"),
-                std::string::npos)
-          << backend_kind_name(backend) << ": " << what;
-      EXPECT_NE(what.find("machine 5 exploded"), std::string::npos)
-          << backend_kind_name(backend) << ": " << what;
-    }
+  // its message, carried back through the worker's shared-memory arena.
+  ClusterConfig cfg;
+  cfg.workers = 2;
+  cfg.backend = BackendKind::kProcess;
+  Cluster cluster(cfg);
+  std::vector<Bytes> inputs;
+  for (std::uint64_t i = 0; i < 8; ++i) inputs.push_back(payload_of(i));
+  try {
+    cluster.run_round("doomed", inputs, [](MachineContext& ctx) {
+      auto r = ctx.reader();
+      if (r.get<std::uint64_t>() == 5) {
+        throw std::runtime_error("machine 5 exploded");
+      }
+    });
+    FAIL() << "expected the worker failure to propagate";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("machine body failed in worker process"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("machine 5 exploded"), std::string::npos) << what;
   }
 }
 
@@ -217,19 +204,17 @@ TEST(Backend, IsolatedWritesToCapturedHostStateAreInvisible) {
   // host memory has no effect on the host (on the thread backend this same
   // body would be a model violation the auditor has to catch with
   // canaries; fork isolation makes it physically inert).
-  for (const auto backend : {BackendKind::kProcess, BackendKind::kSocket}) {
-    ClusterConfig cfg;
-    cfg.workers = 2;
-    cfg.backend = backend;
-    Cluster cluster(cfg);
-    std::vector<Bytes> inputs{payload_of(1), payload_of(2)};
-    std::uint64_t host_state = 42;
-    cluster.run_round("scribble", inputs, [&host_state](MachineContext& ctx) {
-      (void)ctx;
-      host_state = 999;  // lands in the child's COW copy only
-    });
-    EXPECT_EQ(host_state, 42u) << backend_kind_name(backend);
-  }
+  ClusterConfig cfg;
+  cfg.workers = 2;
+  cfg.backend = BackendKind::kProcess;
+  Cluster cluster(cfg);
+  std::vector<Bytes> inputs{payload_of(1), payload_of(2)};
+  std::uint64_t host_state = 42;
+  cluster.run_round("scribble", inputs, [&host_state](MachineContext& ctx) {
+    (void)ctx;
+    host_state = 999;  // lands in the child's COW copy only
+  });
+  EXPECT_EQ(host_state, 42u);
 }
 
 }  // namespace

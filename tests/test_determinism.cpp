@@ -136,11 +136,10 @@ TEST(Determinism, UlamTraceHashIndependentOfIsaLevel) {
 }
 
 TEST(Determinism, UlamTraceHashIndependentOfExecutionBackend) {
-  // The execution backend (thread pool, forked worker processes, or forked
-  // workers streaming TCP frames) is an implementation detail of where
-  // machine bodies run; the metered model — distance, per-round stats,
-  // structural trace hash — must be byte-identical across
-  // {thread, process, socket} x worker counts.
+  // The execution backend (thread pool or forked worker processes) is an
+  // implementation detail of where machine bodies run; the metered model —
+  // distance, per-round stats, structural trace hash — must be
+  // byte-identical across {thread, process} x worker counts.
   const auto s = core::random_permutation(600, 61);
   const auto t = core::plant_edits(s, 40, 62, true).text;
   auto run = [&](mpc::BackendKind backend, std::size_t workers) {
@@ -150,9 +149,8 @@ TEST(Determinism, UlamTraceHashIndependentOfExecutionBackend) {
     return ulam_mpc::ulam_distance_mpc(s, t, params);
   };
   const auto base = run(mpc::BackendKind::kThread, 1);
-  for (const auto backend : {mpc::BackendKind::kThread,
-                             mpc::BackendKind::kProcess,
-                             mpc::BackendKind::kSocket}) {
+  for (const auto backend :
+       {mpc::BackendKind::kThread, mpc::BackendKind::kProcess}) {
     for (const std::size_t workers : {1ul, 2ul, 5ul}) {
       const auto r = run(backend, workers);
       EXPECT_EQ(r.distance, base.distance)
@@ -173,9 +171,8 @@ TEST(Determinism, EditTraceHashIndependentOfExecutionBackend) {
     return edit_mpc::edit_distance_mpc(s, t, params);
   };
   const auto base = run(mpc::BackendKind::kThread, 1);
-  for (const auto backend : {mpc::BackendKind::kThread,
-                             mpc::BackendKind::kProcess,
-                             mpc::BackendKind::kSocket}) {
+  for (const auto backend :
+       {mpc::BackendKind::kThread, mpc::BackendKind::kProcess}) {
     for (const std::size_t workers : {1ul, 2ul, 5ul}) {
       const auto r = run(backend, workers);
       EXPECT_EQ(r.distance, base.distance)
@@ -206,19 +203,13 @@ TEST(Determinism, BatchTraceHashIndependentOfExecutionBackend) {
     return core::distance_batch(r);
   };
   const auto threaded = run(mpc::BackendKind::kThread);
-  for (const auto backend :
-       {mpc::BackendKind::kProcess, mpc::BackendKind::kSocket}) {
-    const auto isolated = run(backend);
-    ASSERT_EQ(isolated.queries.size(), threaded.queries.size())
-        << mpc::backend_kind_name(backend);
-    for (std::size_t q = 0; q < threaded.queries.size(); ++q) {
-      EXPECT_EQ(isolated.queries[q].distance, threaded.queries[q].distance)
-          << mpc::backend_kind_name(backend) << " query " << q;
-    }
-    EXPECT_EQ(isolated.trace.structural_hash(),
-              threaded.trace.structural_hash())
-        << mpc::backend_kind_name(backend);
+  const auto isolated = run(mpc::BackendKind::kProcess);
+  ASSERT_EQ(isolated.queries.size(), threaded.queries.size());
+  for (std::size_t q = 0; q < threaded.queries.size(); ++q) {
+    EXPECT_EQ(isolated.queries[q].distance, threaded.queries[q].distance)
+        << "query " << q;
   }
+  EXPECT_EQ(isolated.trace.structural_hash(), threaded.trace.structural_hash());
 }
 
 TEST(Determinism, StructuralHashIgnoresWallClockOnly) {

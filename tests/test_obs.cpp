@@ -193,7 +193,7 @@ TEST(Recorder, SpanArgsChainAndFinishIsIdempotent) {
   recorder.flush();
 
   EXPECT_EQ(recorder.event_count(), 1u);
-  const auto it = sink->spans().find("chained");
+  const auto it = sink->spans().find({"test", "chained"});
   ASSERT_NE(it, sink->spans().end());
   EXPECT_EQ(it->second.count, 1u);
   ASSERT_EQ(it->second.last_args.size(), 2u);
@@ -345,7 +345,7 @@ TEST(AggregateSink, RollupArithmetic) {
   counter.args = {obs::Arg{"value", 5.0}};
   sink.record(counter);
 
-  const auto& s = sink.spans().at("s");
+  const auto& s = sink.spans().at({"test", "s"});
   EXPECT_EQ(s.count, 2u);
   EXPECT_EQ(s.total_dur_us, 40u);
   EXPECT_EQ(s.min_dur_us, 10u);
@@ -362,6 +362,38 @@ TEST(AggregateSink, RollupArithmetic) {
   EXPECT_NE(json.find("\"name\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"total_us\":40"), std::string::npos);
   EXPECT_NE(json.find("\"sum\":8"), std::string::npos);
+}
+
+TEST(AggregateSink, SameNameInTwoCategoriesStaysApart) {
+  // A plan stage span and the round span it runs in carry the same label;
+  // summing them would double the time and keep whichever category came
+  // last.
+  obs::AggregateSink sink;
+  obs::TraceEvent span;
+  span.kind = obs::EventKind::kSpan;
+  span.name = "edit:candidates";
+  span.category = "round";
+  span.dur_us = 7;
+  sink.record(span);
+  span.category = "stage";
+  span.dur_us = 11;
+  sink.record(span);
+
+  ASSERT_EQ(sink.spans().size(), 2u);
+  const auto& round = sink.spans().at({"round", "edit:candidates"});
+  EXPECT_EQ(round.count, 1u);
+  EXPECT_EQ(round.total_dur_us, 7u);
+  const auto& stage = sink.spans().at({"stage", "edit:candidates"});
+  EXPECT_EQ(stage.count, 1u);
+  EXPECT_EQ(stage.total_dur_us, 11u);
+
+  const std::string json = sink.to_json();
+  EXPECT_NE(json.find("{\"name\":\"edit:candidates\",\"cat\":\"round\","
+                      "\"count\":1,"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"edit:candidates\",\"cat\":\"stage\","
+                      "\"count\":1,"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -386,7 +418,7 @@ TEST(Recorder, ConcurrentEmissionUnderParallelFor) {
   // Every emission must have been dispatched exactly once, with no lost
   // updates (the dispatch lock serialises the sink).
   EXPECT_EQ(recorder.event_count(), 2 * kIters);
-  EXPECT_EQ(sink->spans().at("worker").count, kIters);
+  EXPECT_EQ(sink->spans().at({"test", "worker"}).count, kIters);
   EXPECT_EQ(sink->counters().at("hits").count, kIters);
   EXPECT_DOUBLE_EQ(sink->counters().at("hits").sum, static_cast<double>(kIters));
 }
@@ -415,7 +447,7 @@ TEST(MeteringNeutrality, UlamSolver) {
   EXPECT_EQ(attached.trace.structural_hash(), detached.trace.structural_hash());
   // The traced run actually emitted: solver span + round spans + counters.
   EXPECT_GT(recorder.event_count(), 0u);
-  EXPECT_NE(sink->spans().find("ulam:solve"), sink->spans().end());
+  EXPECT_NE(sink->spans().find({"solver", "ulam:solve"}), sink->spans().end());
 }
 
 TEST(MeteringNeutrality, EditSolver) {
@@ -436,8 +468,8 @@ TEST(MeteringNeutrality, EditSolver) {
 
   EXPECT_EQ(attached.distance, detached.distance);
   EXPECT_EQ(attached.trace.structural_hash(), detached.trace.structural_hash());
-  EXPECT_NE(sink->spans().find("edit:solve"), sink->spans().end());
-  EXPECT_NE(sink->spans().find("edit:guess"), sink->spans().end());
+  EXPECT_NE(sink->spans().find({"solver", "edit:solve"}), sink->spans().end());
+  EXPECT_NE(sink->spans().find({"solver", "edit:guess"}), sink->spans().end());
 }
 
 core::BatchRequest make_batch_request(core::BatchMode mode) {
@@ -484,8 +516,10 @@ TEST(MeteringNeutrality, DistanceBatchBothModes) {
                 detached.queries[q].trace.structural_hash());
     }
     // Per-rung attribution spans landed on the query tracks.
-    EXPECT_NE(sink->spans().find("batch:edit:pass"), sink->spans().end());
-    EXPECT_NE(sink->spans().find("batch:edit:rung"), sink->spans().end());
+    EXPECT_NE(sink->spans().find({"batch", "batch:edit:pass"}),
+              sink->spans().end());
+    EXPECT_NE(sink->spans().find({"batch", "batch:edit:rung"}),
+              sink->spans().end());
   }
 }
 
@@ -508,10 +542,11 @@ TEST(MeteringNeutrality, UlamBatchEmitsQuerySpans) {
   recorder.flush();
 
   EXPECT_EQ(attached.trace.structural_hash(), detached.trace.structural_hash());
-  const auto it = sink->spans().find("batch:ulam:query");
+  const auto it = sink->spans().find({"batch", "batch:ulam:query"});
   ASSERT_NE(it, sink->spans().end());
   EXPECT_EQ(it->second.count, 2u);
-  EXPECT_NE(sink->spans().find("batch:ulam:pass"), sink->spans().end());
+  EXPECT_NE(sink->spans().find({"batch", "batch:ulam:pass"}),
+            sink->spans().end());
 }
 
 }  // namespace

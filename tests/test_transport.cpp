@@ -1,13 +1,11 @@
 // The transport layer: frame header validation, wire-record round trips
-// (barrier / hello / assign / machine results), FrameStream over real fds,
-// the EINTR-safe io helpers, host:port parsing, and the standalone socket
-// worker's control-frame protocol against a mock coordinator.
+// (barrier / machine results), FrameStream over real fds, and the
+// EINTR-safe io helpers.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +15,6 @@
 #include "common/io.hpp"
 #include "mpc/stats.hpp"
 #include "mpc/transport.hpp"
-#include "mpc/transport_socket.hpp"
 
 namespace mpcsd::mpc {
 namespace {
@@ -29,41 +26,39 @@ Bytes header_bytes(FrameTag tag, std::uint64_t payload_bytes) {
 }
 
 TEST(Frame, HeaderRoundTripsEveryTag) {
-  for (const auto tag :
-       {FrameTag::kHello, FrameTag::kAssign, FrameTag::kResults,
-        FrameTag::kBarrier, FrameTag::kError, FrameTag::kShutdown,
-        FrameTag::kPing, FrameTag::kPong}) {
-    const Bytes raw = header_bytes(tag, 12345);
-    ASSERT_EQ(raw.size(), kFrameHeaderBytes);
-    const FrameHeader h = decode_frame_header(raw.data(), raw.size());
-    EXPECT_EQ(h.tag, tag);
-    EXPECT_EQ(h.payload_bytes, 12345u);
-  }
+  const Bytes raw = header_bytes(FrameTag::kBarrier, 12345);
+  ASSERT_EQ(raw.size(), kFrameHeaderBytes);
+  const FrameHeader h = decode_frame_header(raw.data(), raw.size());
+  EXPECT_EQ(h.tag, FrameTag::kBarrier);
+  EXPECT_EQ(h.payload_bytes, 12345u);
 }
 
 TEST(Frame, TruncatedHeaderThrows) {
-  const Bytes raw = header_bytes(FrameTag::kHello, 0);
+  const Bytes raw = header_bytes(FrameTag::kBarrier, 0);
   for (std::size_t n = 0; n < kFrameHeaderBytes; ++n) {
     EXPECT_THROW((void)decode_frame_header(raw.data(), n), FrameError) << n;
   }
 }
 
 TEST(Frame, BadMagicThrows) {
-  Bytes raw = header_bytes(FrameTag::kHello, 0);
+  Bytes raw = header_bytes(FrameTag::kBarrier, 0);
   raw[0] ^= std::byte{0xFF};
   EXPECT_THROW((void)decode_frame_header(raw.data(), raw.size()), FrameError);
 }
 
 TEST(Frame, UnsupportedVersionThrows) {
-  Bytes raw = header_bytes(FrameTag::kHello, 0);
+  Bytes raw = header_bytes(FrameTag::kBarrier, 0);
   raw[4] = std::byte{kFrameVersion + 1};
   EXPECT_THROW((void)decode_frame_header(raw.data(), raw.size()), FrameError);
 }
 
 TEST(Frame, UnknownTagThrows) {
-  for (const std::uint8_t tag : {std::uint8_t{0}, std::uint8_t{9},
-                                 std::uint8_t{0xFF}}) {
-    Bytes raw = header_bytes(FrameTag::kHello, 0);
+  // Every tag byte but kBarrier's 4 is rejected, 1-3 and 5-8 included.
+  for (const std::uint8_t tag :
+       {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{3},
+        std::uint8_t{5}, std::uint8_t{6}, std::uint8_t{7}, std::uint8_t{8},
+        std::uint8_t{9}, std::uint8_t{0xFF}}) {
+    Bytes raw = header_bytes(FrameTag::kBarrier, 0);
     raw[5] = std::byte{tag};
     EXPECT_THROW((void)decode_frame_header(raw.data(), raw.size()), FrameError)
         << unsigned(tag);
@@ -71,10 +66,10 @@ TEST(Frame, UnknownTagThrows) {
 }
 
 TEST(Frame, OversizedPayloadThrows) {
-  const Bytes raw = header_bytes(FrameTag::kResults, kMaxFramePayload + 1);
+  const Bytes raw = header_bytes(FrameTag::kBarrier, kMaxFramePayload + 1);
   EXPECT_THROW((void)decode_frame_header(raw.data(), raw.size()), FrameError);
   // The cap itself is allowed.
-  const Bytes ok = header_bytes(FrameTag::kResults, kMaxFramePayload);
+  const Bytes ok = header_bytes(FrameTag::kBarrier, kMaxFramePayload);
   EXPECT_EQ(decode_frame_header(ok.data(), ok.size()).payload_bytes,
             kMaxFramePayload);
 }
@@ -99,39 +94,6 @@ TEST(Records, BarrierRejectsUnknownStatus) {
   raw[0] = std::byte{kWorkerPublishFailed + 1};
   ByteReader r(raw.data(), raw.size());
   EXPECT_THROW((void)decode_barrier(r), FrameError);
-}
-
-TEST(Records, HelloAndAssignRoundTrip) {
-  ByteWriter w;
-  encode_hello(w, HelloRecord{7, 1, 42});
-  ByteReader r(w.bytes().data(), w.bytes().size());
-  const HelloRecord hello = decode_hello(r);
-  EXPECT_EQ(hello.slot, 7u);
-  EXPECT_EQ(hello.body_affinity, 1);
-  EXPECT_EQ(hello.round, 42u);
-
-  ByteWriter w2;
-  encode_assign(w2, AssignRecord{42, 0xDEADBEEF, 3, 11});
-  ByteReader r2(w2.bytes().data(), w2.bytes().size());
-  const AssignRecord assign = decode_assign(r2);
-  EXPECT_EQ(assign.round, 42u);
-  EXPECT_EQ(assign.seed, 0xDEADBEEFu);
-  EXPECT_EQ(assign.begin, 3u);
-  EXPECT_EQ(assign.end, 11u);
-}
-
-TEST(Records, HelloRejectsBadAffinityAssignRejectsInvertedRange) {
-  ByteWriter w;
-  encode_hello(w, HelloRecord{1, 1, 0});
-  Bytes raw(w.bytes().begin(), w.bytes().end());
-  raw[4] = std::byte{2};  // affinity is a boolean on the wire
-  ByteReader r(raw.data(), raw.size());
-  EXPECT_THROW((void)decode_hello(r), FrameError);
-
-  ByteWriter w2;
-  encode_assign(w2, AssignRecord{0, 0, /*begin=*/9, /*end=*/3});
-  ByteReader r2(w2.bytes().data(), w2.bytes().size());
-  EXPECT_THROW((void)decode_assign(r2), FrameError);
 }
 
 TEST(Records, MachineResultRoundTrips) {
@@ -191,10 +153,10 @@ TEST(FrameStream, RoundTripsOverAPipeAndMeters) {
 
   ByteWriter payload;
   payload.put_string("the payload");
-  ASSERT_TRUE(writer.send(FrameTag::kPing, ByteSpan(payload.bytes())));
+  ASSERT_TRUE(writer.send(FrameTag::kBarrier, ByteSpan(payload.bytes())));
   const auto frame = reader.recv();
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->tag, FrameTag::kPing);
+  EXPECT_EQ(frame->tag, FrameTag::kBarrier);
   ByteReader r(frame->payload);
   EXPECT_EQ(r.get_string(), "the payload");
 
@@ -214,7 +176,7 @@ TEST(FrameStream, PayloadCutShortIsAFrameError) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::pipe(fds), 0);
   // A header promising 64 bytes, then only 3 bytes before EOF.
-  const Bytes head = header_bytes(FrameTag::kResults, 64);
+  const Bytes head = header_bytes(FrameTag::kBarrier, 64);
   ASSERT_TRUE(io::write_full(fds[1], head.data(), head.size()));
   const char partial[3] = {'a', 'b', 'c'};
   ASSERT_TRUE(io::write_full(fds[1], partial, sizeof(partial)));
@@ -227,7 +189,7 @@ TEST(FrameStream, PayloadCutShortIsAFrameError) {
 TEST(FrameStream, MalformedHeaderOnTheWireIsAFrameError) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::pipe(fds), 0);
-  Bytes head = header_bytes(FrameTag::kResults, 8);
+  Bytes head = header_bytes(FrameTag::kBarrier, 8);
   head[0] ^= std::byte{0x55};  // corrupt the magic
   ASSERT_TRUE(io::write_full(fds[1], head.data(), head.size()));
   io::close_fd(fds[1]);
@@ -263,91 +225,6 @@ TEST(Io, ReadFullAssemblesDribbledWrites) {
   writer.join();
   io::close_fd(fds[0]);
   EXPECT_EQ(fds[0], -1);  // close_fd resets the stored fd
-}
-
-TEST(HostPort, ParsesSinglesAndLists) {
-  const auto one = parse_host_port_list("127.0.0.1:7000");
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].host, "127.0.0.1");
-  EXPECT_EQ(one[0].port, 7000);
-
-  const auto many = parse_host_port_list("localhost:0, 10.0.0.2:65535");
-  ASSERT_EQ(many.size(), 2u);
-  EXPECT_EQ(many[0].host, "localhost");
-  EXPECT_EQ(many[0].port, 0);
-  EXPECT_EQ(many[1].host, "10.0.0.2");
-  EXPECT_EQ(many[1].port, 65535);
-}
-
-TEST(HostPort, RejectsMalformedEntries) {
-  for (const char* bad : {"", "nocolon", ":7000", "host:", "host:abc",
-                          "host:70000", "a:1,,b:2", "a:1,"}) {
-    EXPECT_THROW((void)parse_host_port_list(bad), std::invalid_argument)
-        << "'" << bad << "'";
-  }
-}
-
-TEST(SocketWorker, SpeaksTheControlProtocolWithACoordinator) {
-  // Mock coordinator: accept the standalone worker, check its hello
-  // (no body affinity, no slot), ping it, then shut it down with a reason.
-  SocketTransport coordinator(HostPort{"127.0.0.1", 0});
-  coordinator.ensure_listening();
-  ASSERT_NE(coordinator.address().port, 0);  // ephemeral port resolved
-  EXPECT_STREQ(coordinator.name(), "tcp");
-
-  std::FILE* log = std::tmpfile();
-  ASSERT_NE(log, nullptr);
-  int worker_rc = -1;
-  std::thread worker([&] {
-    worker_rc = run_socket_worker({coordinator.address()}, log);
-  });
-
-  int fd = -1;
-  for (int tries = 0; tries < 100 && fd < 0; ++tries) {
-    fd = coordinator.accept_connection(100);
-  }
-  ASSERT_GE(fd, 0) << "worker never connected";
-  FrameStream stream(fd, &coordinator.counters(),
-                     FrameStream::Medium::kSocket);
-
-  const auto hello_frame = stream.recv();
-  ASSERT_TRUE(hello_frame.has_value());
-  ASSERT_EQ(hello_frame->tag, FrameTag::kHello);
-  ByteReader hr(hello_frame->payload);
-  const HelloRecord hello = decode_hello(hr);
-  EXPECT_EQ(hello.slot, kWorkerSlotNone);
-  EXPECT_EQ(hello.body_affinity, 0);
-
-  ByteWriter ping;
-  ping.put<std::uint64_t>(0xFEEDFACE);
-  ASSERT_TRUE(stream.send(FrameTag::kPing, ByteSpan(ping.bytes())));
-  const auto pong = stream.recv();
-  ASSERT_TRUE(pong.has_value());
-  EXPECT_EQ(pong->tag, FrameTag::kPong);
-  ByteReader pr(pong->payload);
-  EXPECT_EQ(pr.get<std::uint64_t>(), 0xFEEDFACEu);
-
-  ByteWriter reason;
-  reason.put_string("round over");
-  ASSERT_TRUE(stream.send(FrameTag::kShutdown, ByteSpan(reason.bytes())));
-  worker.join();
-  EXPECT_EQ(worker_rc, 0);
-  io::close_fd(fd);
-  std::fclose(log);
-
-  // The coordinator's transport metered the exchange.
-  EXPECT_GE(coordinator.counters().frames_received, 2u);  // hello + pong
-  EXPECT_GE(coordinator.counters().frames_sent, 2u);      // ping + shutdown
-}
-
-TEST(SocketTransport, AcceptTimesOutAndConnectFailsCleanly) {
-  SocketTransport coordinator(HostPort{"localhost", 0});
-  coordinator.ensure_listening();
-  EXPECT_EQ(coordinator.accept_connection(10), -1);  // nobody connecting
-  // A connect to a port nobody listens on fails with -1, not an exception.
-  EXPECT_EQ(SocketTransport::connect_to(HostPort{"127.0.0.1", 1}), -1);
-  // An unresolvable host is also a clean failure.
-  EXPECT_EQ(SocketTransport::connect_to(HostPort{"not-an-address", 9}), -1);
 }
 
 }  // namespace

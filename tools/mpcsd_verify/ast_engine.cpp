@@ -159,19 +159,6 @@ class Visitor : public clang::RecursiveASTVisitor<Visitor> {
              callee->getNameAsString() + "()");
       }
     }
-    if (lint_scoped_ && !Policy::allow_socket_primitives(path_) &&
-        !llvm::isa<clang::CXXMemberCallExpr>(call)) {
-      // Requiring the callee to live at translation-unit scope rules out
-      // std::bind and namespaced connect/bind homonyms by construction.
-      static const std::set<std::string> sock_prims = {
-          "socket", "bind", "listen", "accept", "accept4", "connect",
-      };
-      if (callee->getDeclContext()->getRedeclContext()->isTranslationUnit() &&
-          sock_prims.count(callee->getNameAsString()) > 0) {
-        diag(DiagId::kConfSocketPrimitive, call->getBeginLoc(),
-             callee->getNameAsString() + "()");
-      }
-    }
     return true;
   }
 

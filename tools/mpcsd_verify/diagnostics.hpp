@@ -34,7 +34,6 @@ enum class DiagId {
   kConfWallSeconds,
   kConfIntrinsics,
   kConfProcessPrimitive,
-  kConfSocketPrimitive,
   kConfRouterConstant,
   kCount_,
 };
@@ -87,11 +86,8 @@ inline constexpr std::array<DiagInfo, static_cast<std::size_t>(DiagId::kCount_)>
          "boundary"},
         {DiagId::kConfProcessPrimitive, "conf-process-primitive", "rule 8",
          "process/shared-memory primitive outside "
-         "src/mpc/backend_process.cpp and src/mpc/transport_socket.cpp; "
-         "keep isolation in the backend boundary"},
-        {DiagId::kConfSocketPrimitive, "conf-socket-primitive", "rule 8b",
-         "socket primitive outside src/mpc/transport_socket.cpp; network "
-         "bytes go through the socket transport boundary"},
+         "src/mpc/backend_process.cpp; keep isolation in the backend "
+         "boundary"},
         {DiagId::kConfRouterConstant, "conf-router-constant", "rule 9",
          "kRouter* constant outside src/core/router.*; cost-model knobs "
          "stay in the router boundary"},

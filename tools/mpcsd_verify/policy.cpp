@@ -83,14 +83,7 @@ bool Policy::allow_intrinsics(std::string_view path) {
 }
 
 bool Policy::allow_process_primitives(std::string_view path) {
-  // The socket transport forks its connect-back workers, so it shares the
-  // process-primitive allowance with the process backend.
-  return path_ends_with(path, "src/mpc/backend_process.cpp") ||
-         path_ends_with(path, "src/mpc/transport_socket.cpp");
-}
-
-bool Policy::allow_socket_primitives(std::string_view path) {
-  return path_ends_with(path, "src/mpc/transport_socket.cpp");
+  return path_ends_with(path, "src/mpc/backend_process.cpp");
 }
 
 bool Policy::allow_router_constants(std::string_view path) {

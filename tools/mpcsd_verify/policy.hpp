@@ -45,7 +45,6 @@ struct Policy {
   [[nodiscard]] static bool allow_wall_seconds(std::string_view path);
   [[nodiscard]] static bool allow_intrinsics(std::string_view path);
   [[nodiscard]] static bool allow_process_primitives(std::string_view path);
-  [[nodiscard]] static bool allow_socket_primitives(std::string_view path);
   [[nodiscard]] static bool allow_router_constants(std::string_view path);
 };
 

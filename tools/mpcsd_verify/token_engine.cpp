@@ -531,18 +531,11 @@ class FileAnalysis {
     const bool allow_wall = Policy::allow_wall_seconds(path_);
     const bool allow_intrin = Policy::allow_intrinsics(path_);
     const bool allow_proc = Policy::allow_process_primitives(path_);
-    const bool allow_sock = Policy::allow_socket_primitives(path_);
     const bool allow_router = Policy::allow_router_constants(path_);
 
     static const std::unordered_set<std::string_view> process_prims = {
         "fork",         "vfork",    "mmap",       "munmap",
         "memfd_create", "shm_open", "shm_unlink",
-    };
-    // `bind` and `connect` have namespaced homonyms (std::bind, signal/slot
-    // connect members); only the unqualified free-function spelling is the
-    // syscall, so a preceding `::`, `.` or `->` disqualifies a match.
-    static const std::unordered_set<std::string_view> socket_prims = {
-        "socket", "bind", "listen", "accept", "accept4", "connect",
     };
     static constexpr std::string_view intrin_headers[] = {
         "immintrin.h", "x86intrin.h",  "emmintrin.h",
@@ -580,13 +573,6 @@ class FileAnalysis {
           (i == 0 ||
            (!is_punct(t_[i - 1], ".") && !is_punct(t_[i - 1], "->")))) {
         diag(DiagId::kConfProcessPrimitive, tk.line, tk.text + "()");
-      }
-      if (!allow_sock && socket_prims.count(tk.text) > 0 &&
-          i + 1 < t_.size() && is_punct(t_[i + 1], "(") &&
-          (i == 0 ||
-           (!is_punct(t_[i - 1], ".") && !is_punct(t_[i - 1], "->") &&
-            !is_punct(t_[i - 1], "::")))) {
-        diag(DiagId::kConfSocketPrimitive, tk.line, tk.text + "()");
       }
       if (!allow_router && tk.text.rfind("kRouter", 0) == 0) {
         diag(DiagId::kConfRouterConstant, tk.line, tk.text);
