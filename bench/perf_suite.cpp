@@ -76,6 +76,8 @@
 // the speedup gates — registered in ctest so the suite itself cannot rot.
 // A smoke run writes every output not named on the command line under the
 // build directory of this binary, never over the committed BENCH_PR*.json.
+// In every mode an output path that cannot be written fails the run
+// (`FAIL: cannot write <path>`, exit 1).
 // `--full` adds the expensive points (ulam n=4096 with B up to 64, edit
 // kParallelGuess at n=1024).
 #include <algorithm>
@@ -139,7 +141,9 @@ double time_best(F&& f, int reps) {
   return best;
 }
 
-void write_json(const std::vector<Record>& records, const std::string& path) {
+/// The write_*json helpers return false when the file cannot be written.
+[[nodiscard]] bool write_json(const std::vector<Record>& records,
+                              const std::string& path) {
   std::ofstream out(path);
   out << "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -150,6 +154,8 @@ void write_json(const std::vector<Record>& records, const std::string& path) {
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "]\n";
+  out.close();
+  return !out.fail();
 }
 
 /// Just enough validation for the smoke gate: the file must exist, be a
@@ -215,8 +221,8 @@ double wall_median(F&& f, int reps) {
   return walls[walls.size() / 2];
 }
 
-void write_batch_json(const std::vector<BatchRecord>& records,
-                      const std::string& path) {
+[[nodiscard]] bool write_batch_json(const std::vector<BatchRecord>& records,
+                                    const std::string& path) {
   std::ofstream out(path);
   out << "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -229,6 +235,8 @@ void write_batch_json(const std::vector<BatchRecord>& records,
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "]\n";
+  out.close();
+  return !out.fail();
 }
 
 std::vector<core::BatchQuery> make_batch_queries(std::size_t batch,
@@ -350,8 +358,8 @@ struct RouterRecord {
   std::uint64_t to_plan = 0;
 };
 
-void write_router_json(const std::vector<RouterRecord>& records,
-                       const std::string& path) {
+[[nodiscard]] bool write_router_json(const std::vector<RouterRecord>& records,
+                                     const std::string& path) {
   std::ofstream out(path);
   out << "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -369,6 +377,8 @@ void write_router_json(const std::vector<RouterRecord>& records,
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "]\n";
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace
@@ -887,11 +897,17 @@ int main(int argc, char** argv) {
     router_records.push_back(routed);
   }
 
-  write_json(records, out_path);
-  write_batch_json(batch_records, out2_path);
-  write_json(isa_records, out4_path);
-  write_json(backend_records, out5_path);
-  write_router_json(router_records, out6_path);
+  const auto wrote = [](bool ok, const std::string& path) {
+    if (!ok) std::fprintf(stderr, "FAIL: cannot write %s\n", path.c_str());
+    return ok;
+  };
+  if (!wrote(write_json(records, out_path), out_path) ||
+      !wrote(write_batch_json(batch_records, out2_path), out2_path) ||
+      !wrote(write_json(isa_records, out4_path), out4_path) ||
+      !wrote(write_json(backend_records, out5_path), out5_path) ||
+      !wrote(write_router_json(router_records, out6_path), out6_path)) {
+    return 1;
+  }
   std::printf("perf_suite: %zu records -> %s\n", records.size(), out_path.c_str());
   for (const Record& r : records) {
     std::printf("  %-22s n=%-8lld wall=%.6fs work=%llu bytes_moved=%llu\n",

@@ -1,40 +1,27 @@
 #!/usr/bin/env bash
 # Invariant lint for mpcsd.  Three layers:
 #
-#   1. grep-based repository invariants (always run, zero dependencies) —
-#      rules the MPC simulation's correctness argument relies on and a
-#      compiler cannot enforce;
-#   2. mpcsd_verify (tools/mpcsd_verify), the token/AST conformance
-#      analyzer.  When the binary exists in the build dir it supersedes
-#      grep rules 3/4/6/7/8/9 for src/ with lexer-accurate matching (no
-#      string/comment false hits) and adds the purity and determinism
-#      rules grep cannot express; the remaining grep passes of those rules
-#      then only cover fuzz/ and examples/.  `--no-ast` forces the full
-#      grep fallback (what a container without the built tool gets).
-#   3. clang-tidy over src/ with the committed .clang-tidy profile (run
-#      only when a clang-tidy binary exists; CI installs one, minimal
-#      containers may not have it).
+#   1. grep-based repository invariants (zero dependencies) — rules the MPC
+#      simulation's correctness argument relies on that neither a compiler
+#      nor the conformance analyzer enforces;
+#   2. mpcsd_verify (tools/mpcsd_verify), the conformance analyzer, over
+#      src/, fuzz/ and examples/ (mandatory: build it first) — the
+#      purity, determinism and boundary-confinement rules;
+#   3. clang-tidy over src/ and fuzz/ with the committed .clang-tidy
+#      profile (run only when a clang-tidy binary exists; CI installs one,
+#      minimal containers may not have it).
 #
 # Zero suppressions: a rule that needs an exception is a wrong rule.
-# Usage: scripts/lint.sh [--no-ast] [build_dir]   (build dir must hold
-#        compile_commands.json for the clang-tidy layer; default: build)
+# Usage: scripts/lint.sh [build_dir]   (default: build; it must hold the
+#        built mpcsd_verify, and compile_commands.json for clang-tidy)
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-no_ast=0
-if [ "${1:-}" = "--no-ast" ]; then
-  no_ast=1
-  shift
-fi
 build_dir="${1:-build}"
 status=0
 
 # Layer-2 analyzer: prefer an explicit override, else the built tool.
 verify_bin="${MPCSD_VERIFY_BIN:-$build_dir/tools/mpcsd_verify/mpcsd_verify}"
-ast_active=0
-if [ "$no_ast" -eq 0 ] && [ -x "$verify_bin" ]; then
-  ast_active=1
-fi
 
 fail() {
   echo "lint: FAIL: $1" >&2
@@ -47,108 +34,24 @@ fail() {
 # views), so they are out of scope.
 sources=(src fuzz examples)
 
-# Rules the analyzer supersedes for src/ scan only the harness trees when
-# it is active; rules 3 and 6 are src-scoped, so the analyzer covers them
-# entirely.
-if [ "$ast_active" -eq 1 ]; then
-  conf_sources=(fuzz examples)
-else
-  conf_sources=("${sources[@]}")
-fi
-
-# --- Rule 1: no C rand()/srand() — all randomness must flow through the
-# seeded Pcg32 streams, or machine results depend on global hidden state.
+# --- No C rand()/srand() — all randomness must flow through the seeded
+# Pcg32 streams, or machine results depend on global hidden state.
 hits=$(grep -rnE '\b(s?rand)\s*\(' "${sources[@]}" --include='*.hpp' --include='*.cpp' || true)
 [ -n "$hits" ] && fail "rand()/srand() forbidden; use common/rng.hpp streams" "$hits"
 
-# --- Rule 2: no raw new/delete — ownership goes through containers and
-# smart pointers, so round arenas cannot leak across rounds.  Line comments
-# are stripped before matching (prose talks about "deleting" edits).
+# --- No raw new/delete — ownership goes through containers and smart
+# pointers, so round arenas cannot leak across rounds.  Line comments are
+# stripped before matching (prose talks about "deleting" edits).
 pat='(^|[^_[:alnum:]])(new|delete(\[\])?)[[:space:]]+[A-Za-z_:<(]'
 hits=$(grep -rnE "$pat" "${sources[@]}" --include='*.hpp' --include='*.cpp' \
   | sed 's#//.*##' | grep -E "$pat" || true)
 [ -n "$hits" ] && fail "raw new/delete forbidden; use containers or make_unique" "$hits"
 
-# --- Rule 3: no mutable lambdas in the simulator and drivers — a machine
-# body with `mutable` captured state is exactly the cross-machine sharing
-# the conformance auditor exists to catch; keep it out statically too.
-# (Superseded by mpcsd_verify conf-mutable-lambda when the analyzer runs.)
-if [ "$ast_active" -eq 0 ]; then
-  hits=$(grep -rnE '\)[[:space:]]*mutable\b' \
-    src/mpc src/ulam_mpc src/edit_mpc src/core --include='*.hpp' --include='*.cpp' || true)
-  [ -n "$hits" ] && fail "mutable lambda captures forbidden in simulator/driver code" "$hits"
-fi
-
-# --- Rule 4: reinterpret_cast is confined to the serialization layer
-# (common/bytes.hpp) — every cross-machine byte must go through
-# ByteWriter/ByteReader so communication accounting stays exact.  The SIMD
-# kernel TUs are the one other legitimate user: vector load/store
-# intrinsics take __m256i* pointers over word buffers the TU itself owns
-# (no wire bytes involved).
-# (Superseded by mpcsd_verify conf-reinterpret-cast for src/.)
-hits=$(grep -rn 'reinterpret_cast' "${conf_sources[@]}" --include='*.hpp' --include='*.cpp' \
-  | grep -v '^src/common/bytes.hpp:' \
-  | grep -v '^src/seq/myers_simd_' \
-  | grep -v '^fuzz/' || true)
-[ -n "$hits" ] && fail "reinterpret_cast outside common/bytes.hpp or the SIMD kernel TUs; route bytes through ByteWriter/ByteReader" "$hits"
-
-# --- Rule 5: no wall-clock or nondeterministic seeds in library code —
-# time only through common/timer.hpp Stopwatch, which metering excludes.
+# --- No nondeterministic seeds in library code — time only through
+# common/timer.hpp Stopwatch, which metering excludes.
 hits=$(grep -rnE 'std::random_device|time\(NULL\)|time\(nullptr\)' \
   src --include='*.hpp' --include='*.cpp' || true)
 [ -n "$hits" ] && fail "nondeterministic seed source in src/; seeds must be explicit" "$hits"
-
-# --- Rule 6: wall-clock accounting flows through the observability spine —
-# RoundReport::wall_seconds is stamped exactly once (cluster.cpp, where the
-# round ran) and merged in stats.cpp (merge_parallel takes the max of
-# side-by-side rounds).  Any other write in src/ is a layer bypassing the
-# spine; it would silently diverge from the spans/counters the obs layer
-# reports for the same interval.  src/obs/ is exempt by construction (it
-# renders the field, it may never fake it — but the rule keeps the door
-# open for sinks that reconstruct reports).
-# (Superseded by mpcsd_verify conf-wall-seconds when the analyzer runs.)
-if [ "$ast_active" -eq 0 ]; then
-  hits=$(grep -rnE '[.>]wall_seconds[[:space:]]*=[^=]' \
-    src --include='*.hpp' --include='*.cpp' \
-    | grep -v '^src/obs/' \
-    | grep -v '^src/mpc/cluster.cpp:' \
-    | grep -v '^src/mpc/stats.cpp:' || true)
-  [ -n "$hits" ] && fail "wall_seconds written outside src/obs/, src/mpc/cluster.cpp, src/mpc/stats.cpp; route timing through the obs spine" "$hits"
-fi
-
-# --- Rule 7: intrinsics headers are confined to the per-ISA kernel TUs
-# (src/seq/*_simd*.cpp) and the CPU probe (src/common/cpu.*).  Everything
-# else must stay portable C++ dispatching through myers_kernel.hpp — an
-# intrinsic leaking into a shared TU would tie the whole binary to one ISA
-# and break the runtime-dispatch release story.
-# (Superseded by mpcsd_verify conf-intrinsics for src/.)
-hits=$(grep -rnE '#include[[:space:]]*<(immintrin|x86intrin|emmintrin|smmintrin|avxintrin|avx2intrin|avx512[a-z]*intrin)\.h>' \
-  "${conf_sources[@]}" --include='*.hpp' --include='*.cpp' \
-  | grep -v '^src/seq/[A-Za-z0-9_]*_simd[A-Za-z0-9_]*\.cpp:' \
-  | grep -v '^src/common/cpu\.' || true)
-[ -n "$hits" ] && fail "intrinsics header outside src/seq/*_simd*.cpp and src/common/cpu.*; keep ISA-specific code behind the dispatch boundary" "$hits"
-
-# --- Rule 8: process-isolation primitives are confined to the process
-# backend TU (src/mpc/backend_process.cpp).  fork/mmap/memfd scattered
-# through the simulator would make "bodies cannot touch host memory" a
-# property of many files instead of one reviewable boundary, and a second
-# fork site could silently skip the round-barrier/reap protocol.
-# (Superseded by mpcsd_verify conf-process-primitive for src/.)
-hits=$(grep -rnE '\b(fork|vfork|mmap|munmap|memfd_create|shm_open|shm_unlink)\s*\(' \
-  "${conf_sources[@]}" --include='*.hpp' --include='*.cpp' \
-  | grep -v '^src/mpc/backend_process\.cpp:' || true)
-[ -n "$hits" ] && fail "process/shared-memory primitives outside src/mpc/backend_process.cpp; keep isolation in the backend boundary" "$hits"
-
-# --- Rule 9: router heuristics and cost-model constants are confined to
-# src/core/router.* — every kRouter* knob (nanosecond coefficients, the
-# probe margin, the histogram span cutoff) lives behind one reviewable
-# boundary.  A kRouter identifier anywhere else is a second copy of the
-# cost model drifting out of calibration, or a caller hard-coding a
-# heuristic the router owns.
-# (Superseded by mpcsd_verify conf-router-constant for src/.)
-hits=$(grep -rnE '\bkRouter[A-Za-z0-9_]*' "${conf_sources[@]}" --include='*.hpp' --include='*.cpp' \
-  | grep -v '^src/core/router\.' || true)
-[ -n "$hits" ] && fail "kRouter* constant outside src/core/router.*; cost-model knobs stay in the router boundary" "$hits"
 
 if [ $status -ne 0 ]; then
   echo "lint: invariant rules failed" >&2
@@ -156,20 +59,19 @@ if [ $status -ne 0 ]; then
 fi
 echo "lint: invariant rules OK"
 
-# --- Layer 2: mpcsd_verify conformance analyzer (mandatory pass when the
-# binary exists; supersedes rules 3/4/6/7/8/9 for src/ and adds the
-# purity/determinism rules).
-if [ "$ast_active" -eq 1 ]; then
-  echo "lint: mpcsd_verify over src/"
-  "$verify_bin" --quiet --compdb "$build_dir" src || {
-    echo "lint: mpcsd_verify found conformance violations (re-run without --quiet for details):" >&2
-    "$verify_bin" --compdb "$build_dir" src >&2 || true
-    exit 1
-  }
-  echo "lint: mpcsd_verify OK"
-else
-  echo "lint: mpcsd_verify not available; grep fallback covered rules 3/4/6/7/8/9"
+# --- Layer 2: mpcsd_verify conformance analyzer.
+if [ ! -x "$verify_bin" ]; then
+  echo "lint: $verify_bin not found; build it first:" >&2
+  echo "    cmake --build $build_dir --target mpcsd_verify" >&2
+  exit 1
 fi
+echo "lint: mpcsd_verify over ${sources[*]}"
+"$verify_bin" --quiet "${sources[@]}" || {
+  echo "lint: mpcsd_verify failed (re-run without --quiet for details):" >&2
+  "$verify_bin" "${sources[@]}" >&2 || true
+  exit 1
+}
+echo "lint: mpcsd_verify OK"
 
 # --- Layer 3: clang-tidy (optional tool, mandatory pass when present).
 if command -v clang-tidy >/dev/null 2>&1; then
@@ -185,5 +87,5 @@ if command -v clang-tidy >/dev/null 2>&1; then
   }
   echo "lint: clang-tidy OK"
 else
-  echo "lint: clang-tidy not found; skipped (grep invariants still enforced)"
+  echo "lint: clang-tidy not found; skipped (grep invariants and mpcsd_verify still enforced)"
 fi

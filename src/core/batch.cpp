@@ -697,6 +697,11 @@ BatchResult run_edit_batch(const BatchRequest& request) {
 }  // namespace
 
 BatchResult distance_batch(const BatchRequest& request) {
+  if (request.ulam.recorder != nullptr || request.edit.recorder != nullptr) {
+    throw std::invalid_argument(
+        "distance_batch: set BatchRequest::recorder, not ulam.recorder or "
+        "edit.recorder");
+  }
   if (request.queries.empty()) return BatchResult{};
   switch (request.algorithm) {
     case BatchAlgorithm::kUlam:

@@ -93,7 +93,9 @@ struct BatchRequest {
   /// round/stage spans through the cluster; the batch driver additionally
   /// emits one span per escalation pass and, on track `query id + 1`, one
   /// attributed span per (query, guess rung) built from the machine-level
-  /// reports of the shared round-pair.
+  /// reports of the shared round-pair.  This is the only recorder a batch
+  /// reads: `ulam.recorder` and `edit.recorder` must stay null, and
+  /// distance_batch throws std::invalid_argument if either is set.
   obs::Recorder* recorder = nullptr;
 };
 

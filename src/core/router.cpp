@@ -16,9 +16,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Cost-model constants.  Calibrated against BENCH_PR8 on the reference
-// machine; scripts/lint.sh (rule 9) confines every kRouter* identifier to
-// this translation unit and its header so re-calibration never touches the
-// engine.  All figures are nanoseconds unless noted.
+// machine; mpcsd_verify (conf-router-constant) confines every kRouter*
+// identifier to this translation unit and its header so re-calibration
+// never touches the engine.  All figures are nanoseconds unless noted.
 
 /// Per-pass driver overhead of one kThroughput rung (plan build, routing
 /// tables, round barriers), amortised over the live queries sharing it.

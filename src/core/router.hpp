@@ -33,8 +33,8 @@
 // instants (see core/batch.cpp).
 //
 // The cost-model constants (kRouter*) are calibrated against BENCH_PR8 and
-// confined to src/core/router.* by scripts/lint.sh — heuristics must not
-// leak into the engine.
+// confined to src/core/router.* by mpcsd_verify (conf-router-constant) —
+// heuristics must not leak into the engine.
 #pragma once
 
 #include <cstdint>

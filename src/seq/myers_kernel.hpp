@@ -26,7 +26,7 @@
 //
 // This header is included by scalar TUs and must stay free of intrinsics;
 // the intrinsics headers live only in src/seq/*_simd*.cpp and
-// src/common/cpu.* (enforced by scripts/lint.sh).
+// src/common/cpu.* (enforced by mpcsd_verify conf-intrinsics).
 #pragma once
 
 #include <algorithm>

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <vector>
 
 #include "core/api.hpp"
+#include "obs/recorder.hpp"
 
 namespace {
 
@@ -179,6 +181,21 @@ TEST(Batch, EmptyRequest) {
   const auto result = core::distance_batch(core::BatchRequest{});
   EXPECT_TRUE(result.queries.empty());
   EXPECT_EQ(result.trace.round_count(), 0u);
+}
+
+TEST(Batch, SolverParamRecordersAreRejected) {
+  // A batch records through BatchRequest::recorder only; a recorder set on
+  // the solver params would be silently ignored, so it is refused.
+  obs::Recorder recorder;
+  auto ulam = ulam_request(2, 64, 3);
+  ulam.ulam.recorder = &recorder;
+  EXPECT_THROW((void)core::distance_batch(ulam), std::invalid_argument);
+  auto edit = edit_request(2, 64, 3);
+  edit.edit.recorder = &recorder;
+  EXPECT_THROW((void)core::distance_batch(edit), std::invalid_argument);
+  edit.edit.recorder = nullptr;
+  edit.recorder = &recorder;
+  EXPECT_EQ(core::distance_batch(edit).queries.size(), 2u);
 }
 
 std::uint64_t trace_work(const mpc::ExecutionTrace& trace) {

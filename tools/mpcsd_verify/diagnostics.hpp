@@ -1,17 +1,16 @@
 // mpcsd-verify: diagnostic catalog.
 //
-// One entry per conformance invariant the analyzer proves at the AST /
-// token level.  The catalog is the single source of truth shared by the
-// portable token engine (always built) and the clang LibTooling engine
-// (built when clang dev libraries are present): both must fire the same
-// identifiers on the fixture corpus, which the --self-test mode pins.
+// One entry per conformance invariant the analyzer proves over the lexed
+// token stream (token_engine.hpp).  The catalog is the single source of
+// truth for diagnostic names and summaries; the --self-test mode pins the
+// engine to exactly the annotated findings of the fixture corpus.
 //
 // Identifier scheme:
 //   purity-*  machine-body purity (paper §2: machines see only their
 //             fragment + inbox; host state is out of reach)
 //   det-*     determinism (trace hashes must be backend/worker invariant)
-//   conf-*    confinement (AST-grade replacements for the grep rules in
-//             scripts/lint.sh; see docs/TOOLING.md for the mapping)
+//   conf-*    confinement (a boundary-sensitive construct outside the one
+//             file or directory that owns it; see docs/TOOLING.md)
 #pragma once
 
 #include <array>
@@ -40,55 +39,54 @@ enum class DiagId {
 
 struct DiagInfo {
   DiagId id;
-  std::string_view name;        ///< stable kebab-case identifier
-  std::string_view supersedes;  ///< lint.sh grep rule it replaces ("" if new)
+  std::string_view name;  ///< stable kebab-case identifier
   std::string_view summary;
 };
 
 inline constexpr std::array<DiagInfo, static_cast<std::size_t>(DiagId::kCount_)>
     kCatalog{{
-        {DiagId::kPurityRefCapture, "purity-ref-capture", "",
+        {DiagId::kPurityRefCapture, "purity-ref-capture",
          "machine/stage body captures host state by reference (default [&] "
          "or a named non-const reference); capture by value, use the stash, "
          "or make the referenced entity const"},
-        {DiagId::kPurityThisCapture, "purity-this-capture", "",
+        {DiagId::kPurityThisCapture, "purity-this-capture",
          "machine/stage body captures `this`; the body would read or write "
          "host object state invisible under process isolation"},
-        {DiagId::kPurityPointerWrite, "purity-pointer-write", "",
+        {DiagId::kPurityPointerWrite, "purity-pointer-write",
          "machine/stage body writes through a captured pointer; writes to "
          "host memory are inert under the process backend (use the stash)"},
-        {DiagId::kDetUnorderedIter, "det-unordered-iter", "",
+        {DiagId::kDetUnorderedIter, "det-unordered-iter",
          "iteration over an unordered container in a machine body or "
          "driver/router scope; bucket order is implementation-defined so "
          "emitted bytes would not be portable across libraries"},
-        {DiagId::kDetWallClock, "det-wall-clock", "",
+        {DiagId::kDetWallClock, "det-wall-clock",
          "direct std::chrono clock read in a machine body or driver/router "
          "scope; wall time flows only through common/timer.hpp Stopwatch "
          "on the host side (metering excludes it)"},
-        {DiagId::kDetPointerKeyed, "det-pointer-keyed", "",
+        {DiagId::kDetPointerKeyed, "det-pointer-keyed",
          "pointer-keyed associative container or std::hash over a pointer "
          "in a machine body or driver/router scope; iteration/hash order "
          "would depend on allocation addresses"},
-        {DiagId::kConfMutableLambda, "conf-mutable-lambda", "rule 3",
+        {DiagId::kConfMutableLambda, "conf-mutable-lambda",
          "mutable lambda in simulator/driver code (or any machine body); "
          "mutable captured state is exactly the cross-machine sharing the "
          "runtime auditor exists to catch"},
-        {DiagId::kConfReinterpretCast, "conf-reinterpret-cast", "rule 4",
+        {DiagId::kConfReinterpretCast, "conf-reinterpret-cast",
          "reinterpret_cast outside common/bytes.hpp or the SIMD kernel "
          "TUs; route bytes through ByteWriter/ByteReader"},
-        {DiagId::kConfWallSeconds, "conf-wall-seconds", "rule 6",
+        {DiagId::kConfWallSeconds, "conf-wall-seconds",
          "RoundReport::wall_seconds written outside src/obs/, "
          "src/mpc/cluster.cpp, src/mpc/stats.cpp; route timing through "
          "the observability spine"},
-        {DiagId::kConfIntrinsics, "conf-intrinsics", "rule 7",
+        {DiagId::kConfIntrinsics, "conf-intrinsics",
          "intrinsics header outside src/seq/*_simd*.cpp and "
          "src/common/cpu.*; keep ISA-specific code behind the dispatch "
          "boundary"},
-        {DiagId::kConfProcessPrimitive, "conf-process-primitive", "rule 8",
+        {DiagId::kConfProcessPrimitive, "conf-process-primitive",
          "process/shared-memory primitive outside "
          "src/mpc/backend_process.cpp; keep isolation in the backend "
          "boundary"},
-        {DiagId::kConfRouterConstant, "conf-router-constant", "rule 9",
+        {DiagId::kConfRouterConstant, "conf-router-constant",
          "kRouter* constant outside src/core/router.*; cost-model knobs "
          "stay in the router boundary"},
     }};

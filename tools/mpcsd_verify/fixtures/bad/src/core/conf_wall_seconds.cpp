@@ -1,6 +1,5 @@
 // Fixture: writing RoundReport::wall_seconds outside the observability
 // spine (src/obs/, cluster.cpp, stats.cpp).
-#include "../../../support/mpcsd_mock.hpp"
 
 namespace mpcsd {
 

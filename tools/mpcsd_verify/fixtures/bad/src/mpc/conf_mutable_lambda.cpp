@@ -1,5 +1,5 @@
-// Fixture: mutable lambda in simulator code (lint rule 3 scope).  Mutable
-// captured state is cross-call sharing the machine model forbids.
+// Fixture: mutable lambda in simulator code (conf-mutable-lambda scope).
+// Mutable captured state is cross-call sharing the machine model forbids.
 #include <cstdint>
 #include <vector>
 

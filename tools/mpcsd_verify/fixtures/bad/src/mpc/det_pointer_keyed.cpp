@@ -5,8 +5,6 @@
 #include <map>
 #include <vector>
 
-#include "../../../support/mpcsd_mock.hpp"
-
 namespace mpc {
 
 void pointer_keyed_body(int machines, std::vector<std::uint64_t>& cells) {

@@ -4,8 +4,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "../../../support/mpcsd_mock.hpp"
-
 namespace mpc {
 
 void emit_histogram(int machines) {

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "../../../support/mpcsd_mock.hpp"
-
 namespace mpc {
 
 void pointer_write(int machines, std::vector<std::uint64_t>* sink) {

@@ -2,8 +2,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "../../../support/mpcsd_mock.hpp"
-
 namespace mpc {
 
 void blanket_ref_capture(int machines) {

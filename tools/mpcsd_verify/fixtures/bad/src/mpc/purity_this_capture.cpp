@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "../../../support/mpcsd_mock.hpp"
-
 namespace mpc {
 
 class Solver {

@@ -3,8 +3,6 @@
 // the host side (outside machine bodies).  Must produce no findings.
 #include <chrono>
 
-#include "../../../support/mpcsd_mock.hpp"
-
 namespace mpc {
 
 void finish_round(RoundReport& report,

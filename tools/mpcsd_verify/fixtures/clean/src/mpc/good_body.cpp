@@ -8,8 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "../../../support/mpcsd_mock.hpp"
-
 namespace mpc {
 
 // A comment may discuss reinterpret_cast or fork() freely.

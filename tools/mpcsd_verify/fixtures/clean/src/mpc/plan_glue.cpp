@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "../../../support/mpcsd_mock.hpp"
-
 namespace mpc {
 
 struct StageSpec {

@@ -7,13 +7,11 @@
 //   mpcsd_verify --list
 //
 // Options:
-//   --engine auto|token|ast   engine selection (default auto: ast when the
-//                             binary was built with clang tooling, else token)
-//   --compdb <dir>            compile_commands.json directory (ast engine)
 //   --report <path>           write a JSON report
 //   --quiet                   suppress per-finding lines (exit code only)
 //
-// Exit codes: 0 clean, 1 findings (or self-test mismatch), 2 usage/IO error.
+// Exit codes: 0 clean, 1 findings (or self-test mismatch), 2 usage/IO error
+// (including an input path that does not exist).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -24,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "ast_engine.hpp"
 #include "diagnostics.hpp"
 #include "policy.hpp"
 #include "report.hpp"
@@ -36,8 +33,6 @@ using namespace mpcsd_verify;
 namespace {
 
 struct Options {
-  std::string engine = "auto";
-  std::string compdb;
   std::string report_path;
   std::string self_test_dir;
   bool list = false;
@@ -51,27 +46,28 @@ struct Options {
          ext == ".cxx" || ext == ".hxx";
 }
 
-/// Recursively collects source files; directories named "support" hold
-/// fixture scaffolding (mock headers) and are skipped.
-void collect_files(const fs::path& root, std::vector<std::string>* out) {
+/// Recursively collects source files under `root` (a file or directory).
+/// Returns false, after reporting it, when `root` is neither.
+[[nodiscard]] bool collect_files(const fs::path& root,
+                                 std::vector<std::string>* out) {
   std::error_code ec;
   if (fs::is_regular_file(root, ec)) {
     out->push_back(root.string());
-    return;
+    return true;
   }
-  if (!fs::is_directory(root, ec)) return;
+  if (!fs::is_directory(root, ec)) {
+    std::fprintf(stderr, "mpcsd_verify: cannot read %s\n", root.string().c_str());
+    return false;
+  }
   for (fs::recursive_directory_iterator it(root, ec), end; it != end;
        it.increment(ec)) {
     if (ec) break;
-    if (it->is_directory(ec) && it->path().filename() == "support") {
-      it.disable_recursion_pending();
-      continue;
-    }
     if (it->is_regular_file(ec) && has_source_ext(it->path())) {
       out->push_back(it->path().string());
     }
   }
   std::sort(out->begin(), out->end());
+  return true;
 }
 
 [[nodiscard]] bool read_file(const std::string& path, std::string* out) {
@@ -83,18 +79,9 @@ void collect_files(const fs::path& root, std::vector<std::string>* out) {
   return true;
 }
 
-[[nodiscard]] std::string resolve_engine(const std::string& requested) {
-  if (requested == "token" || requested == "ast") return requested;
-  return ast_engine_available() ? "ast" : "token";
-}
-
-/// Runs the chosen engine over `files`, appending to `diags`.
+/// Runs the token engine over `files`, appending to `diags`.
 [[nodiscard]] bool analyze(const std::vector<std::string>& files,
-                           const std::string& engine, const std::string& compdb,
                            Diagnostics* diags) {
-  if (engine == "ast") {
-    return analyze_files_ast(files, compdb, diags);
-  }
   for (const std::string& path : files) {
     std::string source;
     if (!read_file(path, &source)) {
@@ -152,18 +139,12 @@ void print_findings(const Diagnostics& diags) {
 /// simply carry no annotations.
 [[nodiscard]] int run_self_test(const Options& opt) {
   std::vector<std::string> files;
-  collect_files(opt.self_test_dir, &files);
+  if (!collect_files(opt.self_test_dir, &files)) return 2;
   if (files.empty()) {
     std::fprintf(stderr, "mpcsd_verify: no fixtures under %s\n",
                  opt.self_test_dir.c_str());
     return 2;
   }
-  const std::string engine = resolve_engine(opt.engine);
-  if (opt.engine == "ast" && !ast_engine_available()) {
-    std::fprintf(stderr, "mpcsd_verify: ast engine not built in\n");
-    return 2;
-  }
-
   std::size_t failures = 0;
   for (const std::string& path : files) {
     std::string source;
@@ -175,14 +156,14 @@ void print_findings(const Diagnostics& diags) {
     if (!parse_expectations(source, path, &expected)) return 2;
 
     Diagnostics diags;
-    if (!analyze({path}, engine, opt.compdb, &diags)) return 2;
+    if (!analyze({path}, &diags)) return 2;
     std::multiset<std::pair<std::string, unsigned>> actual;
     for (const Diagnostic& d : diags) {
       actual.emplace(std::string(name_of(d.id)), d.line);
     }
     if (actual == expected) continue;
     ++failures;
-    std::fprintf(stderr, "FAIL %s (engine=%s)\n", path.c_str(), engine.c_str());
+    std::fprintf(stderr, "FAIL %s\n", path.c_str());
     for (const auto& [name, line] : expected) {
       if (actual.count({name, line}) < expected.count({name, line})) {
         std::fprintf(stderr, "  missing: %s at line %u\n", name.c_str(), line);
@@ -194,28 +175,24 @@ void print_findings(const Diagnostics& diags) {
       }
     }
   }
-  std::fprintf(stderr, "mpcsd_verify self-test: %zu fixture(s), %zu failure(s), engine=%s\n",
-               files.size(), failures, engine.c_str());
+  std::fprintf(stderr, "mpcsd_verify self-test: %zu fixture(s), %zu failure(s)\n",
+               files.size(), failures);
   return failures == 0 ? 0 : 1;
 }
 
 void print_catalog() {
   std::printf("mpcsd_verify diagnostic catalog (%zu):\n", kCatalog.size());
   for (const DiagInfo& d : kCatalog) {
-    std::printf("  %-24.*s %s%.*s%s\n      %.*s\n",
-                static_cast<int>(d.name.size()), d.name.data(),
-                d.supersedes.empty() ? "" : "[supersedes lint.sh ",
-                static_cast<int>(d.supersedes.size()), d.supersedes.data(),
-                d.supersedes.empty() ? "" : "]",
-                static_cast<int>(d.summary.size()), d.summary.data());
+    std::printf("  %.*s\n      %.*s\n", static_cast<int>(d.name.size()),
+                d.name.data(), static_cast<int>(d.summary.size()),
+                d.summary.data());
   }
 }
 
 [[nodiscard]] int usage() {
   std::fprintf(stderr,
-               "usage: mpcsd_verify [--engine auto|token|ast] [--compdb DIR] "
-               "[--report PATH] [--quiet] <file-or-dir>...\n"
-               "       mpcsd_verify --self-test <fixtures-dir> [--engine ...]\n"
+               "usage: mpcsd_verify [--report PATH] [--quiet] <file-or-dir>...\n"
+               "       mpcsd_verify --self-test <fixtures-dir>\n"
                "       mpcsd_verify --list\n");
   return 2;
 }
@@ -227,17 +204,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--engine") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      opt.engine = v;
-      if (opt.engine != "auto" && opt.engine != "token" && opt.engine != "ast")
-        return usage();
-    } else if (arg == "--compdb") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      opt.compdb = v;
-    } else if (arg == "--report") {
+    if (arg == "--report") {
       const char* v = next();
       if (v == nullptr) return usage();
       opt.report_path = v;
@@ -264,20 +231,16 @@ int main(int argc, char** argv) {
   if (opt.inputs.empty()) return usage();
 
   std::vector<std::string> files;
-  for (const std::string& in : opt.inputs) collect_files(in, &files);
+  for (const std::string& in : opt.inputs) {
+    if (!collect_files(in, &files)) return 2;
+  }
   if (files.empty()) {
     std::fprintf(stderr, "mpcsd_verify: no source files found\n");
     return 2;
   }
 
-  const std::string engine = resolve_engine(opt.engine);
-  if (opt.engine == "ast" && !ast_engine_available()) {
-    std::fprintf(stderr, "mpcsd_verify: ast engine not built in\n");
-    return 2;
-  }
-
   Diagnostics diags;
-  if (!analyze(files, engine, opt.compdb, &diags)) return 2;
+  if (!analyze(files, &diags)) return 2;
   std::stable_sort(diags.begin(), diags.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
                      if (a.file != b.file) return a.file < b.file;
@@ -286,12 +249,12 @@ int main(int argc, char** argv) {
 
   if (!opt.quiet) print_findings(diags);
   if (!opt.report_path.empty()) {
-    if (!write_file(opt.report_path, render_json_report(diags, engine, files.size()))) {
+    if (!write_file(opt.report_path, render_json_report(diags, files.size()))) {
       std::fprintf(stderr, "mpcsd_verify: cannot write %s\n", opt.report_path.c_str());
       return 2;
     }
   }
-  std::fprintf(stderr, "mpcsd_verify: %zu file(s), %zu finding(s), engine=%s\n",
-               files.size(), diags.size(), engine.c_str());
+  std::fprintf(stderr, "mpcsd_verify: %zu file(s), %zu finding(s)\n",
+               files.size(), diags.size());
   return diags.empty() ? 0 : 1;
 }

@@ -28,7 +28,7 @@ namespace mpcsd_verify {
 [[nodiscard]] std::string_view base_name(std::string_view path);
 
 struct Policy {
-  /// Confinement rules scan the same roots as scripts/lint.sh: library,
+  /// Confinement rules scan the roots scripts/lint.sh gates: library,
   /// fuzz harnesses, examples.  Tests deliberately violate invariants.
   [[nodiscard]] static bool in_lint_sources(std::string_view path);
 
@@ -37,7 +37,7 @@ struct Policy {
   [[nodiscard]] static bool det_scoped_file(std::string_view path);
 
   /// Simulator/driver directories where `mutable` lambdas are banned
-  /// outright (lint rule 3 scope).
+  /// outright (conf-mutable-lambda scope).
   [[nodiscard]] static bool mutable_scoped(std::string_view path);
 
   // --- per-rule allowlists -------------------------------------------------

@@ -30,11 +30,9 @@ void append_json_string(std::string* out, std::string_view s) {
 
 }  // namespace
 
-std::string render_json_report(const Diagnostics& diags, std::string_view engine,
-                               std::size_t files) {
+std::string render_json_report(const Diagnostics& diags, std::size_t files) {
   std::string out;
-  out += "{\n  \"tool\": \"mpcsd_verify\",\n  \"engine\": ";
-  append_json_string(&out, engine);
+  out += "{\n  \"tool\": \"mpcsd_verify\"";
   out += ",\n  \"files\": " + std::to_string(files);
   out += ",\n  \"findings\": " + std::to_string(diags.size());
   out += ",\n  \"diagnostics\": [";
@@ -48,8 +46,6 @@ std::string render_json_report(const Diagnostics& diags, std::string_view engine
     out += ", \"line\": " + std::to_string(d.line);
     out += ", \"detail\": ";
     append_json_string(&out, d.detail);
-    out += ", \"supersedes\": ";
-    append_json_string(&out, info(d.id).supersedes);
     out += "}";
   }
   out += diags.empty() ? "]\n}\n" : "\n  ]\n}\n";

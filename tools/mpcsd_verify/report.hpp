@@ -11,10 +11,9 @@
 
 namespace mpcsd_verify {
 
-/// Renders the full run as a JSON document.  `engine` is "token" or "ast";
-/// `files` is the number of files analyzed.
+/// Renders the full run as a JSON document; `files` is the number of
+/// files analyzed.
 [[nodiscard]] std::string render_json_report(const Diagnostics& diags,
-                                             std::string_view engine,
                                              std::size_t files);
 
 /// Writes `contents` to `path`; returns false on I/O failure.

@@ -34,6 +34,24 @@ using Toks = std::vector<Tok>;
   return kw.count(s) > 0;
 }
 
+/// The x86 intrinsics header an `#include` directive names, or "" if none:
+/// the fixed set below plus every `avx512*intrin.h`.
+[[nodiscard]] std::string_view intrinsics_header(std::string_view directive) {
+  static constexpr std::string_view fixed[] = {
+      "immintrin.h", "x86intrin.h", "emmintrin.h",
+      "smmintrin.h", "avxintrin.h", "avx2intrin.h",
+  };
+  for (const auto h : fixed) {
+    if (directive.find(h) != std::string_view::npos) return h;
+  }
+  constexpr std::string_view suffix = "intrin.h";
+  const auto avx512 = directive.find("avx512");
+  if (avx512 == std::string_view::npos) return {};
+  const auto end = directive.find(suffix, avx512);
+  if (end == std::string_view::npos) return {};
+  return directive.substr(avx512, end + suffix.size() - avx512);
+}
+
 /// Index after the `>` matching the `<` at `i` (toks[i] must be "<").
 /// `>>` closes two levels.  Returns `i` unchanged if this is not a
 /// template argument list (hits ; { } or EOF first).
@@ -537,22 +555,13 @@ class FileAnalysis {
         "fork",         "vfork",    "mmap",       "munmap",
         "memfd_create", "shm_open", "shm_unlink",
     };
-    static constexpr std::string_view intrin_headers[] = {
-        "immintrin.h", "x86intrin.h",  "emmintrin.h",
-        "smmintrin.h", "avxintrin.h",  "avx2intrin.h",
-        "avx512fintrin.h", "avx512bwintrin.h",
-    };
 
     for (std::size_t i = 0; i < t_.size(); ++i) {
       const Tok& tk = t_[i];
       if (tk.kind == TokKind::kDirective) {
         if (!allow_intrin && tk.text.find("include") != std::string::npos) {
-          for (const auto h : intrin_headers) {
-            if (tk.text.find(h) != std::string::npos) {
-              diag(DiagId::kConfIntrinsics, tk.line, std::string(h));
-              break;
-            }
-          }
+          const std::string_view h = intrinsics_header(tk.text);
+          if (!h.empty()) diag(DiagId::kConfIntrinsics, tk.line, std::string(h));
         }
         continue;
       }

@@ -1,19 +1,15 @@
-// mpcsd-verify: the portable token-level engine.
+// mpcsd-verify: the conformance engine.
 //
-// Always built (no dependency beyond the standard library), so the
-// conformance gate runs on minimal containers without clang dev libraries.
-// It analyzes one file at a time over the lexed token stream with enough
-// structure recovered to be AST-grade for this codebase's idioms: lambda
-// introducers and capture lists are parsed, machine/stage bodies are
-// identified by their context parameter types (`MachineContext&`,
+// The one implementation of the diagnostics.hpp catalog.  It needs nothing
+// beyond the standard library, so the conformance gate builds everywhere
+// the library does.  It analyzes one file at a time over the lexed token
+// stream with enough structure recovered for this codebase's idioms:
+// lambda introducers and capture lists are parsed, machine/stage bodies
+// are identified by their context parameter types (`MachineContext&`,
 // `StageContext<T>&`), declaration scanning resolves const-ness and
 // unordered-container names, and every literal/comment is already out of
-// the stream (the lexer dropped them), which is precisely what the grep
-// rules could not do.
-//
-// The clang AST engine (ast_engine.hpp) implements the same catalog with
-// real semantic types; the fixture self-test pins both to identical
-// verdicts.
+// the stream (the lexer dropped them), so prose can never trip a rule.
+// The fixture self-test (--self-test) pins its verdicts.
 #pragma once
 
 #include <string>
