@@ -1,7 +1,14 @@
 // google-benchmark micro-benchmarks for the sequential engines — the unit
 // costs underlying the Table 1 work columns, plus the DESIGN.md ablations
-// (dense vs sparse Ulam, naive vs fast combine, exact vs 3+eps unit).
+// (dense vs sparse Ulam, naive vs fast combine, exact vs 3+eps unit) and
+// the two Ulam machine bodies (one block's candidates, the block-partitioned
+// combine).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
+#include <unordered_map>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "core/workload.hpp"
@@ -10,6 +17,7 @@
 #include "seq/combine.hpp"
 #include "seq/edit_distance.hpp"
 #include "seq/ulam.hpp"
+#include "ulam_mpc/candidates.hpp"
 
 namespace {
 
@@ -148,6 +156,83 @@ void BM_CombineNaive(benchmark::State& state) {
   state.SetComplexityN(count);
 }
 BENCHMARK(BM_CombineNaive)->Range(256, 4096)->Complexity(benchmark::oNSquared);
+
+// Round 1 of the Ulam algorithm for one block: Algorithm 1's candidate
+// windows, each evaluated exactly.  Block size B = ceil(n^{2/3}), the
+// default x = 1/3; the block is the middle one of s.
+void BM_UlamBlockCandidates(benchmark::State& state, std::int64_t n,
+                            bool adjacent_swaps) {
+  const auto s = core::random_permutation(n, 1);
+  SymString t;
+  if (adjacent_swaps) {
+    // Every run of match points has length 1: the worst case for the
+    // run-level evaluator.
+    t = s;
+    for (std::size_t i = 0; i + 1 < t.size(); i += 2) std::swap(t[i], t[i + 1]);
+  } else {
+    t = core::plant_edits(s, n / 16, 2, true).text;  // the ulam_batch shape
+  }
+  const auto block = static_cast<std::int64_t>(
+      std::ceil(std::pow(static_cast<double>(n), 2.0 / 3.0)));
+  const std::int64_t begin = (n / 2 / block) * block;
+  std::unordered_map<Symbol, std::int64_t> where;
+  for (std::size_t j = 0; j < t.size(); ++j) {
+    where.emplace(t[j], static_cast<std::int64_t>(j));
+  }
+  std::vector<std::int64_t> positions;
+  for (std::int64_t p = begin; p < std::min(n, begin + block); ++p) {
+    const auto it = where.find(s[static_cast<std::size_t>(p)]);
+    positions.push_back(it == where.end() ? -1 : it->second);
+  }
+  ulam_mpc::CandidateParams params;
+  params.n = n;
+  params.n_bar = static_cast<std::int64_t>(t.size());
+  std::size_t evaluated = 0;
+  for (auto _ : state) {
+    Pcg32 rng = derive_stream(3, static_cast<std::uint64_t>(begin));
+    ulam_mpc::CandidateStats stats;
+    benchmark::DoNotOptimize(
+        ulam_mpc::build_block_candidates(begin, positions, params, rng, &stats));
+    evaluated = stats.candidates_evaluated;
+  }
+  state.counters["candidates"] = static_cast<double>(evaluated);
+}
+BENCHMARK_CAPTURE(BM_UlamBlockCandidates, planted_n1024, 1024, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_UlamBlockCandidates, adjacent_swaps_n16384, 16384, true)
+    ->Unit(benchmark::kMillisecond);
+
+// Round 2 of the Ulam algorithm: the kMax combine over block-partitioned
+// tuples, as the round-1 machines send them (many windows per block, every
+// window near the block's diagonal).  Tuples of one block never chain, so
+// this is the input the combine's subtree skip is for; BM_CombineFast's
+// random blocks almost never trigger it.
+void BM_CombineBlocks(benchmark::State& state) {
+  const auto count = state.range(0);
+  const std::int64_t n = 10000;
+  const std::int64_t block = 100;
+  const std::int64_t per_block = count / (n / block);
+  Pcg32 rng = derive_stream(1, 3);
+  std::vector<seq::Tuple> tuples;
+  for (std::int64_t b = 0; b < n; b += block) {
+    for (std::int64_t i = 0; i < per_block; ++i) {
+      seq::Tuple t;
+      t.block_begin = b;
+      t.block_end = b + block;
+      t.window_begin = std::clamp<std::int64_t>(b + rng.uniform(-20, 20), 0, n);
+      t.window_end = std::clamp<std::int64_t>(
+          t.window_begin + block + rng.uniform(-20, 20), t.window_begin, n);
+      t.distance = rng.uniform(0, 50);
+      tuples.push_back(t);
+    }
+  }
+  seq::CombineOptions options;
+  options.gap = seq::GapCost::kMax;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seq::combine_tuples(tuples, n, n, options));
+  }
+}
+BENCHMARK(BM_CombineBlocks)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,7 +1,8 @@
 // Fuzz harness for the wire layer every cross-machine byte travels through:
-// `ByteReader` / `ChainReader` primitives and the `Codec<T>` shapes of the
+// `ByteReader` / `ChainReader` primitives, the `Codec<T>` shapes of the
 // plan layer (PODs, length-prefixed vectors, strings, field-tuple structs,
-// tagged variants, inbox streams).
+// tagged variants, inbox streams), and the combine round's tuple batches
+// (`seq::read_all_tuples`, both overloads).
 //
 // Invariants under arbitrary input bytes:
 //   * decode never crashes, never reads out of bounds, never allocates
@@ -23,6 +24,7 @@
 #include "common/bytes.hpp"
 #include "common/contracts.hpp"
 #include "mpc/plan.hpp"
+#include "seq/combine.hpp"
 
 namespace {
 
@@ -61,6 +63,19 @@ void decode_and_roundtrip(Reader& r) {
   }
 }
 
+/// Decodes the whole payload as tuple batches; whatever decodes must
+/// re-encode (one batch) and decode to the same tuples.
+template <typename Payload>
+void decode_tuple_batches(const Payload& payload) {
+  try {
+    const std::vector<seq::Tuple> tuples = seq::read_all_tuples(payload);
+    ByteWriter w;
+    seq::write_tuples(w, tuples);
+    if (seq::read_all_tuples(w.bytes()) != tuples) std::abort();
+  } catch (const ContractViolation&) {
+  }
+}
+
 template <typename Reader>
 void decode_all_shapes(Reader& r) {
   decode_and_roundtrip<std::uint32_t>(r);
@@ -81,6 +96,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   {
     ByteReader r(bytes, size);
     decode_all_shapes(r);
+    decode_tuple_batches(Bytes(bytes, bytes + size));
   }
 
   // Pass 2: the same bytes as a fragmented inbox chain.  Split points come
@@ -98,6 +114,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     ChainReader r(chain);
     decode_all_shapes(r);
+    decode_tuple_batches(chain);
 
     // An inbox stream over the fragments: decode messages until the chain
     // is exhausted or a malformed tail is rejected.

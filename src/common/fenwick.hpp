@@ -31,6 +31,13 @@ class FenwickMin {
 
   void clear() { tree_.assign(n_ + 1, identity_); }
 
+  /// Resizes to indices [0, n), every position at the identity; keeps the
+  /// allocation, so one tree can serve many short-lived uses.
+  void reset(std::size_t n) {
+    n_ = n;
+    tree_.assign(n_ + 1, identity_);
+  }
+
   void update(std::size_t i, T value) {
     MPCSD_EXPECTS(i < n_);
     for (std::size_t k = i + 1; k <= n_; k += k & (~k + 1)) {

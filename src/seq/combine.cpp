@@ -1,6 +1,7 @@
 #include "seq/combine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/contracts.hpp"
@@ -25,7 +26,7 @@ void sort_tuples(std::vector<Tuple>& tuples) {
   });
 }
 
-void validate(const std::vector<Tuple>& tuples, std::int64_t n, std::int64_t n_bar) {
+void validate(std::span<const Tuple> tuples, std::int64_t n, std::int64_t n_bar) {
   for (const Tuple& t : tuples) {
     MPCSD_EXPECTS(0 <= t.block_begin && t.block_begin < t.block_end && t.block_end <= n);
     MPCSD_EXPECTS(0 <= t.window_begin && t.window_begin <= t.window_end &&
@@ -34,7 +35,7 @@ void validate(const std::vector<Tuple>& tuples, std::int64_t n, std::int64_t n_b
   }
 }
 
-std::int64_t finish(const std::vector<Tuple>& tuples,
+std::int64_t finish(std::span<const Tuple> tuples,
                     const std::vector<std::int64_t>& dp, GapCost g,
                     std::int64_t n, std::int64_t n_bar) {
   std::int64_t best = gap(g, n, n_bar);  // use no tuple at all
@@ -89,117 +90,186 @@ void solve_sum_fast(const std::vector<Tuple>& tuples, std::vector<std::int64_t>&
   if (work != nullptr) *work += m * 6;
 }
 
-/// Fast kMax solver: divide-and-conquer on the block order.  The max gap
-/// splits on the diagonal diag_b = r'-kappa' vs diag_a = l-gamma:
-///   case A (diag_b <= diag_a): cost l - r', needs kappa' <= gamma
-///     (r' <= l is implied);
-///   case B (diag_b >  diag_a): cost gamma - kappa', needs r' <= l
-///     (kappa' <= gamma is implied).
-class MaxCombineSolver {
- public:
-  MaxCombineSolver(const std::vector<Tuple>& tuples, std::vector<std::int64_t>& dp,
-                   std::uint64_t* work)
-      : tuples_(tuples), dp_(dp), work_(work) {
-    if (!tuples_.empty()) solve(0, tuples_.size());
-  }
+/// Segments this short run the O(len²) update rule instead of splitting:
+/// below it the quadratic scan beats the per-cross sorts.
+constexpr std::size_t kQuadraticLeaf = 64;
 
- private:
-  void solve(std::size_t lo, std::size_t hi) {
-    if (hi - lo <= 1) return;
-    const std::size_t mid = lo + (hi - lo) / 2;
-    solve(lo, mid);
-    cross(lo, mid, hi);
-    solve(mid, hi);
-  }
+/// The kMax cross step sorts (key, tuple index) pairs packed into one word,
+/// key in the high half: a plain integer sort instead of an indirect one.
+/// Keys are positions in [0, n + n_bar] and indices are below 2^32.
+constexpr std::uint64_t kLow32 = 0xFFFFFFFFULL;
 
-  [[nodiscard]] std::int64_t point_diag(std::size_t b) const {
-    return tuples_[b].block_end - tuples_[b].window_end;
-  }
-  [[nodiscard]] std::int64_t query_diag(std::size_t a) const {
-    return tuples_[a].block_begin - tuples_[a].window_begin;
-  }
-
-  void cross(std::size_t lo, std::size_t mid, std::size_t hi) {
-    const std::size_t len = hi - lo;
-    if (work_ != nullptr) *work_ += len * 10;
-
-    // Shared diag compression for the segment (point and query diags).
-    std::vector<std::int64_t> ds;
-    ds.reserve(len);
-    for (std::size_t b = lo; b < mid; ++b) ds.push_back(point_diag(b));
-    for (std::size_t a = mid; a < hi; ++a) ds.push_back(query_diag(a));
-    std::sort(ds.begin(), ds.end());
-    ds.erase(std::unique(ds.begin(), ds.end()), ds.end());
-    const std::size_t ranks = ds.size();
-    auto rank_of = [&](std::int64_t v) {
-      return static_cast<std::size_t>(
-          std::lower_bound(ds.begin(), ds.end(), v) - ds.begin());
-    };
-
-    std::vector<std::size_t> left(mid - lo);
-    std::vector<std::size_t> right(hi - mid);
-    for (std::size_t i = 0; i < left.size(); ++i) left[i] = lo + i;
-    for (std::size_t i = 0; i < right.size(); ++i) right[i] = mid + i;
-
-    // Case A: insert by kappa', query by gamma; prefix-min over diag.
-    std::sort(left.begin(), left.end(), [&](std::size_t x, std::size_t y) {
-      return tuples_[x].window_end < tuples_[y].window_end;
-    });
-    std::sort(right.begin(), right.end(), [&](std::size_t x, std::size_t y) {
-      return tuples_[x].window_begin < tuples_[y].window_begin;
-    });
-    FenwickMin<std::int64_t> fen_a(ranks);
-    std::size_t li = 0;
-    for (const std::size_t a : right) {
-      while (li < left.size() &&
-             tuples_[left[li]].window_end <= tuples_[a].window_begin) {
-        const std::size_t b = left[li++];
-        if (dp_[b] < kInf) fen_a.update(rank_of(point_diag(b)), dp_[b] - tuples_[b].block_end);
-      }
-      const auto pos = std::upper_bound(ds.begin(), ds.end(), query_diag(a)) - ds.begin();
-      if (pos > 0) {
-        const std::int64_t best = fen_a.prefix_min(static_cast<std::size_t>(pos - 1));
-        if (best < kInf) {
-          dp_[a] = std::min(dp_[a], tuples_[a].block_begin + best + tuples_[a].distance);
-        }
-      }
-    }
-
-    // Case B: insert by r', query by l; suffix-min over diag (reversed).
-    std::sort(left.begin(), left.end(), [&](std::size_t x, std::size_t y) {
-      return tuples_[x].block_end < tuples_[y].block_end;
-    });
-    std::sort(right.begin(), right.end(), [&](std::size_t x, std::size_t y) {
-      return tuples_[x].block_begin < tuples_[y].block_begin;
-    });
-    FenwickMin<std::int64_t> fen_b(ranks);
-    li = 0;
-    for (const std::size_t a : right) {
-      while (li < left.size() &&
-             tuples_[left[li]].block_end <= tuples_[a].block_begin) {
-        const std::size_t b = left[li++];
-        if (dp_[b] < kInf) {
-          fen_b.update(ranks - 1 - rank_of(point_diag(b)), dp_[b] - tuples_[b].window_end);
-        }
-      }
-      // diag_b > diag_a  <=>  reversed rank < ranks - pos, pos = upper_bound
-      const auto pos = static_cast<std::size_t>(
-          std::upper_bound(ds.begin(), ds.end(), query_diag(a)) - ds.begin());
-      if (pos < ranks) {
-        const std::int64_t best = fen_b.prefix_min(ranks - 1 - pos);
-        if (best < kInf) {
-          dp_[a] = std::min(dp_[a], tuples_[a].window_begin + best + tuples_[a].distance);
-        }
-      }
-    }
-  }
-
-  const std::vector<Tuple>& tuples_;
-  std::vector<std::int64_t>& dp_;
-  std::uint64_t* work_;
-};
+std::uint64_t pack(std::int64_t key, std::size_t index) {
+  return (static_cast<std::uint64_t>(key) << 32U) | index;
+}
+std::int64_t packed_key(std::uint64_t word) {
+  return static_cast<std::int64_t>(word >> 32U);
+}
+std::size_t packed_index(std::uint64_t word) {
+  return static_cast<std::size_t>(word & kLow32);
+}
 
 }  // namespace
+
+std::uint64_t max_combine_work(std::uint64_t m) {
+  if (m < 2) return 0;
+  const auto k = static_cast<std::uint64_t>(std::bit_width(m) - 1);
+  return 10 * (m * (k + 2) - (std::uint64_t{2} << k));
+}
+
+// Fast kMax solver: divide-and-conquer on the block order.  The max gap
+// splits on the diagonal diag_b = r'-kappa' vs diag_a = l-gamma:
+//   case A (diag_b <= diag_a): cost l - r', needs kappa' <= gamma
+//     (r' <= l is implied);
+//   case B (diag_b >  diag_a): cost gamma - kappa', needs r' <= l
+//     (kappa' <= gamma is implied).
+std::int64_t MaxCombineSolver::solve(std::span<const Tuple> tuples, std::int64_t n,
+                                     std::int64_t n_bar, std::uint64_t* work) {
+  const std::size_t m = tuples.size();
+  MPCSD_EXPECTS(n >= 0 && n_bar >= 0 && m <= kLow32);
+  MPCSD_EXPECTS(static_cast<std::uint64_t>(n) + static_cast<std::uint64_t>(n_bar) <=
+                kLow32);
+  validate(tuples, n, n_bar);
+  tuples_ = tuples;
+  diag_shift_ = n_bar;
+  dp_.resize(m);
+  for (std::size_t a = 0; a < m; ++a) {
+    MPCSD_EXPECTS(a == 0 || tuples[a - 1].block_begin <= tuples[a].block_begin);
+    dp_[a] = std::max(tuples[a].block_begin, tuples[a].window_begin) + tuples[a].distance;
+  }
+  solve_range(0, m);
+  tuples_ = {};
+  if (work != nullptr) *work += max_combine_work(m);
+  return finish(tuples, dp_, GapCost::kMax, n, n_bar);
+}
+
+/// True when some tuple of [lo, hi) may precede another one: with
+/// block_begin sorted, that needs a block_end at or before the last begin.
+/// Otherwise (e.g. every tuple comes from one block) the whole subtree
+/// is a no-op.
+bool MaxCombineSolver::has_chainable_pair(std::size_t lo, std::size_t hi) const {
+  const std::int64_t last_begin = tuples_[hi - 1].block_begin;
+  for (std::size_t b = lo; b < hi; ++b) {
+    if (tuples_[b].block_end <= last_begin) return true;
+  }
+  return false;
+}
+
+void MaxCombineSolver::solve_range(std::size_t lo, std::size_t hi) {
+  if (hi - lo <= 1 || !has_chainable_pair(lo, hi)) return;
+  if (hi - lo <= kQuadraticLeaf) {
+    solve_leaf(lo, hi);
+    return;
+  }
+  // Split at the block boundary nearest the midpoint: tuples of one block
+  // never chain, so a block kept whole is later skipped as a whole.  (The
+  // segment holds two blocks at least, else it has no chainable pair.)
+  std::size_t mid = lo + (hi - lo) / 2;
+  const auto by_begin = [](const Tuple& x, const Tuple& y) {
+    return x.block_begin < y.block_begin;
+  };
+  const auto block = std::equal_range(tuples_.begin() + static_cast<std::ptrdiff_t>(lo),
+                                      tuples_.begin() + static_cast<std::ptrdiff_t>(hi),
+                                      tuples_[mid], by_begin);
+  const auto down = static_cast<std::size_t>(block.first - tuples_.begin());
+  const auto up = static_cast<std::size_t>(block.second - tuples_.begin());
+  mid = (down > lo && (mid - down <= up - mid || up == hi)) ? down : up;
+  solve_range(lo, mid);
+  cross(lo, mid, hi);
+  solve_range(mid, hi);
+}
+
+void MaxCombineSolver::solve_leaf(std::size_t lo, std::size_t hi) {
+  for (std::size_t a = lo + 1; a < hi; ++a) {
+    const Tuple& ta = tuples_[a];
+    std::int64_t best = dp_[a];
+    for (std::size_t b = lo; b < a; ++b) {
+      const Tuple& tb = tuples_[b];
+      if (tb.block_end > ta.block_begin || tb.window_end > ta.window_begin) continue;
+      best = std::min(best, dp_[b] + gap(GapCost::kMax, ta.block_begin - tb.block_end,
+                                         ta.window_begin - tb.window_end) +
+                                ta.distance);
+    }
+    dp_[a] = best;
+  }
+}
+
+void MaxCombineSolver::cross(std::size_t lo, std::size_t mid, std::size_t hi) {
+  const auto point_diag = [this](std::size_t b) {
+    return tuples_[b].block_end - tuples_[b].window_end;
+  };
+  const auto query_diag = [this](std::size_t a) {
+    return tuples_[a].block_begin - tuples_[a].window_begin;
+  };
+
+  // Shared diag compression for the segment (point and query diags):
+  // rank_[i - lo] is the rank of tuple i's diag among the segment's
+  // distinct diags.  Diags lie in [-n_bar, n], shifted by n_bar to pack.
+  keys_.clear();
+  for (std::size_t b = lo; b < mid; ++b) {
+    keys_.push_back(pack(point_diag(b) + diag_shift_, b));
+  }
+  for (std::size_t a = mid; a < hi; ++a) {
+    keys_.push_back(pack(query_diag(a) + diag_shift_, a));
+  }
+  std::sort(keys_.begin(), keys_.end());
+  rank_.resize(hi - lo);
+  std::uint32_t rank = 0;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (i > 0 && packed_key(keys_[i]) != packed_key(keys_[i - 1])) ++rank;
+    rank_[packed_index(keys_[i]) - lo] = rank;
+  }
+  const std::size_t ranks = std::size_t{rank} + 1;
+  const auto rank_of = [this, lo](std::size_t i) {
+    return std::size_t{rank_[i - lo]};
+  };
+
+  // Case A: insert by kappa', query by gamma; prefix-min over diag (a's
+  // own rank is the last one with diag_b <= diag_a).
+  keys_.clear();
+  for (std::size_t b = lo; b < mid; ++b) keys_.push_back(pack(tuples_[b].window_end, b));
+  std::sort(keys_.begin(), keys_.end());
+  queries_.clear();
+  for (std::size_t a = mid; a < hi; ++a) {
+    queries_.push_back(pack(tuples_[a].window_begin, a));
+  }
+  std::sort(queries_.begin(), queries_.end());
+  fenwick_.reset(ranks);
+  std::size_t li = 0;
+  for (const std::uint64_t query : queries_) {
+    while (li < keys_.size() && packed_key(keys_[li]) <= packed_key(query)) {
+      const std::size_t b = packed_index(keys_[li++]);
+      fenwick_.update(rank_of(b), dp_[b] - tuples_[b].block_end);
+    }
+    const std::size_t a = packed_index(query);
+    const std::int64_t best = fenwick_.prefix_min(rank_of(a));
+    if (best < kInf) {
+      dp_[a] = std::min(dp_[a], tuples_[a].block_begin + best + tuples_[a].distance);
+    }
+  }
+
+  // Case B: insert by r', query by l (the right half is already in l
+  // order); suffix-min over diag (reversed ranks).
+  keys_.clear();
+  for (std::size_t b = lo; b < mid; ++b) keys_.push_back(pack(tuples_[b].block_end, b));
+  std::sort(keys_.begin(), keys_.end());
+  fenwick_.reset(ranks);
+  li = 0;
+  for (std::size_t a = mid; a < hi; ++a) {
+    while (li < keys_.size() && packed_key(keys_[li]) <= tuples_[a].block_begin) {
+      const std::size_t b = packed_index(keys_[li++]);
+      fenwick_.update(ranks - 1 - rank_of(b), dp_[b] - tuples_[b].window_end);
+    }
+    // diag_b > diag_a  <=>  reversed rank < ranks - 1 - rank_of(a)
+    const std::size_t r = rank_of(a);
+    if (r + 1 < ranks) {
+      const std::int64_t best = fenwick_.prefix_min(ranks - 2 - r);
+      if (best < kInf) {
+        dp_[a] = std::min(dp_[a], tuples_[a].window_begin + best + tuples_[a].distance);
+      }
+    }
+  }
+}
 
 std::int64_t combine_tuples_naive(std::vector<Tuple> tuples, std::int64_t n,
                                   std::int64_t n_bar, const CombineOptions& options,
@@ -244,6 +314,7 @@ std::vector<Tuple> read_all_tuples(const Bytes& payload) {
   ByteReader reader(payload);
   while (!reader.exhausted()) {
     const auto count = reader.get<std::uint64_t>();
+    MPCSD_EXPECTS(count <= reader.remaining() / sizeof(Tuple));
     out.reserve(out.size() + count);
     for (std::uint64_t i = 0; i < count; ++i) out.push_back(reader.get<Tuple>());
   }
@@ -269,20 +340,18 @@ std::int64_t combine_tuples(std::vector<Tuple> tuples, std::int64_t n,
   if (!options.use_fast || options.allow_overlap) {
     return combine_tuples_naive(std::move(tuples), n, n_bar, options, work);
   }
-  validate(tuples, n, n_bar);
   sort_tuples(tuples);
+  if (options.gap == GapCost::kMax) {
+    return MaxCombineSolver{}.solve(tuples, n, n_bar, work);  // validates
+  }
+  validate(tuples, n, n_bar);
   const std::size_t m = tuples.size();
   std::vector<std::int64_t> dp(m, kInf);
   for (std::size_t a = 0; a < m; ++a) {
     dp[a] = gap(options.gap, tuples[a].block_begin, tuples[a].window_begin) +
             tuples[a].distance;
   }
-  if (options.gap == GapCost::kSum) {
-    solve_sum_fast(tuples, dp, work);
-  } else {
-    const MaxCombineSolver solver(tuples, dp, work);
-    (void)solver;
-  }
+  solve_sum_fast(tuples, dp, work);
   return finish(tuples, dp, options.gap, n, n_bar);
 }
 

@@ -22,7 +22,12 @@
 //   * kMax: the same diagonal split as the sparse Ulam DP (the max cost
 //     splits on r_b - kappa_b vs l_a - gamma_a) via divide-and-conquer,
 //     O(T log² T) — the "suitable data structure" the paper alludes to in
-//     Section 5.2.3.
+//     Section 5.2.3.  Segments split at the block boundary nearest their
+//     midpoint; a segment in which no tuple can precede another (every
+//     block_end lies past the last block_begin, e.g. all tuples of one
+//     block) is skipped whole, and short segments run the quadratic rule
+//     directly.  The metered work does not depend on these shortcuts: it
+//     is always `max_combine_work(T)`.
 //
 // `allow_overlap` (naive, kSum only) implements the Section 5.2.3 remark:
 // two tuples whose windows intersect may both be chosen if gamma_b <=
@@ -34,6 +39,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/fenwick.hpp"
 #include "seq/types.hpp"
 
 namespace mpcsd::seq {
@@ -62,10 +68,44 @@ struct CombineOptions {
 
 /// Combines tuples into a full transformation cost of s (length n) into s̄
 /// (length n_bar).  The result is always the cost of a realizable
-/// transformation, hence an upper bound on the true distance.
+/// transformation, hence an upper bound on the true distance.  The fast
+/// kMax solver needs n + n_bar and the tuple count below 2^32.
 std::int64_t combine_tuples(std::vector<Tuple> tuples, std::int64_t n,
                             std::int64_t n_bar, const CombineOptions& options = {},
                             std::uint64_t* work = nullptr);
+
+/// Work the fast kMax solver charges for T = m tuples: the model's
+/// halving divide-and-conquer pays 10·len for the cross over every segment
+/// of len >= 2 tuples, which sums to 10·(m·(k+2) − 2^(k+1)) with
+/// k = ⌊log2 m⌋ (0 for m <= 1).
+std::uint64_t max_combine_work(std::uint64_t m);
+
+/// The fast kMax solver with scratch that survives between calls, for
+/// callers that solve many small instances (one per Ulam candidate window).
+/// `tuples` must be valid for (n, n_bar) and sorted by block_begin, with
+/// n + n_bar and the tuple count below 2^32 (all checked); the result equals
+/// `combine_tuples` with `GapCost::kMax` on the same tuples, and
+/// `max_combine_work(tuples.size())` is added to `*work`.
+class MaxCombineSolver {
+ public:
+  std::int64_t solve(std::span<const Tuple> tuples, std::int64_t n,
+                     std::int64_t n_bar, std::uint64_t* work = nullptr);
+
+ private:
+  void solve_range(std::size_t lo, std::size_t hi);
+  void solve_leaf(std::size_t lo, std::size_t hi);
+  void cross(std::size_t lo, std::size_t mid, std::size_t hi);
+  [[nodiscard]] bool has_chainable_pair(std::size_t lo, std::size_t hi) const;
+
+  std::span<const Tuple> tuples_;
+  std::int64_t diag_shift_ = 0;
+  std::vector<std::int64_t> dp_;
+  // Per-cross scratch; a cross never recurses, so one set serves them all.
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint64_t> queries_;
+  std::vector<std::uint32_t> rank_;
+  FenwickMin<std::int64_t> fenwick_{0};
+};
 
 /// O(T²) reference (used by tests to pin the fast solvers).
 std::int64_t combine_tuples_naive(std::vector<Tuple> tuples, std::int64_t n,

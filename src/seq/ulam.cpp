@@ -287,14 +287,7 @@ LocalUlamResult local_ulam_dense(SymView block, SymView t, std::uint64_t* work) 
                        static_cast<std::int64_t>(t.size()));
 }
 
-namespace {
-
-/// Compresses match points (sorted by p) into maximal diagonal runs,
-/// expressed as zero-distance combine tuples: [p_s, p_e+1) x [q_s, q_e+1).
-/// An exchange argument shows some optimal chain always uses maximal runs
-/// in full, so the chain DP may operate on runs — for similar strings this
-/// shrinks the instance from ~n points to ~d runs.
-std::vector<Tuple> runs_as_tuples(const std::vector<MatchPoint>& pts) {
+std::vector<Tuple> diagonal_runs(const std::vector<MatchPoint>& pts) {
   std::vector<Tuple> runs;
   std::size_t i = 0;
   while (i < pts.size()) {
@@ -309,8 +302,6 @@ std::vector<Tuple> runs_as_tuples(const std::vector<MatchPoint>& pts) {
   return runs;
 }
 
-}  // namespace
-
 std::int64_t ulam_from_match_points(const std::vector<MatchPoint>& pts,
                                     std::int64_t na, std::int64_t nb,
                                     std::uint64_t* work) {
@@ -320,7 +311,7 @@ std::int64_t ulam_from_match_points(const std::vector<MatchPoint>& pts,
   CombineOptions options;
   options.gap = GapCost::kMax;
   options.use_fast = true;
-  return combine_tuples(runs_as_tuples(pts), na, nb, options, work);
+  return combine_tuples(diagonal_runs(pts), na, nb, options, work);
 }
 
 std::optional<std::int64_t> bounded_ulam_from_match_points(

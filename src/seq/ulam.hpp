@@ -25,6 +25,7 @@
 #include <optional>
 #include <vector>
 
+#include "seq/combine.hpp"
 #include "seq/types.hpp"
 
 namespace mpcsd::seq {
@@ -75,6 +76,13 @@ LocalUlamResult local_ulam_bruteforce(SymView block, SymView t);
 // Ulam machinery runs on that feed directly.
 // ---------------------------------------------------------------------------
 
+/// Compresses match points (sorted by p) into maximal diagonal runs,
+/// expressed as zero-distance combine tuples: [p_s, p_e+1) x [q_s, q_e+1),
+/// sorted by p.  An exchange argument shows some optimal chain always uses
+/// maximal runs in full, so the chain DP may operate on runs — for similar
+/// strings this shrinks the instance from ~n points to ~d runs.
+std::vector<Tuple> diagonal_runs(const std::vector<MatchPoint>& pts);
+
 /// Ulam distance from match points.  `pts` must be sorted by p with strictly
 /// increasing p and pairwise distinct q; na/nb are the string lengths.
 std::int64_t ulam_from_match_points(const std::vector<MatchPoint>& pts,
@@ -85,6 +93,9 @@ std::int64_t ulam_from_match_points(const std::vector<MatchPoint>& pts,
 /// std::nullopt otherwise.  Internally restricts the chain DP to the
 /// diagonal band |p - q| <= cap (any alignment of cost <= cap stays inside
 /// it), so the cost scales with the band population, not with |pts|.
+/// No library code calls it: Algorithm 1's per-candidate engine
+/// (`ulam_mpc::BlockEvaluator`) clips the block's diagonal runs instead,
+/// and tests keep this point-level engine as its oracle.
 std::optional<std::int64_t> bounded_ulam_from_match_points(
     const std::vector<MatchPoint>& pts, std::int64_t na, std::int64_t nb,
     std::int64_t cap, std::uint64_t* work = nullptr);

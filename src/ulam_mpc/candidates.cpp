@@ -3,92 +3,68 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "common/contracts.hpp"
 #include "common/grid.hpp"
 
 namespace mpcsd::ulam_mpc {
 
-namespace {
+BlockEvaluator::BlockEvaluator(std::int64_t block_begin,
+                               const std::vector<std::int64_t>& positions,
+                               std::int64_t n_bar, CandidateStats* stats)
+    : block_begin_(block_begin),
+      block_len_(static_cast<std::int64_t>(positions.size())),
+      n_bar_(n_bar),
+      stats_(stats) {
+  for (std::size_t p = 0; p < positions.size(); ++p) {
+    if (positions[p] < 0) continue;
+    pts_.push_back(seq::MatchPoint{static_cast<std::int64_t>(p), positions[p]});
+    qs_.push_back(positions[p]);
+  }
+  std::sort(qs_.begin(), qs_.end());
+  runs_ = seq::diagonal_runs(pts_);
+}
 
-using seq::MatchPoint;
+void BlockEvaluator::evaluate(std::int64_t sp, std::int64_t ep, std::int64_t cap,
+                              std::vector<Tuple>& out) {
+  sp = std::clamp<std::int64_t>(sp, 0, n_bar_);
+  ep = std::clamp<std::int64_t>(ep, sp, n_bar_);
+  const std::uint64_t key =
+      static_cast<std::uint64_t>(sp) * (static_cast<std::uint64_t>(n_bar_) + 2) +
+      static_cast<std::uint64_t>(ep);
+  if (!seen_.insert(key).second) return;
+  if (stats_ != nullptr) ++stats_->candidates_evaluated;
 
-/// Per-block evaluation context: match points of the block against s̄ in
-/// both p-order and q-order, plus a dedup set so that every candidate
-/// window is evaluated exactly once across all guess levels.
-class BlockEvaluator {
- public:
-  BlockEvaluator(std::int64_t block_begin, const std::vector<std::int64_t>& positions,
-                 std::int64_t n_bar, CandidateStats* stats)
-      : block_begin_(block_begin),
-        block_len_(static_cast<std::int64_t>(positions.size())),
-        n_bar_(n_bar),
-        stats_(stats) {
-    for (std::size_t p = 0; p < positions.size(); ++p) {
-      if (positions[p] >= 0) {
-        pts_.push_back(MatchPoint{static_cast<std::int64_t>(p), positions[p]});
-      }
-    }
-    by_q_ = pts_;
-    std::sort(by_q_.begin(), by_q_.end(),
-              [](const MatchPoint& a, const MatchPoint& b) { return a.q < b.q; });
+  // Match points with q in [sp, ep): the window's share of the feed.
+  const auto slice = std::lower_bound(qs_.begin(), qs_.end(), ep) -
+                     std::lower_bound(qs_.begin(), qs_.end(), sp);
+  work_ += static_cast<std::uint64_t>(slice) + 1;
+  const std::int64_t nb = ep - sp;
+  if (std::abs(block_len_ - nb) > cap) {
+    if (stats_ != nullptr) ++stats_->candidates_pruned;
+    return;
   }
 
-  [[nodiscard]] const std::vector<MatchPoint>& points() const noexcept { return pts_; }
-  [[nodiscard]] std::int64_t block_len() const noexcept { return block_len_; }
-  [[nodiscard]] std::uint64_t work() const noexcept { return work_; }
-
-  /// Evaluates candidate window [sp, ep) with the band-filtered exact
-  /// engine capped at `cap`; appends a tuple when the distance is <= cap.
-  void evaluate(std::int64_t sp, std::int64_t ep, std::int64_t cap,
-                std::vector<Tuple>& out) {
-    sp = std::clamp<std::int64_t>(sp, 0, n_bar_);
-    ep = std::clamp<std::int64_t>(ep, sp, n_bar_);
-    const std::uint64_t key = static_cast<std::uint64_t>(sp) * (static_cast<std::uint64_t>(n_bar_) + 2) +
-                              static_cast<std::uint64_t>(ep);
-    if (!seen_.insert(key).second) return;
-    if (stats_ != nullptr) ++stats_->candidates_evaluated;
-
-    // Window slice: match points with q in [sp, ep) are contiguous in
-    // q-order; keep only those within the diagonal band of the cap.
-    const auto lo = std::lower_bound(by_q_.begin(), by_q_.end(), sp,
-                                     [](const MatchPoint& m, std::int64_t v) { return m.q < v; });
-    const auto hi = std::lower_bound(by_q_.begin(), by_q_.end(), ep,
-                                     [](const MatchPoint& m, std::int64_t v) { return m.q < v; });
-    std::vector<MatchPoint> window;
-    window.reserve(static_cast<std::size_t>(hi - lo));
-    for (auto it = lo; it != hi; ++it) {
-      const std::int64_t q_local = it->q - sp;
-      if (std::abs(q_local - it->p) <= cap) {
-        window.push_back(MatchPoint{it->p, q_local});
-      }
-    }
-    work_ += static_cast<std::uint64_t>(hi - lo) + 1;
-    std::sort(window.begin(), window.end(),
-              [](const MatchPoint& a, const MatchPoint& b) { return a.p < b.p; });
-
-    const auto d = seq::bounded_ulam_from_match_points(window, block_len_, ep - sp,
-                                                       cap, &work_);
-    if (!d.has_value()) {
-      if (stats_ != nullptr) ++stats_->candidates_pruned;
-      return;
-    }
-    out.push_back(Tuple{block_begin_, block_begin_ + block_len_, sp, ep, *d});
+  // Clip every run to the window and the diagonal band, in window-local q.
+  clipped_.clear();
+  std::uint64_t band = 0;
+  for (const Tuple& run : runs_) {
+    if (std::abs(run.window_begin - run.block_begin - sp) > cap) continue;
+    const std::int64_t lo = std::max(run.window_begin, sp);
+    const std::int64_t hi = std::min(run.window_end, ep);
+    if (lo >= hi) continue;
+    const std::int64_t p = run.block_begin + (lo - run.window_begin);
+    clipped_.push_back(Tuple{p, p + (hi - lo), lo - sp, hi - sp, 0});
+    band += static_cast<std::uint64_t>(hi - lo);
   }
-
- private:
-  std::int64_t block_begin_;
-  std::int64_t block_len_;
-  std::int64_t n_bar_;
-  CandidateStats* stats_;
-  std::vector<MatchPoint> pts_;   // sorted by p
-  std::vector<MatchPoint> by_q_;  // sorted by q
-  std::unordered_set<std::uint64_t> seen_;
-  std::uint64_t work_ = 0;
-};
-
-}  // namespace
+  work_ += band;
+  const std::int64_t d = combine_.solve(clipped_, block_len_, nb, &work_);
+  if (d > cap) {
+    if (stats_ != nullptr) ++stats_->candidates_pruned;
+    return;
+  }
+  out.push_back(Tuple{block_begin_, block_begin_ + block_len_, sp, ep, d});
+}
 
 std::vector<Tuple> build_block_candidates(std::int64_t block_begin,
                                           const std::vector<std::int64_t>& positions,

@@ -19,9 +19,22 @@
 // deduplicated across levels and each is evaluated once with the
 // band-filtered exact Ulam engine (capped at 4û so that a level's good
 // candidate — at distance <= (1+2eps')u — is never pruned).
+//
+// The per-candidate engine works on diagonal runs: the block's maximal
+// runs of match points (p, q), (p+1, q+1), ... are built once, and a
+// candidate clips each run to its window and its band, then runs the
+// max-gap chain DP over the clipped runs.  That is exact:
+//   * a whole run shares one diagonal, so the band |q - sp - p| <= cap
+//     keeps or drops it entirely — and band filtering never changes an
+//     answer <= cap (any alignment that cheap stays inside the band);
+//   * clipping only removes points, so two maximal runs never merge and
+//     the clipped runs are exactly the window's maximal runs;
+//   * the chain DP over maximal runs equals the DP over their points (an
+//     exchange argument: some optimal chain uses maximal runs in full).
 #pragma once
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "seq/combine.hpp"
@@ -47,6 +60,46 @@ struct CandidateStats {
   std::size_t anchors_sampled = 0;     ///< |I| before diagonal dedup
   std::size_t anchors_distinct = 0;    ///< distinct (gamma, kappa) anchors
   std::uint64_t work = 0;
+};
+
+/// Per-block evaluation context: the block's match points against s̄ in
+/// p-order, their q values in q-order, the block's maximal diagonal runs,
+/// and a dedup set so that every candidate window is evaluated exactly once
+/// across all guess levels.
+class BlockEvaluator {
+ public:
+  /// `positions` as for `build_block_candidates`; `stats` may be null.
+  BlockEvaluator(std::int64_t block_begin, const std::vector<std::int64_t>& positions,
+                 std::int64_t n_bar, CandidateStats* stats);
+
+  /// The block's match points, sorted by p.
+  [[nodiscard]] const std::vector<seq::MatchPoint>& points() const noexcept {
+    return pts_;
+  }
+  [[nodiscard]] std::uint64_t work() const noexcept { return work_; }
+
+  /// Evaluates candidate window [sp, ep) (clamped to s̄) with the exact
+  /// Ulam engine capped at `cap`; appends a tuple when the distance is
+  /// <= cap.  A window already evaluated is skipped.  Charges the q-slice
+  /// count + 1, then (unless |B - (ep - sp)| > cap prunes outright) the
+  /// band population plus `seq::max_combine_work` of the clipped runs.
+  void evaluate(std::int64_t sp, std::int64_t ep, std::int64_t cap,
+                std::vector<Tuple>& out);
+
+ private:
+  std::int64_t block_begin_;
+  std::int64_t block_len_;
+  std::int64_t n_bar_;
+  CandidateStats* stats_;
+  std::vector<seq::MatchPoint> pts_;  // sorted by p
+  std::vector<std::int64_t> qs_;      // pts_' q values, sorted
+  /// Maximal diagonal runs as zero-distance tuples [p, p+len) x [q, q+len),
+  /// sorted by p.
+  std::vector<Tuple> runs_;
+  std::vector<Tuple> clipped_;  // per-candidate scratch
+  seq::MaxCombineSolver combine_;
+  std::unordered_set<std::uint64_t> seen_;
+  std::uint64_t work_ = 0;
 };
 
 /// Runs Algorithm 1 for one block.  `block_begin` is the block's offset in

@@ -31,6 +31,28 @@ std::vector<Tuple> random_tuples(std::int64_t n, std::int64_t n_bar,
   return tuples;
 }
 
+/// Tuples as round 1 sends them: every tuple belongs to one of a few fixed
+/// blocks and its window lies near the block's diagonal.  Tuples of one
+/// block never chain, which the fast kMax solver exploits.
+std::vector<Tuple> block_partitioned_tuples(std::int64_t n, std::int64_t n_bar,
+                                            std::size_t count, std::uint64_t seed) {
+  Pcg32 rng = derive_stream(seed, 0x71);
+  const std::int64_t block = 5;
+  std::vector<Tuple> tuples;
+  for (std::size_t i = 0; i < count; ++i) {
+    Tuple t;
+    t.block_begin = block * rng.uniform(0, (n - 1) / block);
+    t.block_end = std::min(n, t.block_begin + block);
+    t.window_begin =
+        std::clamp<std::int64_t>(t.block_begin + rng.uniform(-3, 6), 0, n_bar);
+    t.window_end = std::clamp<std::int64_t>(t.window_begin + block + rng.uniform(-2, 2),
+                                            t.window_begin, n_bar);
+    t.distance = rng.uniform(0, 6);
+    tuples.push_back(t);
+  }
+  return tuples;
+}
+
 TEST(Combine, EmptyTupleSetGivesTrivialCost) {
   CombineOptions max_opts{GapCost::kMax, true, false};
   CombineOptions sum_opts{GapCost::kSum, true, false};
@@ -68,16 +90,43 @@ class CombineFuzz : public ::testing::TestWithParam<std::tuple<int, GapCost>> {}
 
 TEST_P(CombineFuzz, FastMatchesNaive) {
   const auto [count, gap] = GetParam();
+  MaxCombineSolver reused;  // scratch carried across every instance below
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     const std::int64_t n = 40;
     const std::int64_t n_bar = 46;
-    const auto tuples = random_tuples(n, n_bar, static_cast<std::size_t>(count), seed);
-    CombineOptions fast{gap, true, false};
-    CombineOptions naive{gap, false, false};
-    const auto f = combine_tuples(tuples, n, n_bar, fast);
-    const auto s = combine_tuples_naive(tuples, n, n_bar, naive);
-    ASSERT_EQ(f, s) << "seed=" << seed << " count=" << count
-                    << " gap=" << static_cast<int>(gap);
+    for (const bool blocks : {false, true}) {
+      const auto size = static_cast<std::size_t>(count);
+      auto tuples = blocks ? block_partitioned_tuples(n, n_bar, size, seed)
+                           : random_tuples(n, n_bar, size, seed);
+      CombineOptions fast{gap, true, false};
+      CombineOptions naive{gap, false, false};
+      std::uint64_t work = 0;
+      const auto f = combine_tuples(tuples, n, n_bar, fast, &work);
+      const auto s = combine_tuples_naive(tuples, n, n_bar, naive);
+      ASSERT_EQ(f, s) << "seed=" << seed << " count=" << count
+                      << " gap=" << static_cast<int>(gap) << " blocks=" << blocks;
+      if (gap != GapCost::kMax) continue;
+      EXPECT_EQ(work, max_combine_work(static_cast<std::uint64_t>(count)));
+      std::sort(tuples.begin(), tuples.end(), [](const Tuple& a, const Tuple& b) {
+        return a.block_begin < b.block_begin;
+      });
+      std::uint64_t reused_work = 0;
+      ASSERT_EQ(reused.solve(tuples, n, n_bar, &reused_work), s)
+          << "seed=" << seed << " count=" << count << " blocks=" << blocks;
+      EXPECT_EQ(reused_work, work);
+    }
+  }
+}
+
+TEST(Combine, MaxCombineWorkIsTheSolverRecurrence) {
+  // The solver charges 10·len for every cross over a segment of len >= 2,
+  // split at len/2; max_combine_work is that sum in closed form.
+  std::vector<std::uint64_t> by_recurrence{0, 0};
+  for (std::uint64_t m = 2; m <= 5000; ++m) {
+    by_recurrence.push_back(10 * m + by_recurrence[m / 2] + by_recurrence[m - m / 2]);
+  }
+  for (std::uint64_t m = 0; m <= 5000; ++m) {
+    ASSERT_EQ(max_combine_work(m), by_recurrence[m]) << "m=" << m;
   }
 }
 
@@ -151,6 +200,20 @@ TEST(Combine, RejectsInvalidTuples) {
   EXPECT_THROW((void)combine_tuples(bad, 10, 10), ContractViolation);
   const std::vector<Tuple> oob{{0, 3, 0, 20, 1}};  // window out of range
   EXPECT_THROW((void)combine_tuples(oob, 10, 10), ContractViolation);
+  // The fast kMax solver packs positions into 32 bits and needs its input
+  // sorted by block_begin.
+  const std::int64_t half = std::int64_t{1} << 31U;
+  EXPECT_THROW((void)combine_tuples({}, half, half), ContractViolation);
+  EXPECT_EQ(combine_tuples({}, half, half - 1), half);
+  const std::vector<Tuple> unsorted{{5, 6, 5, 6, 0}, {0, 1, 0, 1, 0}};
+  EXPECT_THROW((void)MaxCombineSolver{}.solve(unsorted, 10, 10), ContractViolation);
+  // The solver checks validity itself: an empty block among more than a
+  // leaf's worth of tuples sharing one block_begin would otherwise recurse
+  // forever.
+  std::vector<Tuple> one_begin(100, Tuple{0, 4, 0, 4, 1});
+  one_begin.back().block_end = 0;
+  EXPECT_THROW((void)MaxCombineSolver{}.solve(one_begin, 10, 10), ContractViolation);
+  EXPECT_THROW((void)MaxCombineSolver{}.solve(oob, 10, 10), ContractViolation);
 }
 
 TEST(Combine, WorkMeterFastBelowNaive) {

@@ -148,6 +148,18 @@ TEST(FenwickMin, PrefixMinMatchesBruteForce) {
   }
 }
 
+TEST(FenwickMin, ResetResizesAndClears) {
+  FenwickMin<std::int64_t> fen(4);
+  fen.update(1, -7);
+  fen.reset(9);
+  EXPECT_EQ(fen.size(), 9U);
+  EXPECT_EQ(fen.prefix_min(8), std::numeric_limits<std::int64_t>::max());
+  fen.update(8, 3);
+  EXPECT_EQ(fen.prefix_min(7), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(fen.prefix_min(8), 3);
+  EXPECT_THROW(fen.update(9, 0), ContractViolation);
+}
+
 struct PayloadEntry {
   std::int64_t v;
   int tag;

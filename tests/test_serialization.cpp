@@ -121,6 +121,26 @@ TEST(Robustness, ChainReaderAdversarialLengthThrows) {
   EXPECT_THROW(r.get_vector<std::int64_t>(), ContractViolation);
 }
 
+TEST(Robustness, AdversarialTupleCountThrows) {
+  // A tuple batch whose count prefix claims more tuples than the payload
+  // holds.  Unchecked, 2^62 reaches vector::reserve (std::length_error) and
+  // 2^36 asks for 2^36 tuples (std::bad_alloc); both decoders, and the
+  // round-2 body that uses one, must reject it as a contract violation.
+  for (const std::uint64_t count : {std::uint64_t{1} << 62U, std::uint64_t{1} << 36U,
+                                    std::uint64_t{2}}) {
+    ByteWriter w;
+    w.put<std::uint64_t>(count);
+    w.put(seq::Tuple{0, 10, 3, 12, 4});
+    const Bytes buf = std::move(w).take();
+    EXPECT_THROW((void)seq::read_all_tuples(buf), ContractViolation) << count;
+    ByteChain chain;
+    chain.add(ByteSpan(buf));
+    EXPECT_THROW((void)seq::read_all_tuples(chain), ContractViolation) << count;
+    EXPECT_THROW((void)ulam_mpc::combine_machine(buf, 10, 12), ContractViolation)
+        << count;
+  }
+}
+
 // ---- ChainReader: zero-copy inbox reading. ----
 
 TEST(ChainIo, ReaderSpansFragmentBoundaries) {

@@ -1,10 +1,16 @@
 // Algorithm 1 (per-block Ulam candidate construction): tuple validity, the
-// Lemma 1/2 locality structure, and the Lemma 3 cover property evaluated
-// against an explicit optimal alignment.
+// Lemma 1/2 locality structure, the Lemma 3 cover property evaluated
+// against an explicit optimal alignment, and the run-level per-candidate
+// evaluator against the point-level bounded Ulam engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "core/workload.hpp"
@@ -176,6 +182,124 @@ TEST(UlamCandidates, NoMatchesProducesOnlyTrivialCandidates) {
   for (const Tuple& tu : tuples) {
     EXPECT_GE(tu.distance, 50 - (tu.window_end - tu.window_begin));
   }
+}
+
+// ---- Run-level evaluator vs the point-level engine. ----
+
+/// One candidate evaluated the point-level way: slice the feed to q in
+/// [sp, ep), keep the diagonal band |q - sp - p| <= cap, and run
+/// `seq::bounded_ulam_from_match_points`.  `work` is what that charges:
+/// the slice count + 1 plus the engine's own charge.
+struct PointEvaluation {
+  std::optional<std::int64_t> distance;
+  std::uint64_t work = 0;
+};
+
+PointEvaluation evaluate_points(const std::vector<seq::MatchPoint>& pts,
+                                std::int64_t block_len, std::int64_t sp,
+                                std::int64_t ep, std::int64_t cap) {
+  PointEvaluation out;
+  out.work = 1;
+  std::vector<seq::MatchPoint> window;  // pts is sorted by p, so is window
+  for (const seq::MatchPoint& m : pts) {
+    if (m.q < sp || m.q >= ep) continue;
+    ++out.work;
+    if (std::abs(m.q - sp - m.p) <= cap) window.push_back(seq::MatchPoint{m.p, m.q - sp});
+  }
+  out.distance =
+      seq::bounded_ulam_from_match_points(window, block_len, ep - sp, cap, &out.work);
+  return out;
+}
+
+/// Evaluates explicit and random windows of block s[begin, end) against t
+/// with one evaluator (so its scratch is reused across calls) and checks
+/// every tuple, prune and work charge against the point-level engine.
+void sweep_block(SymView s, SymView t, std::int64_t begin, std::int64_t end,
+                 std::uint64_t seed) {
+  const auto n_bar = static_cast<std::int64_t>(t.size());
+  const std::int64_t b_len = end - begin;
+  BlockEvaluator eval(begin, positions_of(subview(s, {begin, end}), t), n_bar, nullptr);
+  ASSERT_FALSE(eval.points().empty());
+  const std::int64_t image = eval.points().front().q - eval.points().front().p;
+
+  struct Window {
+    std::int64_t sp, ep, cap;
+  };
+  std::vector<Window> windows{
+      {image, image + b_len, 0},                  // cap 0
+      {image + 3, image + b_len - 3, b_len},      // runs cut on both sides
+      {image, image + b_len - 5, 2},              // |na - nb| > cap: slice only
+      {image + 7, image + 7, b_len},              // empty window
+      {-5, 0, b_len},                             // empty after clamping
+      {n_bar - 2, n_bar + 9, b_len + 9},          // clamped at the end of t
+  };
+  Pcg32 rng = derive_stream(seed, 0xD1FF);
+  for (int i = 0; i < 800; ++i) {
+    const std::int64_t sp = image + rng.uniform(-b_len, b_len);
+    const std::int64_t ep = sp + b_len + rng.uniform(-b_len / 2, b_len / 2);
+    const std::int64_t cap = i % 8 == 0 ? 0 : rng.uniform(0, b_len + 4);
+    windows.push_back(Window{sp, ep, cap});
+  }
+
+  std::set<std::pair<std::int64_t, std::int64_t>> seen;
+  std::vector<Tuple> out;
+  std::size_t kept = 0;
+  for (const Window& w : windows) {
+    const std::int64_t sp = std::clamp<std::int64_t>(w.sp, 0, n_bar);
+    const std::int64_t ep = std::clamp<std::int64_t>(w.ep, sp, n_bar);
+    const std::uint64_t work_before = eval.work();
+    const std::size_t out_before = out.size();
+    eval.evaluate(w.sp, w.ep, w.cap, out);
+    if (!seen.insert({sp, ep}).second) {  // a repeated window is skipped
+      EXPECT_EQ(eval.work(), work_before);
+      EXPECT_EQ(out.size(), out_before);
+      continue;
+    }
+    const auto expect = evaluate_points(eval.points(), b_len, sp, ep, w.cap);
+    const std::string where = "window [" + std::to_string(sp) + "," + std::to_string(ep) +
+                              ") cap " + std::to_string(w.cap);
+    EXPECT_EQ(eval.work() - work_before, expect.work) << where;
+    ASSERT_EQ(out.size() - out_before, expect.distance.has_value() ? 1U : 0U) << where;
+    if (expect.distance.has_value()) {
+      ++kept;
+      EXPECT_EQ(out.back(), (Tuple{begin, end, sp, ep, *expect.distance})) << where;
+    }
+  }
+  EXPECT_GT(kept, 0U);
+}
+
+TEST(BlockEvaluator, MatchesPointEngineOnPlantedEdits) {
+  const auto s = core::random_permutation(400, 41);
+  const auto t = core::plant_edits(s, 30, 42, true).text;
+  sweep_block(s, t, 100, 200, 1);
+  sweep_block(s, t, 0, 64, 2);
+}
+
+TEST(BlockEvaluator, MatchesPointEngineOnAdjacentSwaps) {
+  // Every diagonal run has length 1.
+  const auto s = core::random_permutation(300, 43);
+  SymString t(s.begin(), s.end());
+  for (std::size_t i = 0; i + 1 < t.size(); i += 2) std::swap(t[i], t[i + 1]);
+  sweep_block(s, t, 50, 150, 3);
+}
+
+TEST(BlockEvaluator, MatchesPointEngineOnOneLongRun) {
+  // s == t: the block is a single run, cut mid-way by most windows.
+  const auto s = core::random_permutation(300, 44);
+  sweep_block(s, s, 120, 220, 4);
+}
+
+TEST(UlamCandidates, StatsPinnedForOneBlock) {
+  // Literals recorded from the point-level evaluator this one replaced:
+  // the run-level one must evaluate, prune and charge exactly the same.
+  const auto s = core::random_permutation(1024, 7);
+  const auto t = core::plant_edits(s, 64, 8, true).text;
+  CandidateStats stats;
+  const auto tuples = run_block(s, t, 408, 510, 0.25, 5, &stats);
+  EXPECT_EQ(tuples.size(), 6025U);
+  EXPECT_EQ(stats.candidates_evaluated, 6106U);
+  EXPECT_EQ(stats.candidates_pruned, 81U);
+  EXPECT_EQ(stats.work, 1580844U);
 }
 
 }  // namespace
