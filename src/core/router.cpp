@@ -15,10 +15,12 @@ namespace mpcsd::core {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Cost-model constants.  Calibrated against BENCH_PR8 on the reference
-// machine; mpcsd_verify (conf-router-constant) confines every kRouter*
-// identifier to this translation unit and its header so re-calibration
-// never touches the engine.  All figures are nanoseconds unless noted.
+// Cost-model constants.  Calibrated on the reference machine with the
+// router benchmark that introduced them (in git history) and gated by the
+// `router` rows of BENCH_perf.json; mpcsd_verify (conf-router-constant)
+// confines every kRouter* identifier to this translation unit and its
+// header so re-calibration never touches the engine.  All figures are
+// nanoseconds unless noted.
 
 /// Per-pass driver overhead of one kThroughput rung (plan build, routing
 /// tables, round barriers), amortised over the live queries sharing it.

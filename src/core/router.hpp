@@ -32,9 +32,9 @@
 // emits one router span per batch plus decision counters and per-query
 // instants (see core/batch.cpp).
 //
-// The cost-model constants (kRouter*) are calibrated against BENCH_PR8 and
-// confined to src/core/router.* by mpcsd_verify (conf-router-constant) —
-// heuristics must not leak into the engine.
+// The cost-model constants (kRouter*) are gated by the `router` rows of
+// BENCH_perf.json and confined to src/core/router.* by mpcsd_verify
+// (conf-router-constant) — heuristics must not leak into the engine.
 #pragma once
 
 #include <cstdint>

@@ -11,8 +11,9 @@
 //                       https://ui.perfetto.dev.
 //   * AggregateSink   — in-memory rollup: spans aggregate per (category,
 //                       name) (count / total / min / max duration, last
-//                       args), counters per name (count / last / sum).  The perf
-//                       suite serialises this summary as BENCH_PR5.json.
+//                       args), counters per name (count / last / sum).  The
+//                       perf suite reads the router decision counters from
+//                       it.
 //
 // Sinks are driven single-threaded (the Recorder serialises dispatch);
 // the string/report accessors are meant to be called after the runs being
