@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "core/workload.hpp"
+#include "edit_mpc/small_distance.hpp"
 #include "seq/approx_edit.hpp"
 #include "seq/myers.hpp"
 #include "seq/combine.hpp"
@@ -200,6 +201,39 @@ void BM_UlamBlockCandidates(benchmark::State& state, std::int64_t n,
 BENCHMARK_CAPTURE(BM_UlamBlockCandidates, planted_n1024, 1024, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_UlamBlockCandidates, adjacent_swaps_n16384, 16384, true)
+    ->Unit(benchmark::kMillisecond);
+
+// Round 1 of the edit algorithm for one task (Algorithm 3): the middle
+// block's first batch of starts, every (start, end) candidate priced
+// against the block by small_task_tuples.  The solver's x and eps' at the
+// guess equal to the planted edit count: edit_ladder's shape (sigma = 8,
+// n/16 edits) and edit_single's (DNA, n/16 edits).
+void BM_EditBlockCandidates(benchmark::State& state, std::int64_t n, bool dna) {
+  const auto s = dna ? core::random_dna(n, 1) : core::random_string(n, 8, 1);
+  const auto t = core::plant_edits(s, n / 16, 2, false, dna ? 4 : 8).text;
+  edit_mpc::SmallDistanceParams params;
+  params.eps_prime = 0.15;
+  params.x = 0.25;
+  params.delta_guess = n / 16;
+  const auto geo =
+      edit_mpc::small_geometry(n, static_cast<std::int64_t>(t.size()), params);
+  const auto tasks = edit_mpc::make_small_tasks(s, t, params, geo);
+  const auto task = std::find_if(tasks.begin(), tasks.end(), [n](const auto& task) {
+    return task.block_begin >= n / 2;
+  });
+  std::size_t tuples = 0;
+  for (auto _ : state) {
+    std::uint64_t work = 0;
+    const auto out = edit_mpc::small_task_tuples(*task, params, geo, &work);
+    benchmark::DoNotOptimize(work);
+    tuples = out.size();
+  }
+  state.counters["starts"] = static_cast<double>(task->starts.size());
+  state.counters["tuples"] = static_cast<double>(tuples);
+}
+BENCHMARK_CAPTURE(BM_EditBlockCandidates, ladder_n1024, 1024, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EditBlockCandidates, dna_n2048, 2048, true)
     ->Unit(benchmark::kMillisecond);
 
 // Round 2 of the Ulam algorithm: the kMax combine over block-partitioned

@@ -5,6 +5,12 @@
 // so mutation walks them across the 64-symbol word boundaries where lane
 // carries and cross-word shifts live; alphabets span 2..1000.
 //
+// The prefix pass (seq::MyersPrefixPass) is checked against the bounded
+// kernel too: one pass of the pattern over the text must answer every
+// prefix length L exactly as `edit_distance_myers_bounded(shorter, longer,
+// bound)` does — distance and word meter, so the abort column (L >= |a|)
+// or row (L < |a|) as well.
+//
 // Input layout (little-endian):
 //   bytes 0-1  pattern length - 1   (mod 640, so 1..640 crosses words 1..10)
 //   bytes 2-3  text length - 1      (mod 640)
@@ -16,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <vector>
 
 #include "common/cpu.hpp"
 #include "common/hash.hpp"
@@ -75,5 +82,21 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     if (bwork != ref_bwork) std::abort();
   }
   force_isa(entry);
+
+  std::vector<std::int64_t> keep;
+  for (std::int64_t len = 1; len < static_cast<std::int64_t>(std::min(la, lb + 1)); ++len) {
+    keep.push_back(len);
+  }
+  seq::MyersPrefixPass pass(a);
+  pass.run(b, keep);
+  for (std::size_t len = 0; len <= lb; ++len) {
+    const SymView prefix = SymView(b).first(len);
+    std::uint64_t words = 0;
+    const auto want = len >= la
+                          ? seq::edit_distance_myers_bounded(a, prefix, bound, &words)
+                          : seq::edit_distance_myers_bounded(prefix, a, bound, &words);
+    const auto got = pass.bounded(static_cast<std::int64_t>(len), bound);
+    if (got.distance != want || got.words != words) std::abort();
+  }
   return 0;
 }

@@ -26,6 +26,16 @@ mpc::Plan small_plan() {
       }};
 }
 
+/// The kApprox3 unit's settings for a pair censored at `limit`: bound the
+/// unit's internal guess loop — if no guess up to ~limit certifies, the
+/// true distance exceeds limit/(3+O(eps)) and the censored pair could
+/// never join an accepted solution at this guess anyway.
+seq::ApproxEditParams censored_approx(seq::ApproxEditParams approx,
+                                      std::int64_t limit) {
+  approx.guess_limit = 2 * limit + 4;
+  return approx;
+}
+
 }  // namespace
 
 std::optional<std::int64_t> unit_distance(SymView a, SymView b, DistanceUnit unit,
@@ -44,12 +54,7 @@ std::optional<std::int64_t> unit_distance(SymView a, SymView b, DistanceUnit uni
   if (unit == DistanceUnit::kExactBanded) {
     return seq::edit_distance_bounded_fast(a, b, std::max<std::int64_t>(limit, 0), work);
   }
-  // Bound the unit's internal guess loop: if no guess up to ~limit
-  // certifies, the true distance exceeds limit/(3+O(eps)) and the censored
-  // pair could never join an accepted solution at this guess anyway.
-  seq::ApproxEditParams bounded = approx;
-  bounded.guess_limit = 2 * limit + 4;
-  auto result = seq::approx_edit_distance(a, b, bounded);
+  const auto result = seq::approx_edit_distance(a, b, censored_approx(approx, limit));
   if (work != nullptr) *work += result.work;
   if (result.distance > limit) return std::nullopt;
   return result.distance;
@@ -105,32 +110,87 @@ std::vector<SmallTask> make_small_tasks(SymView s, SymView t,
   return tasks;
 }
 
+BlockEvaluator::BlockEvaluator(const SmallTask& task,
+                               const SmallDistanceParams& params,
+                               const CandidateGeometry& geo)
+    : task_(task),
+      params_(params),
+      geo_(geo),
+      // Censoring cap: a useful tuple's distance is at most the block's
+      // share of the optimum (<= (1+eps)*guess); the approx unit may
+      // overshoot by its 3x factor, so it gets more headroom.
+      cap_(params.unit == DistanceUnit::kExactBanded
+               ? 2 * params.delta_guess + 2
+               : 4 * params.delta_guess + 8) {}
+
+void BlockEvaluator::evaluate_start(std::int64_t sp, std::vector<seq::Tuple>& out,
+                                    std::uint64_t* work) {
+  const SymView block(task_.block);
+  const SymView chunk(task_.chunk);
+  const auto m = static_cast<std::int64_t>(task_.block.size());
+  const std::int64_t offset = sp - task_.chunk_begin;
+
+  // Classify every candidate by the path its unit call would take; the
+  // pass reads need s̄[sp, sp + reach) and the deltas of windows < m.
+  candidates_.clear();
+  keep_.clear();
+  std::int64_t reach = 0;
+  for (const std::int64_t ep : candidate_ends(sp, m, geo_)) {
+    Candidate c;
+    c.end = ep;
+    c.window = subview(chunk, {offset, ep - task_.chunk_begin});
+    const auto len = static_cast<std::int64_t>(c.window.size());
+    c.limit = std::min(cap_, m + len);
+    if (params_.unit == DistanceUnit::kApprox3 && len > 0 &&
+        std::abs(m - len) <= c.limit) {
+      const auto lim = seq::censored_exact_cap(
+          m, len, censored_approx(params_.approx, c.limit));
+      if (lim.has_value() &&
+          seq::edit_distance_banded_fast_kernel(block, c.window, *lim) ==
+              seq::EditKernel::kMyersBounded) {
+        c.lim = *lim;
+        reach = std::max(reach, len);
+        if (len < m && (keep_.empty() || keep_.back() != len)) keep_.push_back(len);
+      }
+    }
+    candidates_.push_back(c);
+  }
+  if (reach > 0) {
+    if (!pass_.has_value()) pass_.emplace(block);
+    pass_->run(subview(chunk, {offset, offset + reach}), keep_);
+  }
+
+  for (const Candidate& c : candidates_) {
+    std::optional<std::int64_t> e;
+    if (c.lim < 0) {
+      ++fallbacks_;
+      e = unit_distance(block, c.window, params_.unit, params_.approx, cap_, work);
+    } else {
+      // unit_distance -> approx_edit_distance -> edit_distance_banded_fast
+      // -> myers_banded_charged, with the shorter side as the pattern.
+      const auto len = static_cast<std::int64_t>(c.window.size());
+      const auto answer = pass_->bounded(len, c.lim);
+      if (work != nullptr) {
+        *work += seq::myers_bounded_cells(
+            static_cast<std::size_t>(std::min(m, len)), answer.words, c.lim);
+      }
+      if (answer.distance.has_value() && *answer.distance <= c.limit) {
+        e = answer.distance;
+      }
+    }
+    if (e.has_value()) {
+      out.push_back(seq::Tuple{task_.block_begin, task_.block_begin + m, sp, c.end, *e});
+    }
+  }
+}
+
 std::vector<seq::Tuple> small_task_tuples(const SmallTask& task,
                                           const SmallDistanceParams& params,
                                           const CandidateGeometry& geo,
                                           std::uint64_t* work) {
-  const SymView block_view(task.block);
-  const SymView chunk_view(task.chunk);
-  const auto block_len = static_cast<std::int64_t>(task.block.size());
-
-  // Censoring cap: a useful tuple's distance is at most the block's share
-  // of the optimum (<= (1+eps)*guess); the approx unit may overshoot by its
-  // 3x factor, so it gets more headroom.
-  const std::int64_t cap = params.unit == DistanceUnit::kExactBanded
-                               ? 2 * params.delta_guess + 2
-                               : 4 * params.delta_guess + 8;
+  BlockEvaluator evaluator(task, params, geo);
   std::vector<seq::Tuple> tuples;
-  for (const std::int64_t sp : task.starts) {
-    for (const std::int64_t ep : candidate_ends(sp, block_len, geo)) {
-      const SymView window = subview(
-          chunk_view, {sp - task.chunk_begin, ep - task.chunk_begin});
-      const auto e = unit_distance(block_view, window, params.unit,
-                                   params.approx, cap, work);
-      if (!e.has_value()) continue;
-      tuples.push_back(seq::Tuple{task.block_begin, task.block_begin + block_len,
-                                  sp, ep, *e});
-    }
-  }
+  for (const std::int64_t sp : task.starts) evaluator.evaluate_start(sp, tuples, work);
   return tuples;
 }
 

@@ -26,6 +26,7 @@
 #include "obs/recorder.hpp"
 #include "seq/approx_edit.hpp"
 #include "seq/combine.hpp"
+#include "seq/myers.hpp"
 #include "seq/types.hpp"
 
 namespace mpcsd::edit_mpc {
@@ -91,11 +92,57 @@ std::vector<SmallTask> make_small_tasks(SymView s, SymView t,
 /// The round-1 machine computation (Algorithm 3): block-vs-candidate
 /// distances for every (start, end) candidate of the task, censored at the
 /// guess-derived cap.  Shared by the single-query pipeline and the batch
-/// driver.
+/// driver; runs a `BlockEvaluator` over the task's starts.
 std::vector<seq::Tuple> small_task_tuples(const SmallTask& task,
                                           const SmallDistanceParams& params,
                                           const CandidateGeometry& geo,
                                           std::uint64_t* work);
+
+/// Per-task evaluation context of `small_task_tuples`: every candidate's
+/// tuple and charge come out exactly as per-candidate `unit_distance` gives
+/// them, from one Myers pass per start.
+///
+/// A kApprox3 candidate whose unit call would be one bounded full-width
+/// Myers run — the censored exact branch (`seq::censored_exact_cap`) with
+/// a kMyersBounded band — reads its distance and abort point off the
+/// start's pass of the block over s̄[sp, sp + L_max), L_max the longest
+/// such window (`seq::MyersPrefixPass`; the block's masks are built once
+/// per task), and is charged the same band cells
+/// (`seq::myers_bounded_cells`).  Every other candidate calls
+/// `unit_distance` unchanged: the kExactBanded unit, a side above
+/// `approx.exact_cutoff` (the window cover), tiny or unprofitable bands,
+/// and the length-gap and empty-window early outs.
+class BlockEvaluator {
+ public:
+  /// Borrows all three for its lifetime.
+  BlockEvaluator(const SmallTask& task, const SmallDistanceParams& params,
+                 const CandidateGeometry& geo);
+
+  /// Appends the tuples of start `sp`'s candidates, ends ascending, and
+  /// charges their work.
+  void evaluate_start(std::int64_t sp, std::vector<seq::Tuple>& out,
+                      std::uint64_t* work);
+
+  /// Candidates resolved through `unit_distance` so far.
+  [[nodiscard]] std::size_t fallbacks() const noexcept { return fallbacks_; }
+
+ private:
+  struct Candidate {
+    std::int64_t end = 0;
+    SymView window;
+    std::int64_t limit = 0;  ///< unit_distance's censoring limit
+    std::int64_t lim = -1;   ///< band cap of the pass read; -1 = fallback
+  };
+
+  const SmallTask& task_;
+  const SmallDistanceParams& params_;
+  const CandidateGeometry& geo_;
+  std::int64_t cap_;
+  std::optional<seq::MyersPrefixPass> pass_;  // built on first use
+  std::vector<Candidate> candidates_;         // per-start scratch
+  std::vector<std::int64_t> keep_;            // per-start scratch
+  std::size_t fallbacks_ = 0;
+};
 
 /// Runs the small-distance pipeline for one guess.  The result is a valid
 /// upper bound on ed(s, t) regardless of the guess; when the guess is

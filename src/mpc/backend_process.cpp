@@ -30,6 +30,14 @@ std::string errno_detail(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+/// Blocking waitpid that retries EINTR; returns the wait status.
+int reap(pid_t pid) {
+  int wait_status = 0;
+  while (::waitpid(pid, &wait_status, 0) < 0 && errno == EINTR) {
+  }
+  return wait_status;
+}
+
 }  // namespace
 
 ProcessBackend::ProcessBackend(std::shared_ptr<ThreadPool> pool,
@@ -37,7 +45,13 @@ ProcessBackend::ProcessBackend(std::shared_ptr<ThreadPool> pool,
     : pool_(std::move(pool)), recorder_(recorder) {}
 
 ProcessBackend::~ProcessBackend() {
+  reap_finished();
   for (int& fd : arena_fds_) io::close_fd(fd);
+}
+
+void ProcessBackend::reap_finished() {
+  for (const pid_t pid : finished_) reap(pid);
+  finished_.clear();
 }
 
 void ProcessBackend::run_worker(const RoundWork& work, std::size_t begin,
@@ -75,6 +89,7 @@ void ProcessBackend::run_worker(const RoundWork& work, std::size_t begin,
 }
 
 void ProcessBackend::execute(const RoundWork& work) {
+  reap_finished();
   const std::size_t machines = work.machines;
   if (machines == 0) return;
   const std::size_t workers =
@@ -132,7 +147,10 @@ void ProcessBackend::execute(const RoundWork& work) {
   }
 
   // Round barrier: collect every forked worker (even after a failure, so
-  // no zombies or dangling pipes survive the throw below).
+  // no dangling pipes survive the throw below).  A worker whose barrier and
+  // arena read cleanly is reaped later (`finished_`): its address-space
+  // teardown then overlaps the host's next steps instead of delaying this
+  // barrier.  Every failure reaps on the spot, for the wait status.
   TransportCounters& counters = transport_.counters();
   for (std::size_t w = 0; w < live.size(); ++w) {
     Worker& worker = live[w];
@@ -151,15 +169,17 @@ void ProcessBackend::execute(const RoundWork& work) {
       frame_error = e.what();
     }
     io::close_fd(worker.pipe_fd);
-    int wait_status = 0;
-    while (::waitpid(worker.pid, &wait_status, 0) < 0 && errno == EINTR) {
+    if (!failure.empty()) {  // already failing; just reap
+      reap(worker.pid);
+      continue;
     }
-    if (!failure.empty()) continue;  // already failing; just reap
     if (!frame_error.empty()) {
+      reap(worker.pid);
       failure = "process backend: corrupt round barrier: " + frame_error;
       continue;
     }
     if (!got_barrier) {
+      const int wait_status = reap(worker.pid);
       failure = "process backend: worker for machines [" +
                 std::to_string(worker.begin) + ", " +
                 std::to_string(worker.end) + ") died before the round barrier" +
@@ -170,6 +190,7 @@ void ProcessBackend::execute(const RoundWork& work) {
     }
     ++counters.barrier_waits;
     if (barrier.status == kWorkerPublishFailed) {
+      reap(worker.pid);
       failure = "process backend: worker could not publish its result arena";
       continue;
     }
@@ -183,6 +204,7 @@ void ProcessBackend::execute(const RoundWork& work) {
                    0);
       if (map == MAP_FAILED) {
         failure = errno_detail("process backend: mmap result arena");
+        reap(worker.pid);
         continue;
       }
     }
@@ -201,6 +223,11 @@ void ProcessBackend::execute(const RoundWork& work) {
                 e.what();
     }
     if (map != nullptr) ::munmap(map, arena_bytes);
+    if (failure.empty()) {
+      finished_.push_back(worker.pid);
+    } else {
+      reap(worker.pid);
+    }
     if (traced) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::kSpan;

@@ -16,8 +16,13 @@
 //     over a pipe;
 //   * the host maps each arena read-only, decodes the records back into
 //     the cluster's arenas in machine order (decode_partition_results),
-//     reaps the worker, and (with a recorder attached) emits one span per
-//     worker process on its own track id, merged into the one trace.
+//     and (with a recorder attached) emits one span per worker process on
+//     its own track id, merged into the one trace;
+//   * a worker whose barrier and arena were read cleanly is reaped at the
+//     start of the next `execute` (or in the destructor), so its exit and
+//     copy-on-write teardown stay off this round's critical path; every
+//     failure path reaps synchronously (the wait status names the signal
+//     of a worker that died before its barrier).
 //
 // A body exception inside a worker serializes its message into the arena
 // (status byte distinguishes it) and is rethrown host-side; a crashed
@@ -28,6 +33,8 @@
 //
 // Linux-only (memfd + fork); `make_backend` refuses the kind elsewhere.
 #pragma once
+
+#include <sys/types.h>
 
 #include <memory>
 #include <vector>
@@ -69,12 +76,18 @@ class ProcessBackend final : public ExecutionBackend {
   static void run_worker(const RoundWork& work, std::size_t begin,
                          std::size_t end, int arena_fd, int pipe_fd);
 
+  /// Blocking-reaps every worker in `finished_`.
+  void reap_finished();
+
   std::shared_ptr<ThreadPool> pool_;
   obs::Recorder* recorder_;
   Transport transport_{"shm"};
   /// One memfd per worker slot, created lazily and kept across rounds so
   /// steady-state rounds reuse the same shared-memory object.
   std::vector<int> arena_fds_;
+  /// Workers of the last round that delivered cleanly and are not yet
+  /// reaped.
+  std::vector<pid_t> finished_;
 };
 
 }  // namespace mpcsd::mpc

@@ -211,6 +211,17 @@ std::int64_t combine(const Cover& cover, std::int64_t nb, std::uint64_t* work) {
 
 }  // namespace
 
+std::optional<std::int64_t> censored_exact_cap(std::int64_t na, std::int64_t nb,
+                                               const ApproxEditParams& params) {
+  if (na == 0 || nb == 0 || na > params.exact_cutoff ||
+      nb > params.exact_cutoff || params.guess_limit <= 0) {
+    return std::nullopt;
+  }
+  // Censored callers never use distances above ~guess_limit; the band with
+  // early abort keeps this path at O(n·guess_limit) instead of O(n²).
+  return std::min<std::int64_t>(na + nb, 2 * params.guess_limit + 2);
+}
+
 ApproxEditResult approx_edit_distance(SymView a, SymView b,
                                       const ApproxEditParams& params) {
   MPCSD_EXPECTS(params.epsilon > 0.0);
@@ -222,23 +233,19 @@ ApproxEditResult approx_edit_distance(SymView a, SymView b,
     out.exact = true;
     return out;
   }
-  if (na <= params.exact_cutoff && nb <= params.exact_cutoff) {
-    if (params.guess_limit > 0) {
-      // Censored callers never use distances above ~guess_limit; the band
-      // with early abort keeps this path at O(n·guess_limit) instead of
-      // O(n²) per pair.
-      const auto lim = std::min<std::int64_t>(na + nb, 2 * params.guess_limit + 2);
-      if (const auto d = edit_distance_banded_fast(a, b, lim, &out.work)) {
-        out.distance = *d;
-        out.exact = true;
-        return out;
-      }
-      // The true distance exceeds lim > guess_limit: return the trivial
-      // upper bound, which also exceeds it, so the caller censors the pair.
-      out.distance = std::max(na, nb);
-      out.exact = false;
+  if (const auto lim = censored_exact_cap(na, nb, params)) {
+    if (const auto d = edit_distance_banded_fast(a, b, *lim, &out.work)) {
+      out.distance = *d;
+      out.exact = true;
       return out;
     }
+    // The true distance exceeds lim > guess_limit: return the trivial
+    // upper bound, which also exceeds it, so the caller censors the pair.
+    out.distance = std::max(na, nb);
+    out.exact = false;
+    return out;
+  }
+  if (na <= params.exact_cutoff && nb <= params.exact_cutoff) {
     out.distance = edit_distance_fast(a, b, &out.work);
     out.exact = true;
     return out;

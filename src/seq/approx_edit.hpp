@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "seq/types.hpp"
 
@@ -62,5 +63,14 @@ struct ApproxEditResult {
 /// 3+O(eps)-approximate edit distance; see file comment.
 ApproxEditResult approx_edit_distance(SymView a, SymView b,
                                       const ApproxEditParams& params = {});
+
+/// The band cap of the censored exact branch: when both lengths are
+/// non-zero and at most `exact_cutoff` and `guess_limit > 0`,
+/// `approx_edit_distance` answers with `edit_distance_banded_fast` at
+/// this cap — the distance when it is within the cap, else the trivial
+/// bound max(na, nb) — and charges exactly that call's work.  nullopt
+/// when another branch runs.
+std::optional<std::int64_t> censored_exact_cap(std::int64_t na, std::int64_t nb,
+                                               const ApproxEditParams& params);
 
 }  // namespace mpcsd::seq

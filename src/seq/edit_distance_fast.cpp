@@ -19,6 +19,13 @@ std::uint64_t band_cells(std::int64_t rows, std::int64_t cols, std::int64_t k) {
   return static_cast<std::uint64_t>(sum_hi - sum_lo + rows);
 }
 
+std::uint64_t myers_bounded_cells(std::size_t pattern_len, std::uint64_t words,
+                                  std::int64_t charge_k) {
+  const auto blocks = static_cast<std::uint64_t>((pattern_len + 63) / 64);
+  const auto columns = blocks == 0 ? 0 : static_cast<std::int64_t>(words / blocks);
+  return band_cells(columns, static_cast<std::int64_t>(pattern_len), charge_k);
+}
+
 namespace {
 
 std::int64_t cell_product(SymView a, SymView b) {
@@ -43,14 +50,7 @@ std::optional<std::int64_t> myers_banded_charged(SymView a, SymView b,
   if (a.size() > b.size()) std::swap(a, b);  // a = pattern (fewer blocks)
   std::uint64_t words = 0;
   const auto d = edit_distance_myers_bounded(a, b, k, &words);
-  if (work != nullptr) {
-    const auto blocks = static_cast<std::uint64_t>((a.size() + 63) / 64);
-    const auto cols_done =
-        blocks == 0 ? 0 : static_cast<std::int64_t>(words / blocks);
-    const auto rows = d.has_value() ? static_cast<std::int64_t>(b.size())
-                                    : cols_done;
-    *work += band_cells(rows, static_cast<std::int64_t>(a.size()), charge_k);
-  }
+  if (work != nullptr) *work += myers_bounded_cells(a.size(), words, charge_k);
   return d;
 }
 
@@ -114,14 +114,10 @@ std::optional<std::int64_t> edit_distance_bounded_fast(SymView a, SymView b,
       SymView t = a.size() <= b.size() ? b : a;
       const auto d = edit_distance_myers_bounded(p, t, limit, &words);
       if (work != nullptr) {
-        const auto blocks = static_cast<std::uint64_t>((p.size() + 63) / 64);
         const auto charge_k =
             d.has_value() ? std::min(limit, std::max<std::int64_t>(2 * *d, 1))
                           : limit;
-        const auto rows =
-            d.has_value() ? static_cast<std::int64_t>(t.size())
-                          : static_cast<std::int64_t>(words / blocks);
-        *work += band_cells(rows, static_cast<std::int64_t>(p.size()), charge_k);
+        *work += myers_bounded_cells(p.size(), words, charge_k);
       }
       return d;
     }

@@ -67,6 +67,14 @@ std::optional<std::int64_t> edit_distance_bounded_fast(SymView a, SymView b,
 /// shared with the output-sensitive driver (edit_distance_os.hpp).
 std::uint64_t band_cells(std::int64_t rows, std::int64_t cols, std::int64_t k);
 
+/// The modelled charge of one `edit_distance_myers_bounded` run with a
+/// `pattern_len` pattern that metered `words`: the half-width-`charge_k`
+/// band over the text columns it processed (words / pattern blocks) — all
+/// of them on success, the prefix up to the abort when censored.  The one
+/// words-to-cells conversion every bounded bit-parallel caller charges.
+std::uint64_t myers_bounded_cells(std::size_t pattern_len, std::uint64_t words,
+                                  std::int64_t charge_k);
+
 /// The kernel `edit_distance_fast(a, b)` would run.
 EditKernel edit_distance_fast_kernel(SymView a, SymView b);
 

@@ -59,14 +59,10 @@ std::optional<std::int64_t> solve_core(SymView a, SymView b,
   std::uint64_t words = 0;
   const auto d = edit_distance_myers_bounded(a, b, limit, &words);
   if (work != nullptr) {
-    const auto blocks = static_cast<std::uint64_t>((m + 63) / 64);
     const auto charge_k =
         d.has_value() ? std::min(limit, std::max<std::int64_t>(2 * *d, 1))
                       : limit;
-    const auto rows = d.has_value()
-                          ? n
-                          : static_cast<std::int64_t>(words / blocks);
-    *work += band_cells(rows, m, charge_k);
+    *work += myers_bounded_cells(a.size(), words, charge_k);
   }
   return d;
 }

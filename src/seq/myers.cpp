@@ -1,10 +1,13 @@
 #include "seq/myers.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "common/hash.hpp"
 #include "seq/myers_kernel.hpp"
 
@@ -14,6 +17,39 @@ namespace {
 
 using detail::MyersMasks;
 using detail::MyersRunFn;
+
+/// One word of Hyyrö's blocked recurrence: advances the word's vertical
+/// deltas (pv, mv) by one text column, given the column's equality word and
+/// the horizontal delta `hin` entering below the word's first row, and
+/// returns the horizontal delta leaving at row bit `top`.
+inline int block_step(std::uint64_t eq, std::uint64_t& pv, std::uint64_t& mv,
+                      int hin, std::uint64_t top) {
+  const std::uint64_t pvk = pv;
+  const std::uint64_t mvk = mv;
+  const std::uint64_t xv = eq | mvk;
+  if (hin < 0) eq |= 1ULL;
+  const std::uint64_t xh = (((eq & pvk) + pvk) ^ pvk) | eq;
+  std::uint64_t ph = mvk | ~(xh | pvk);
+  std::uint64_t mh = pvk & xh;
+
+  int hout = 0;
+  if (ph & top) {
+    hout = 1;
+  } else if (mh & top) {
+    hout = -1;
+  }
+
+  ph <<= 1U;
+  mh <<= 1U;
+  if (hin > 0) {
+    ph |= 1ULL;
+  } else if (hin < 0) {
+    mh |= 1ULL;
+  }
+  pv = mh | ~(xv | ph);
+  mv = ph & xv;
+  return hout;
+}
 
 /// Scalar kernel: Hyyrö's blocked form of the recurrence, threading the
 /// per-block horizontal delta `hin` through each column.  Always compiled,
@@ -38,33 +74,8 @@ std::optional<std::int64_t> scalar_run(const MyersMasks& masks, SymView b,
     const std::uint64_t* eqv = masks.row(b[static_cast<std::size_t>(j)]);
     int hin = 1;  // top boundary row: d[0][j] = j
     for (std::size_t k = 0; k < blocks; ++k) {
-      std::uint64_t eq = eqv[k];
-      const std::uint64_t pvk = pv[k];
-      const std::uint64_t mvk = mv[k];
-      const std::uint64_t xv = eq | mvk;
-      if (hin < 0) eq |= 1ULL;
-      const std::uint64_t xh = (((eq & pvk) + pvk) ^ pvk) | eq;
-      std::uint64_t ph = mvk | ~(xh | pvk);
-      std::uint64_t mh = pvk & xh;
-
       const std::uint64_t top = (k + 1 == blocks) ? last_bit : (1ULL << 63U);
-      int hout = 0;
-      if (ph & top) {
-        hout = 1;
-      } else if (mh & top) {
-        hout = -1;
-      }
-
-      ph <<= 1U;
-      mh <<= 1U;
-      if (hin > 0) {
-        ph |= 1ULL;
-      } else if (hin < 0) {
-        mh |= 1ULL;
-      }
-      pv[k] = mh | ~(xv | ph);
-      mv[k] = ph & xv;
-      hin = hout;
+      hin = block_step(eqv[k], pv[k], mv[k], hin, top);
     }
     score += hin;
     words += blocks;
@@ -126,33 +137,8 @@ std::int64_t scalar_banded_run(const MyersMasks& masks, SymView b,
     int hin = 1;  // window-top boundary: +1 is exact at row 0, an upper
                   // bound (the max horizontal delta) below it
     for (std::size_t t = first; t <= last; ++t) {
-      std::uint64_t eq = eqv[t];
-      const std::uint64_t pvk = pv[t];
-      const std::uint64_t mvk = mv[t];
-      const std::uint64_t xv = eq | mvk;
-      if (hin < 0) eq |= 1ULL;
-      const std::uint64_t xh = (((eq & pvk) + pvk) ^ pvk) | eq;
-      std::uint64_t ph = mvk | ~(xh | pvk);
-      std::uint64_t mh = pvk & xh;
-
       const std::uint64_t top = (t + 1 == blocks) ? last_bit : (1ULL << 63U);
-      int hout = 0;
-      if (ph & top) {
-        hout = 1;
-      } else if (mh & top) {
-        hout = -1;
-      }
-
-      ph <<= 1U;
-      mh <<= 1U;
-      if (hin > 0) {
-        ph |= 1ULL;
-      } else if (hin < 0) {
-        mh |= 1ULL;
-      }
-      pv[t] = mh | ~(xv | ph);
-      mv[t] = ph & xv;
-      hin = hout;
+      hin = block_step(eqv[t], pv[t], mv[t], hin, top);
     }
     score += hin;
     words += last - first + 1;
@@ -229,6 +215,103 @@ std::optional<std::int64_t> myers_run(SymView a, SymView b, std::int64_t bound,
 }
 
 }  // namespace
+
+MyersPrefixPass::MyersPrefixPass(SymView pattern) {
+  MPCSD_EXPECTS(!pattern.empty());
+  masks_ = std::make_unique<const MyersMasks>(pattern);
+}
+
+MyersPrefixPass::~MyersPrefixPass() = default;
+
+void MyersPrefixPass::run(SymView text, const std::vector<std::int64_t>& keep) {
+  const MyersMasks& masks = *masks_;
+  const std::size_t blocks = masks.blocks;
+  const std::uint64_t last_bit = 1ULL << ((masks.m - 1) & 63);
+  pv_.assign(blocks, ~0ULL);
+  mv_.assign(blocks, 0);
+  scores_.assign(1, masks.m);  // D[m][0] = m
+  keep_ = keep;
+  kept_.clear();
+  std::size_t next_keep = 0;
+  std::int64_t score = masks.m;
+  for (std::size_t j = 0; j < text.size(); ++j) {
+    const std::uint64_t* eqv = masks.row(text[j]);
+    int hin = 1;  // top boundary row: d[0][j] = j
+    for (std::size_t k = 0; k < blocks; ++k) {
+      const std::uint64_t top = (k + 1 == blocks) ? last_bit : (1ULL << 63U);
+      hin = block_step(eqv[k], pv_[k], mv_[k], hin, top);
+    }
+    score += hin;
+    scores_.push_back(score);
+    if (next_keep < keep_.size() &&
+        keep_[next_keep] == static_cast<std::int64_t>(j + 1)) {
+      kept_.insert(kept_.end(), pv_.begin(), pv_.end());
+      kept_.insert(kept_.end(), mv_.begin(), mv_.end());
+      ++next_keep;
+    }
+  }
+  MPCSD_EXPECTS(next_keep == keep_.size());
+}
+
+MyersPrefixPass::Answer MyersPrefixPass::bounded(std::int64_t len,
+                                                 std::int64_t k) const {
+  const std::int64_t m = masks_->m;
+  const std::size_t blocks = masks_->blocks;
+  MPCSD_EXPECTS(len >= 0 && len < static_cast<std::int64_t>(scores_.size()));
+  // edit_distance_myers_bounded's early outs, in its order.
+  if (k < 0 || std::abs(len - m) > k) return {};
+  if (len == 0) return {m, 0};
+
+  if (len >= m) {
+    // The pass's pattern over text[0, len): binary search for the first
+    // column c in [1, len] with scores_[c] + c > k + len (len + 1: none).
+    std::int64_t lo = 1;
+    std::int64_t hi = len + 1;
+    while (lo < hi) {
+      const std::int64_t mid = lo + (hi - lo) / 2;
+      if (scores_[static_cast<std::size_t>(mid)] + mid > k + len) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    const std::uint64_t words = static_cast<std::uint64_t>(std::min(lo, len)) * blocks;
+    if (lo <= len) return {std::nullopt, words};
+    return {scores_[static_cast<std::size_t>(len)], words};
+  }
+
+  // text[0, len) is the pattern, ceil(len / 64) words per row of ours.
+  const auto it = std::lower_bound(keep_.begin(), keep_.end(), len);
+  MPCSD_EXPECTS(it != keep_.end() && *it == len);
+  const std::uint64_t* pv =
+      kept_.data() + 2 * blocks * static_cast<std::size_t>(it - keep_.begin());
+  const std::uint64_t* mv = pv + blocks;
+  const auto len_blocks = static_cast<std::uint64_t>((len + 63) / 64);
+  // D[i][len] + i is monotone, so a word whose last row stays within the
+  // bound holds no abort row and only its popcount delta is needed.
+  std::int64_t d = len;  // D[0][len]
+  for (std::size_t w = 0; w < blocks; ++w) {
+    const std::int64_t row0 = 64 * static_cast<std::int64_t>(w);
+    const std::int64_t bits = std::min<std::int64_t>(64, m - row0);
+    const std::uint64_t mask = bits == 64 ? ~0ULL : (1ULL << bits) - 1;
+    const std::uint64_t p = pv[w] & mask;
+    const std::uint64_t q = mv[w] & mask;
+    const std::int64_t end = d + std::popcount(p) - std::popcount(q);
+    if (end + row0 + bits <= k + m) {
+      d = end;
+      continue;
+    }
+    for (std::int64_t b = 0; b < bits; ++b) {
+      d += static_cast<std::int64_t>((p >> b) & 1U) -
+           static_cast<std::int64_t>((q >> b) & 1U);
+      if (d + row0 + b + 1 > k + m) {
+        return {std::nullopt, static_cast<std::uint64_t>(row0 + b + 1) * len_blocks};
+      }
+    }
+  }
+  MPCSD_ENSURES(d == scores_[static_cast<std::size_t>(len)]);
+  return {d, static_cast<std::uint64_t>(m) * len_blocks};
+}
 
 Isa myers_dispatch_isa(std::size_t pattern_len) {
   const std::size_t blocks = (pattern_len + 63) / 64;

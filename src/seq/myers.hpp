@@ -24,7 +24,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/cpu.hpp"
 #include "seq/types.hpp"
@@ -72,6 +74,56 @@ std::optional<std::int64_t> edit_distance_myers_bounded(SymView a, SymView b,
 std::optional<std::int64_t> edit_distance_myers_banded(SymView a, SymView b,
                                                        std::int64_t k,
                                                        std::uint64_t* work = nullptr);
+
+namespace detail {
+struct MyersMasks;
+}  // namespace detail
+
+/// Every prefix of one text against one pattern from a single pass.
+///
+/// `run(text, keep)` runs the full-width blocked recurrence of the pattern
+/// (masks built once, at construction) over all of `text` with no bound,
+/// records the score D[m][c] of every column c (m = |pattern|), and keeps
+/// the vertical deltas (Pv, Mv) of each column c in `keep` (c < m).
+/// `bounded(len, k)` then returns, without running a kernel, exactly what
+/// `edit_distance_myers_bounded(shorter, longer, k, &words)` returns for
+/// the pattern against text[0, len), the shorter side being the pattern
+/// (on a tie, the pass's pattern) — the distance and the word meter:
+///   * len >= m: the run aborts at the first column c with
+///     D[m][c] + c > k + len, a monotone sum (adjacent scores differ by at
+///     most 1), else answers D[m][len];
+///   * len < m (a kept column): the prefix is the pattern and the pass's
+///     pattern the text, so the run aborts at the first row i in 1..m with
+///     D[i][len] + i > k + m, read from column len's deltas down from
+///     D[0][len] = len, else answers D[m][len].
+/// Scalar, like `scalar_run`: no thread-local mask cache, no dispatch.
+class MyersPrefixPass {
+ public:
+  /// What the equivalent bounded run returns and meters.
+  struct Answer {
+    std::optional<std::int64_t> distance;
+    std::uint64_t words = 0;
+  };
+
+  explicit MyersPrefixPass(SymView pattern);  ///< pattern non-empty
+  ~MyersPrefixPass();
+  MyersPrefixPass(const MyersPrefixPass&) = delete;
+  MyersPrefixPass& operator=(const MyersPrefixPass&) = delete;
+
+  /// `keep` ascending, each in [1, min(m - 1, |text|)].
+  void run(SymView text, const std::vector<std::int64_t>& keep);
+
+  /// `len` <= |text| of the last run; a `len` in [1, m) must be kept.
+  [[nodiscard]] Answer bounded(std::int64_t len, std::int64_t k) const;
+
+ private:
+  std::unique_ptr<const detail::MyersMasks> masks_;
+  std::vector<std::int64_t> scores_;  ///< scores_[c] = D[m][c]
+  std::vector<std::int64_t> keep_;
+  std::vector<std::uint64_t> kept_;   ///< per kept column: Pv then Mv words
+  std::vector<std::uint64_t> pv_;
+  std::vector<std::uint64_t> mv_;
+};
 
 /// The ISA level the blocked engine dispatches to for a pattern of
 /// `pattern_len` symbols under the current `active_isa()`.  Introspection

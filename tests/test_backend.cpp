@@ -1,9 +1,11 @@
 // The pluggable execution-backend layer: kind parsing / resolution policy,
 // thread/process byte equivalence on raw cluster rounds, the unmetered
-// stash side channel, and worker-failure propagation from forked bodies
-// through their shared-memory arenas.
+// stash side channel, worker-failure propagation from forked bodies
+// through their shared-memory arenas, and worker reaping.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -215,6 +217,32 @@ TEST(Backend, IsolatedWritesToCapturedHostStateAreInvisible) {
     host_state = 999;  // lands in the child's COW copy only
   });
   EXPECT_EQ(host_state, 42u);
+}
+
+TEST(Backend, ProcessWorkersAllReapedAfterClusterDestruction) {
+  // Cleanly finished workers are reaped lazily (next round or the
+  // backend's destructor), never leaked: once the cluster is gone, the
+  // host has no child left, zombie or live.
+  {
+    ClusterConfig cfg;
+    cfg.workers = 3;
+    cfg.backend = BackendKind::kProcess;
+    Cluster cluster(cfg);
+    std::vector<Bytes> inputs;
+    for (std::uint64_t i = 0; i < 6; ++i) inputs.push_back(payload_of(i));
+    for (int round = 0; round < 3; ++round) {
+      const Mail mail = cluster.run_round("relay", inputs, [](MachineContext& ctx) {
+        auto r = ctx.reader();
+        ByteWriter w;
+        w.put(r.get<std::uint64_t>() + 1);
+        ctx.emit(0, std::move(w).take());
+      });
+      EXPECT_EQ(mail.all().size(), inputs.size()) << "round " << round;
+    }
+  }
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 }  // namespace
