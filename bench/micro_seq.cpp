@@ -1,12 +1,13 @@
 // google-benchmark micro-benchmarks for the sequential engines — the unit
 // costs underlying the Table 1 work columns, plus the DESIGN.md ablations
-// (dense vs sparse Ulam, naive vs fast combine, exact vs 3+eps unit) and
-// the two Ulam machine bodies (one block's candidates, the block-partitioned
-// combine).
+// (dense vs sparse Ulam, naive vs fast combine, exact vs 3+eps unit), the
+// two Ulam machine bodies (one block's candidates, the block-partitioned
+// combine) and the edit combine round (the kSum sweep).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <unordered_map>
 #include <utility>
 
@@ -267,6 +268,37 @@ void BM_CombineBlocks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CombineBlocks)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+// Round 2 of the edit algorithm: the kSum combine (Algorithm 4's sweep)
+// over block-partitioned tuples shaped like round 1's output — per block,
+// windows whose start and end each stray a little from the block's
+// diagonal, priced at least their length difference.
+void BM_CombineSum(benchmark::State& state) {
+  const auto count = state.range(0);
+  const std::int64_t n = 10000;
+  const std::int64_t block = 100;
+  const std::int64_t per_block = count / (n / block);
+  Pcg32 rng = derive_stream(1, 4);
+  std::vector<seq::Tuple> tuples;
+  for (std::int64_t b = 0; b < n; b += block) {
+    for (std::int64_t i = 0; i < per_block; ++i) {
+      seq::Tuple t;
+      t.block_begin = b;
+      t.block_end = b + block;
+      t.window_begin = std::clamp<std::int64_t>(b + rng.uniform(-20, 20), 0, n);
+      t.window_end = std::clamp<std::int64_t>(t.block_end + rng.uniform(-20, 20),
+                                              t.window_begin, n);
+      t.distance = std::abs(t.window_end - t.window_begin - block) + rng.uniform(0, 30);
+      tuples.push_back(t);
+    }
+  }
+  seq::CombineOptions options;
+  options.gap = seq::GapCost::kSum;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seq::combine_tuples(tuples, n, n, options));
+  }
+}
+BENCHMARK(BM_CombineSum)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

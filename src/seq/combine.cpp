@@ -1,8 +1,10 @@
 #include "seq/combine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/fenwick.hpp"
@@ -47,34 +49,97 @@ std::int64_t finish(std::span<const Tuple> tuples,
   return best;
 }
 
+/// Both fast solvers sort (key, tuple index) pairs packed into one word,
+/// key in the high half: a plain integer sort instead of an indirect one.
+/// Keys are positions in [0, n + n_bar] and indices are below 2^32.
+constexpr std::uint64_t kLow32 = 0xFFFFFFFFULL;
+
+std::uint64_t pack(std::int64_t key, std::size_t index) {
+  return (static_cast<std::uint64_t>(key) << 32U) | index;
+}
+std::int64_t packed_key(std::uint64_t word) {
+  return static_cast<std::int64_t>(word >> 32U);
+}
+std::size_t packed_index(std::uint64_t word) {
+  return static_cast<std::size_t>(word & kLow32);
+}
+
+/// The packing precondition of both fast solvers.
+void expect_packable(std::int64_t n, std::int64_t n_bar, std::size_t m) {
+  MPCSD_EXPECTS(n >= 0 && n_bar >= 0 && m <= kLow32);
+  MPCSD_EXPECTS(static_cast<std::uint64_t>(n) + static_cast<std::uint64_t>(n_bar) <=
+                kLow32);
+}
+
+/// Stable LSD radix sort of packed words by key: 8-bit digits over the
+/// bits of max_key - min_key, one read of the words fills every pass's
+/// histogram, and a pass is skipped when all words share its digit.
+/// Callers push words in index order, so the result is the order a
+/// full-word std::sort gives.  `scratch` is the second buffer the words
+/// ping-pong through.
+void radix_sort_packed(std::vector<std::uint64_t>& words,
+                       std::vector<std::uint64_t>& scratch) {
+  const std::size_t m = words.size();
+  if (m < 2) return;
+  std::uint64_t min_key = words[0] >> 32U;
+  std::uint64_t max_key = min_key;
+  for (const std::uint64_t w : words) {
+    min_key = std::min(min_key, w >> 32U);
+    max_key = std::max(max_key, w >> 32U);
+  }
+  const auto passes = static_cast<int>((std::bit_width(max_key - min_key) + 7) / 8);
+  if (passes == 0) return;  // one key: index order is already sorted
+  std::array<std::array<std::uint32_t, 256>, 4> counts{};  // m < 2^32
+  for (const std::uint64_t w : words) {
+    const std::uint64_t key = (w >> 32U) - min_key;
+    for (int p = 0; p < passes; ++p) ++counts[p][(key >> (8 * p)) & 0xFFU];
+  }
+  scratch.resize(m);
+  for (int p = 0; p < passes; ++p) {
+    const auto digit = [min_key, shift = 8 * p](std::uint64_t w) {
+      return static_cast<std::size_t>((((w >> 32U) - min_key) >> shift) & 0xFFU);
+    };
+    auto& offsets = counts[p];
+    if (offsets[digit(words[0])] == m) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : offsets) sum += std::exchange(c, sum);
+    for (const std::uint64_t w : words) scratch[offsets[digit(w)]++] = w;
+    words.swap(scratch);
+  }
+}
+
 /// Fast kSum solver: one Fenwick sweep in (insert by r, query by l) order.
 /// Transition cost (l-r') + (gamma-kappa') decomposes as
 /// (l+gamma) + (D[b] - r' - kappa'), needing r' <= l and kappa' <= gamma.
 void solve_sum_fast(const std::vector<Tuple>& tuples, std::vector<std::int64_t>& dp,
                     std::uint64_t* work) {
   const std::size_t m = tuples.size();
-  std::vector<std::int64_t> kappas;
-  kappas.reserve(m);
-  for (const Tuple& t : tuples) kappas.push_back(t.window_end);
-  std::sort(kappas.begin(), kappas.end());
-  kappas.erase(std::unique(kappas.begin(), kappas.end()), kappas.end());
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> scratch;
+  words.reserve(m);
 
-  std::vector<std::size_t> by_end(m);
-  for (std::size_t i = 0; i < m; ++i) by_end[i] = i;
-  std::sort(by_end.begin(), by_end.end(), [&](std::size_t a, std::size_t b) {
-    return tuples[a].block_end < tuples[b].block_end;
-  });
+  // kappa ranks: rank[i] indexes tuple i's window_end among the distinct
+  // kappas, read off one pass over the (window_end, i) words in key order.
+  for (std::size_t i = 0; i < m; ++i) words.push_back(pack(tuples[i].window_end, i));
+  radix_sort_packed(words, scratch);
+  std::vector<std::int64_t> kappas;
+  std::vector<std::uint32_t> rank(m);
+  for (const std::uint64_t w : words) {
+    if (kappas.empty() || kappas.back() != packed_key(w)) kappas.push_back(packed_key(w));
+    rank[packed_index(w)] = static_cast<std::uint32_t>(kappas.size() - 1);
+  }
+
+  words.clear();
+  for (std::size_t i = 0; i < m; ++i) words.push_back(pack(tuples[i].block_end, i));
+  radix_sort_packed(words, scratch);  // insertion order: by block_end
 
   FenwickMin<std::int64_t> fen(kappas.size());
   std::size_t ins = 0;
   for (std::size_t a = 0; a < m; ++a) {  // tuples sorted by block_begin
-    while (ins < m && tuples[by_end[ins]].block_end <= tuples[a].block_begin) {
-      const std::size_t b = by_end[ins++];
+    while (ins < m && packed_key(words[ins]) <= tuples[a].block_begin) {
+      const std::size_t b = packed_index(words[ins++]);
       // dp[b] is final: block_begin[b] < block_end[b] <= block_begin[a]
-      const auto rank = static_cast<std::size_t>(
-          std::lower_bound(kappas.begin(), kappas.end(), tuples[b].window_end) -
-          kappas.begin());
-      fen.update(rank, dp[b] - tuples[b].block_end - tuples[b].window_end);
+      fen.update(rank[b], dp[b] - tuples[b].block_end - tuples[b].window_end);
     }
     const auto pos = std::upper_bound(kappas.begin(), kappas.end(),
                                       tuples[a].window_begin) -
@@ -94,21 +159,6 @@ void solve_sum_fast(const std::vector<Tuple>& tuples, std::vector<std::int64_t>&
 /// below it the quadratic scan beats the per-cross sorts.
 constexpr std::size_t kQuadraticLeaf = 64;
 
-/// The kMax cross step sorts (key, tuple index) pairs packed into one word,
-/// key in the high half: a plain integer sort instead of an indirect one.
-/// Keys are positions in [0, n + n_bar] and indices are below 2^32.
-constexpr std::uint64_t kLow32 = 0xFFFFFFFFULL;
-
-std::uint64_t pack(std::int64_t key, std::size_t index) {
-  return (static_cast<std::uint64_t>(key) << 32U) | index;
-}
-std::int64_t packed_key(std::uint64_t word) {
-  return static_cast<std::int64_t>(word >> 32U);
-}
-std::size_t packed_index(std::uint64_t word) {
-  return static_cast<std::size_t>(word & kLow32);
-}
-
 }  // namespace
 
 std::uint64_t max_combine_work(std::uint64_t m) {
@@ -126,9 +176,7 @@ std::uint64_t max_combine_work(std::uint64_t m) {
 std::int64_t MaxCombineSolver::solve(std::span<const Tuple> tuples, std::int64_t n,
                                      std::int64_t n_bar, std::uint64_t* work) {
   const std::size_t m = tuples.size();
-  MPCSD_EXPECTS(n >= 0 && n_bar >= 0 && m <= kLow32);
-  MPCSD_EXPECTS(static_cast<std::uint64_t>(n) + static_cast<std::uint64_t>(n_bar) <=
-                kLow32);
+  expect_packable(n, n_bar, m);
   validate(tuples, n, n_bar);
   tuples_ = tuples;
   diag_shift_ = n_bar;
@@ -212,7 +260,7 @@ void MaxCombineSolver::cross(std::size_t lo, std::size_t mid, std::size_t hi) {
   for (std::size_t a = mid; a < hi; ++a) {
     keys_.push_back(pack(query_diag(a) + diag_shift_, a));
   }
-  std::sort(keys_.begin(), keys_.end());
+  radix_sort_packed(keys_, scratch_);
   rank_.resize(hi - lo);
   std::uint32_t rank = 0;
   for (std::size_t i = 0; i < keys_.size(); ++i) {
@@ -228,12 +276,12 @@ void MaxCombineSolver::cross(std::size_t lo, std::size_t mid, std::size_t hi) {
   // own rank is the last one with diag_b <= diag_a).
   keys_.clear();
   for (std::size_t b = lo; b < mid; ++b) keys_.push_back(pack(tuples_[b].window_end, b));
-  std::sort(keys_.begin(), keys_.end());
+  radix_sort_packed(keys_, scratch_);
   queries_.clear();
   for (std::size_t a = mid; a < hi; ++a) {
     queries_.push_back(pack(tuples_[a].window_begin, a));
   }
-  std::sort(queries_.begin(), queries_.end());
+  radix_sort_packed(queries_, scratch_);
   fenwick_.reset(ranks);
   std::size_t li = 0;
   for (const std::uint64_t query : queries_) {
@@ -252,7 +300,7 @@ void MaxCombineSolver::cross(std::size_t lo, std::size_t mid, std::size_t hi) {
   // order); suffix-min over diag (reversed ranks).
   keys_.clear();
   for (std::size_t b = lo; b < mid; ++b) keys_.push_back(pack(tuples_[b].block_end, b));
-  std::sort(keys_.begin(), keys_.end());
+  radix_sort_packed(keys_, scratch_);
   fenwick_.reset(ranks);
   li = 0;
   for (std::size_t a = mid; a < hi; ++a) {
@@ -340,12 +388,20 @@ std::int64_t combine_tuples(std::vector<Tuple> tuples, std::int64_t n,
   if (!options.use_fast || options.allow_overlap) {
     return combine_tuples_naive(std::move(tuples), n, n_bar, options, work);
   }
-  sort_tuples(tuples);
+  // The fast solvers need block_begin order only, and the answer does not
+  // depend on the order within one block_begin.  The round-2 inboxes of
+  // both pipelines arrive in block order and skip the sort.
+  if (!std::is_sorted(tuples.begin(), tuples.end(), [](const Tuple& a, const Tuple& b) {
+        return a.block_begin < b.block_begin;
+      })) {
+    sort_tuples(tuples);
+  }
   if (options.gap == GapCost::kMax) {
     return MaxCombineSolver{}.solve(tuples, n, n_bar, work);  // validates
   }
-  validate(tuples, n, n_bar);
   const std::size_t m = tuples.size();
+  expect_packable(n, n_bar, m);
+  validate(tuples, n, n_bar);
   std::vector<std::int64_t> dp(m, kInf);
   for (std::size_t a = 0; a < m; ++a) {
     dp[a] = gap(options.gap, tuples[a].block_begin, tuples[a].window_begin) +

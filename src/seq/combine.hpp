@@ -28,6 +28,14 @@
 //     block) is skipped whole, and short segments run the quadratic rule
 //     directly.  The metered work does not depend on these shortcuts: it
 //     is always `max_combine_work(T)`.
+// Every sort inside the fast solvers (the kSum sweep's kappa ranks and
+// insertion order, each kMax cross's diag ranks, inserts and queries) is
+// one stable LSD radix sort of (position, tuple index) pairs packed into a
+// 64-bit word: 8-bit digits over the span max_key - min_key, so at most
+// four linear passes, and the log factors above are the Fenwick's alone.
+// The packing needs n + n_bar and T below 2^32 in both gap models.
+// `combine_tuples` needs its input in block_begin order only and sorts it
+// only when it is not (round-2 inboxes arrive in block order).
 //
 // `allow_overlap` (naive, kSum only) implements the Section 5.2.3 remark:
 // two tuples whose windows intersect may both be chosen if gamma_b <=
@@ -69,7 +77,8 @@ struct CombineOptions {
 /// Combines tuples into a full transformation cost of s (length n) into s̄
 /// (length n_bar).  The result is always the cost of a realizable
 /// transformation, hence an upper bound on the true distance.  The fast
-/// kMax solver needs n + n_bar and the tuple count below 2^32.
+/// solvers (kMax and kSum) need n + n_bar and the tuple count below 2^32
+/// (checked); the naive path and `allow_overlap` have no such limit.
 std::int64_t combine_tuples(std::vector<Tuple> tuples, std::int64_t n,
                             std::int64_t n_bar, const CombineOptions& options = {},
                             std::uint64_t* work = nullptr);
@@ -104,6 +113,7 @@ class MaxCombineSolver {
   std::vector<std::uint64_t> keys_;
   std::vector<std::uint64_t> queries_;
   std::vector<std::uint32_t> rank_;
+  std::vector<std::uint64_t> scratch_;  // the radix sort's second buffer
   FenwickMin<std::int64_t> fenwick_{0};
 };
 

@@ -307,7 +307,8 @@ std::int64_t ulam_from_match_points(const std::vector<MatchPoint>& pts,
                                     std::uint64_t* work) {
   // Run-compressed chain DP: the max-gap combine over zero-distance run
   // tuples computes exactly the chain formula (start gap + max-gaps + end
-  // gap), in O(R log^2 R) for R runs.
+  // gap), in O(R log^2 R) for R runs: Fenwick queries over the crosses,
+  // whose radix sorts are linear.
   CombineOptions options;
   options.gap = GapCost::kMax;
   options.use_fast = true;

@@ -8,8 +8,8 @@
 #include "common/grid.hpp"
 #include "mpc/plan.hpp"
 #include "mpc/primitives.hpp"
+#include "seq/combine.hpp"
 #include "seq/lis.hpp"
-#include "ulam_mpc/combine.hpp"
 
 namespace mpcsd::ulam_mpc {
 

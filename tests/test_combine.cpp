@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -15,38 +16,67 @@
 namespace mpcsd::seq {
 namespace {
 
-std::vector<Tuple> random_tuples(std::int64_t n, std::int64_t n_bar,
-                                 std::size_t count, std::uint64_t seed) {
+/// Where generated tuples live: blocks in [origin, n) of s and windows in
+/// [origin, n_bar] of s̄.  The fast solvers radix-sort positions with one
+/// 8-bit digit per byte of the key span, so wide universes run the
+/// multi-pass sort, and a far origin keeps every key far from 0.
+struct Universe {
+  std::int64_t n = 0;
+  std::int64_t n_bar = 0;
+  std::int64_t origin = 0;
+};
+
+void PrintTo(const Universe& u, std::ostream* os) {
+  *os << "n=" << u.n << " n_bar=" << u.n_bar << " origin=" << u.origin;
+}
+
+constexpr std::int64_t kHalf = std::int64_t{1} << 31U;
+/// Key spans of 1, 2, 3 and 4 digits (sparse tuples in the wide ones),
+/// plus a 3-digit span offset near 2^31.
+const Universe kNarrow{40, 46, 0};
+const Universe kUniverses[] = {kNarrow,
+                               {20'000, 21'000, 0},
+                               {100'000, 120'000, 0},
+                               {kHalf - 1, kHalf - 3, kHalf - 70'000},
+                               {kHalf - 1, kHalf - 7, 0}};
+
+std::vector<Tuple> random_tuples(const Universe& u, std::size_t count,
+                                 std::uint64_t seed) {
   Pcg32 rng = derive_stream(seed, 0x70);
   std::vector<Tuple> tuples;
   for (std::size_t i = 0; i < count; ++i) {
     Tuple t;
-    t.block_begin = rng.uniform(0, n - 1);
-    t.block_end = rng.uniform(t.block_begin + 1, n);
-    t.window_begin = rng.uniform(0, n_bar);
-    t.window_end = rng.uniform(t.window_begin, n_bar);
+    t.block_begin = rng.uniform(u.origin, u.n - 1);
+    t.block_end = rng.uniform(t.block_begin + 1, u.n);
+    t.window_begin = rng.uniform(u.origin, u.n_bar);
+    t.window_end = rng.uniform(t.window_begin, u.n_bar);
     t.distance = rng.uniform(0, 30);
     tuples.push_back(t);
   }
   return tuples;
 }
 
+/// The one order MaxCombineSolver::solve requires.
+bool block_begin_less(const Tuple& a, const Tuple& b) {
+  return a.block_begin < b.block_begin;
+}
+
 /// Tuples as round 1 sends them: every tuple belongs to one of a few fixed
 /// blocks and its window lies near the block's diagonal.  Tuples of one
 /// block never chain, which the fast kMax solver exploits.
-std::vector<Tuple> block_partitioned_tuples(std::int64_t n, std::int64_t n_bar,
-                                            std::size_t count, std::uint64_t seed) {
+std::vector<Tuple> block_partitioned_tuples(const Universe& u, std::size_t count,
+                                            std::uint64_t seed) {
   Pcg32 rng = derive_stream(seed, 0x71);
   const std::int64_t block = 5;
   std::vector<Tuple> tuples;
   for (std::size_t i = 0; i < count; ++i) {
     Tuple t;
-    t.block_begin = block * rng.uniform(0, (n - 1) / block);
-    t.block_end = std::min(n, t.block_begin + block);
+    t.block_begin = u.origin + block * rng.uniform(0, (u.n - 1 - u.origin) / block);
+    t.block_end = std::min(u.n, t.block_begin + block);
     t.window_begin =
-        std::clamp<std::int64_t>(t.block_begin + rng.uniform(-3, 6), 0, n_bar);
+        std::clamp<std::int64_t>(t.block_begin + rng.uniform(-3, 6), u.origin, u.n_bar);
     t.window_end = std::clamp<std::int64_t>(t.window_begin + block + rng.uniform(-2, 2),
-                                            t.window_begin, n_bar);
+                                            t.window_begin, u.n_bar);
     t.distance = rng.uniform(0, 6);
     tuples.push_back(t);
   }
@@ -86,30 +116,30 @@ TEST(Combine, RespectsMonotonicity) {
   EXPECT_EQ(combine_tuples(tuples, 10, 10, opts), 10);
 }
 
-class CombineFuzz : public ::testing::TestWithParam<std::tuple<int, GapCost>> {};
+class CombineFuzz
+    : public ::testing::TestWithParam<std::tuple<int, GapCost, Universe>> {};
 
 TEST_P(CombineFuzz, FastMatchesNaive) {
-  const auto [count, gap] = GetParam();
+  const auto [count, gap, universe] = GetParam();
+  const std::int64_t n = universe.n;
+  const std::int64_t n_bar = universe.n_bar;
   MaxCombineSolver reused;  // scratch carried across every instance below
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    const std::int64_t n = 40;
-    const std::int64_t n_bar = 46;
     for (const bool blocks : {false, true}) {
       const auto size = static_cast<std::size_t>(count);
-      auto tuples = blocks ? block_partitioned_tuples(n, n_bar, size, seed)
-                           : random_tuples(n, n_bar, size, seed);
+      auto tuples = blocks ? block_partitioned_tuples(universe, size, seed)
+                           : random_tuples(universe, size, seed);
       CombineOptions fast{gap, true, false};
       CombineOptions naive{gap, false, false};
       std::uint64_t work = 0;
       const auto f = combine_tuples(tuples, n, n_bar, fast, &work);
       const auto s = combine_tuples_naive(tuples, n, n_bar, naive);
       ASSERT_EQ(f, s) << "seed=" << seed << " count=" << count
-                      << " gap=" << static_cast<int>(gap) << " blocks=" << blocks;
+                      << " gap=" << static_cast<int>(gap) << " blocks=" << blocks
+                      << " n=" << n;
       if (gap != GapCost::kMax) continue;
       EXPECT_EQ(work, max_combine_work(static_cast<std::uint64_t>(count)));
-      std::sort(tuples.begin(), tuples.end(), [](const Tuple& a, const Tuple& b) {
-        return a.block_begin < b.block_begin;
-      });
+      std::sort(tuples.begin(), tuples.end(), block_begin_less);
       std::uint64_t reused_work = 0;
       ASSERT_EQ(reused.solve(tuples, n, n_bar, &reused_work), s)
           << "seed=" << seed << " count=" << count << " blocks=" << blocks;
@@ -133,7 +163,63 @@ TEST(Combine, MaxCombineWorkIsTheSolverRecurrence) {
 INSTANTIATE_TEST_SUITE_P(
     CountsAndGapModes, CombineFuzz,
     ::testing::Combine(::testing::Values(0, 1, 2, 5, 20, 100, 400),
-                       ::testing::Values(GapCost::kMax, GapCost::kSum)));
+                       ::testing::Values(GapCost::kMax, GapCost::kSum),
+                       ::testing::Values(kNarrow)));
+
+INSTANTIATE_TEST_SUITE_P(
+    WideKeys, CombineFuzz,
+    ::testing::Combine(::testing::Values(20, 100, 400),
+                       ::testing::Values(GapCost::kMax, GapCost::kSum),
+                       ::testing::ValuesIn(kUniverses + 1, std::end(kUniverses))));
+
+TEST(Combine, InputOrderWithinABlockDoesNotMatter) {
+  // combine_tuples skips its sort when the input is already in block_begin
+  // order and leaves the order within one block_begin as it came: shuffled
+  // input (sorted on all four keys) and block_begin-sorted input (ties
+  // left shuffled) must give the same answer and work.
+  for (const Universe& u : kUniverses) {
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      auto shuffled = block_partitioned_tuples(u, 300, seed);
+      Pcg32 rng = derive_stream(seed, 0x72);
+      for (std::size_t i = shuffled.size(); i > 1; --i) {
+        const auto j = rng.uniform(0, static_cast<std::int64_t>(i) - 1);
+        std::swap(shuffled[i - 1], shuffled[static_cast<std::size_t>(j)]);
+      }
+      auto by_begin = shuffled;
+      std::stable_sort(by_begin.begin(), by_begin.end(), block_begin_less);
+      for (const GapCost gap : {GapCost::kMax, GapCost::kSum}) {
+        const CombineOptions fast{gap, true, false};
+        std::uint64_t shuffled_work = 0;
+        std::uint64_t by_begin_work = 0;
+        const auto want = combine_tuples(shuffled, u.n, u.n_bar, fast, &shuffled_work);
+        ASSERT_EQ(combine_tuples(by_begin, u.n, u.n_bar, fast, &by_begin_work), want)
+            << "seed=" << seed << " n=" << u.n << " gap=" << static_cast<int>(gap);
+        EXPECT_EQ(by_begin_work, shuffled_work);
+        ASSERT_EQ(combine_tuples_naive(shuffled, u.n, u.n_bar, {gap, false, false}),
+                  want);
+      }
+    }
+  }
+}
+
+TEST(Combine, ReusedSolverAcrossWideAndNarrowInstances) {
+  // One solver's scratch (sort buffers, ranks, Fenwick) carried from
+  // instances whose keys span four digits to one-digit ones and back.
+  MaxCombineSolver reused;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    for (const Universe& u : kUniverses) {
+      for (const std::size_t count : {std::size_t{700}, std::size_t{90}}) {
+        auto tuples = seed % 2 == 0 ? block_partitioned_tuples(u, count, seed)
+                                    : random_tuples(u, count, seed);
+        std::sort(tuples.begin(), tuples.end(), block_begin_less);
+        const auto want =
+            combine_tuples_naive(tuples, u.n, u.n_bar, {GapCost::kMax, false, false});
+        ASSERT_EQ(reused.solve(tuples, u.n, u.n_bar), want)
+            << "seed=" << seed << " n=" << u.n << " count=" << count;
+      }
+    }
+  }
+}
 
 TEST(Combine, ExactTuplesUpperBoundTrueDistance) {
   // Tuples built from exact block distances to aligned windows: the combine
@@ -165,7 +251,7 @@ TEST(Combine, ExactTuplesUpperBoundTrueDistance) {
 
 TEST(Combine, OverlapExtensionNeverWorseThanWithout) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
-    const auto tuples = random_tuples(30, 30, 40, seed);
+    const auto tuples = random_tuples({30, 30, 0}, 40, seed);
     CombineOptions no_overlap{GapCost::kSum, false, false};
     CombineOptions with_overlap{GapCost::kSum, false, true};
     EXPECT_LE(combine_tuples_naive(tuples, 30, 30, with_overlap),
@@ -202,9 +288,14 @@ TEST(Combine, RejectsInvalidTuples) {
   EXPECT_THROW((void)combine_tuples(oob, 10, 10), ContractViolation);
   // The fast kMax solver packs positions into 32 bits and needs its input
   // sorted by block_begin.
-  const std::int64_t half = std::int64_t{1} << 31U;
-  EXPECT_THROW((void)combine_tuples({}, half, half), ContractViolation);
-  EXPECT_EQ(combine_tuples({}, half, half - 1), half);
+  EXPECT_THROW((void)combine_tuples({}, kHalf, kHalf), ContractViolation);
+  EXPECT_EQ(combine_tuples({}, kHalf, kHalf - 1), kHalf);
+  // So does the fast kSum solver; the naive reference does not pack.
+  const CombineOptions sum_fast{GapCost::kSum, true, false};
+  EXPECT_THROW((void)combine_tuples({}, kHalf, kHalf, sum_fast), ContractViolation);
+  EXPECT_THROW((void)combine_tuples({}, -1, 4, sum_fast), ContractViolation);
+  EXPECT_EQ(combine_tuples({}, kHalf, kHalf - 1, sum_fast), 2 * kHalf - 1);
+  EXPECT_EQ(combine_tuples({}, kHalf, kHalf, {GapCost::kSum, false, false}), 2 * kHalf);
   const std::vector<Tuple> unsorted{{5, 6, 5, 6, 0}, {0, 1, 0, 1, 0}};
   EXPECT_THROW((void)MaxCombineSolver{}.solve(unsorted, 10, 10), ContractViolation);
   // The solver checks validity itself: an empty block among more than a
@@ -217,7 +308,7 @@ TEST(Combine, RejectsInvalidTuples) {
 }
 
 TEST(Combine, WorkMeterFastBelowNaive) {
-  const auto tuples = random_tuples(100, 100, 500, 3);
+  const auto tuples = random_tuples({100, 100, 0}, 500, 3);
   std::uint64_t fast_work = 0;
   std::uint64_t naive_work = 0;
   (void)combine_tuples(tuples, 100, 100, CombineOptions{GapCost::kMax, true, false},

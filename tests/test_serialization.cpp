@@ -1,5 +1,5 @@
 // Message formats: tuple batches, RepTuples, and the round-2 combine
-// machine consuming raw mailbox payloads.
+// consuming raw mailbox payloads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include "common/contracts.hpp"
 #include "edit_mpc/graph_tau.hpp"
 #include "seq/combine.hpp"
-#include "ulam_mpc/combine.hpp"
 
 namespace mpcsd {
 namespace {
@@ -63,13 +62,16 @@ TEST(CombineMachine, ComputesUlamAnswerFromPayload) {
   ByteWriter w;
   seq::write_tuples(w, tuples);
   std::uint64_t work = 0;
-  const auto answer = ulam_mpc::combine_machine(w.bytes(), 10, 10, &work);
+  // Default options: Algorithm 2's fast max-gap combine.
+  const auto answer =
+      seq::combine_tuples(seq::read_all_tuples(w.bytes()), 10, 10, {}, &work);
   EXPECT_EQ(answer, 3);
   EXPECT_GT(work, 0u);
 }
 
 TEST(CombineMachine, EmptyPayloadGivesTrivialAnswer) {
-  EXPECT_EQ(ulam_mpc::combine_machine(Bytes{}, 7, 11), 11);  // max-gap mode
+  EXPECT_EQ(seq::combine_tuples(seq::read_all_tuples(Bytes{}), 7, 11),
+            11);  // max-gap mode
 }
 
 // ---- Malformed-payload regressions (adversarial length prefixes). ----
@@ -136,7 +138,8 @@ TEST(Robustness, AdversarialTupleCountThrows) {
     ByteChain chain;
     chain.add(ByteSpan(buf));
     EXPECT_THROW((void)seq::read_all_tuples(chain), ContractViolation) << count;
-    EXPECT_THROW((void)ulam_mpc::combine_machine(buf, 10, 12), ContractViolation)
+    EXPECT_THROW((void)seq::combine_tuples(seq::read_all_tuples(buf), 10, 12),
+                 ContractViolation)
         << count;
   }
 }
