@@ -62,6 +62,7 @@ ThreadPool::ThreadPool(std::size_t workers) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
   }
+  worker_total_ = workers;
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -82,7 +83,11 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      // Counted idle from here until a task (or shutdown) wakes it: `idle_`
+      // changes only under `mu_`, and cv_.wait parks with `mu_` released.
+      if (++idle_ == worker_total_) idle_cv_.notify_all();
       cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      --idle_;
       if (stopping_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
@@ -97,6 +102,11 @@ void ThreadPool::worker_loop() {
     } catch (...) {
     }
   }
+}
+
+void ThreadPool::wait_idle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return idle_ == worker_total_; });
 }
 
 void ThreadPool::parallel_for(std::size_t count,

@@ -71,6 +71,14 @@ class ThreadPool {
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                     std::size_t grain = 1);
 
+  /// Blocks until every worker has started and is parked waiting for work
+  /// with the queue empty.  For callers about to fork(): a worker still
+  /// starting up, or still releasing a finished task's state after
+  /// `parallel_for` returned, may hold an allocator lock that the child
+  /// would inherit locked.  glibc guards its malloc across fork; under
+  /// GCC 12's AddressSanitizer, forked children hung this way.
+  void wait_idle();
+
  private:
   void worker_loop();
 
@@ -79,6 +87,9 @@ class ThreadPool {
   std::condition_variable cv_;
   std::queue<std::function<void()>> tasks_;
   bool stopping_ = false;
+  std::size_t worker_total_ = 0;  ///< threads the constructor starts
+  std::size_t idle_ = 0;          ///< workers parked in worker_loop's wait
+  std::condition_variable idle_cv_;
 
   // Observability counters (see PoolCounters).  Relaxed atomics updated at
   // call granularity — never per index — so metering stays off the inner

@@ -8,6 +8,7 @@
 #include "common/grid.hpp"
 #include "common/rng.hpp"
 #include "edit_mpc/small_distance.hpp"
+#include "mpc/combine_round.hpp"
 #include "mpc/plan.hpp"
 #include "seq/combine.hpp"
 #include "seq/lis.hpp"
@@ -87,13 +88,9 @@ BatchResult run_ulam_batch(const BatchRequest& request) {
   BatchResult result;
   result.queries.resize(request.queries.size());
 
-  mpc::ClusterConfig config;
-  config.memory_limit_bytes = UINT64_MAX;  // per-machine limits carry the caps
-  config.strict_memory = params.strict_memory;
-  config.workers = params.workers;
+  // Per-machine limits carry the caps; the cluster-wide one stays unlimited.
+  mpc::ClusterConfig config{params};
   config.seed = params.seed;
-  config.backend = params.backend;
-  config.audit = params.audit;
   config.recorder = request.recorder;
   mpc::Driver driver(
       mpc::Plan{"batch:ulam",
@@ -202,26 +199,14 @@ BatchResult run_ulam_batch(const BatchRequest& request) {
     combine_limits.push_back(meta[q].cap);
   }
 
-  using TupleInbox = mpc::Inbox<std::vector<seq::Tuple>>;
-  const mpc::Stage<TupleInbox> combine_stage{
+  const mpc::Stage<mpc::TupleInbox> combine_stage{
       "batch:ulam:combine",
-      [meta, combine_query,
-       combine_gap = params.combine_gap](mpc::StageContext<TupleInbox>& ctx) {
+      [meta, combine_query, combine_gap = params.combine_gap](
+          mpc::StageContext<mpc::TupleInbox>& ctx) {
         const std::uint32_t q = combine_query[ctx.machine_id()];
         const QueryMeta& m = meta[q];
-        std::uint64_t work = 0;
-        std::vector<seq::Tuple> tuples;
-        for (auto& batch : ctx.in().messages) {
-          tuples.insert(tuples.end(), batch.begin(), batch.end());
-        }
-        const std::size_t tuple_count = tuples.size();
-        seq::CombineOptions copts;
-        copts.gap = combine_gap;
-        const std::int64_t answer =
-            seq::combine_tuples(std::move(tuples), m.n, m.n_bar, copts, &work);
-        ctx.charge_work(work);
-        ctx.charge_scratch(tuple_count * sizeof(seq::Tuple) * 2);
-        ctx.send(mpc::Channel<std::int64_t>(q), answer);
+        ctx.send(mpc::Channel<std::int64_t>(q),
+                 mpc::combine_inbox(ctx, m.n, m.n_bar, combine_gap));
       }};
   std::vector<mpc::MachineReport> reports2;
   mpc::RoundOptions options2;
@@ -316,7 +301,6 @@ EditCell make_edit_cell(std::uint32_t q, const EditQueryPlan& plan,
   cell.params.unit = params.unit;
   cell.params.approx = params.approx;
   cell.params.seed = plan.seeds[rung];
-  cell.params.strict_memory = params.strict_memory;
   cell.params.memory_cap_bytes = m.cap;
   cell.geo = edit_mpc::small_geometry(m.n, m.n_bar, cell.params);
   return cell;
@@ -395,24 +379,13 @@ std::vector<std::int64_t> run_edit_round_pair(
     combine_owner.push_back(cells[c].query);
   }
 
-  using TupleInbox = mpc::Inbox<std::vector<seq::Tuple>>;
-  const mpc::Stage<TupleInbox> combine_stage{
-      "batch:edit:combine", [&meta, &cells](mpc::StageContext<TupleInbox>& ctx) {
+  const mpc::Stage<mpc::TupleInbox> combine_stage{
+      "batch:edit:combine",
+      [&meta, &cells](mpc::StageContext<mpc::TupleInbox>& ctx) {
         const auto c = static_cast<std::uint32_t>(ctx.machine_id());
         const QueryMeta& m = meta[cells[c].query];
-        std::uint64_t work = 0;
-        std::vector<seq::Tuple> tuples;
-        for (auto& batch : ctx.in().messages) {
-          tuples.insert(tuples.end(), batch.begin(), batch.end());
-        }
-        const std::size_t tuple_count = tuples.size();
-        seq::CombineOptions copts;
-        copts.gap = seq::GapCost::kSum;
-        const std::int64_t answer =
-            seq::combine_tuples(std::move(tuples), m.n, m.n_bar, copts, &work);
-        ctx.charge_work(work);
-        ctx.charge_scratch(tuple_count * sizeof(seq::Tuple) * 2);
-        ctx.send(mpc::Channel<std::int64_t>(c), answer);
+        ctx.send(mpc::Channel<std::int64_t>(c),
+                 mpc::combine_inbox(ctx, m.n, m.n_bar, seq::GapCost::kSum));
       }};
   std::vector<mpc::MachineReport> reports2;
   mpc::RoundOptions options2;
@@ -462,13 +435,9 @@ BatchResult run_edit_batch(const BatchRequest& request) {
   BatchResult result;
   result.queries.resize(request.queries.size());
 
-  mpc::ClusterConfig config;
-  config.memory_limit_bytes = UINT64_MAX;  // per-machine limits carry the caps
-  config.strict_memory = params.strict_memory;
-  config.workers = params.workers;
+  // Per-machine limits carry the caps; the cluster-wide one stays unlimited.
+  mpc::ClusterConfig config{params};
   config.seed = params.seed;
-  config.backend = params.backend;
-  config.audit = params.audit;
   config.recorder = request.recorder;
   mpc::Driver driver(
       mpc::Plan{"batch:edit",

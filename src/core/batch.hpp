@@ -74,10 +74,11 @@ struct BatchRequest {
   BatchAlgorithm algorithm = BatchAlgorithm::kUlam;
   BatchMode mode = BatchMode::kParallelGuess;
   std::vector<BatchQuery> queries;
-  /// Solver settings for kUlam batches (x, epsilon, seed, workers,
-  /// strict_memory, memory_slack, combine_gap).
+  /// Solver settings for kUlam batches (x, epsilon, seed, memory_slack,
+  /// combine_gap) and the batch's mpc::ExecOptions except the recorder.
   ulam_mpc::UlamMpcParams ulam;
-  /// Solver settings for kEdit batches (x, epsilon, unit, seed, ...).
+  /// Solver settings for kEdit batches (x, epsilon, unit, seed, ...) and
+  /// the batch's mpc::ExecOptions except the recorder.
   edit_mpc::EditMpcParams edit;
   /// Query-router policy (kEdit + kThroughput only; other combinations
   /// ignore it).  `kOff` keeps the engine byte-identical to the pre-router

@@ -40,17 +40,14 @@ HssBaselineResult hss_edit_distance_mpc(SymView s, SymView t,
     ++result.guesses_run;
     guess_seed = splitmix64(guess_seed + static_cast<std::uint64_t>(guess));
 
-    SmallDistanceParams sp;
+    SmallDistanceParams sp{params};
     sp.eps_prime = eps_prime;
     sp.x = params.x;
     sp.delta_guess = guess;
     sp.unit = DistanceUnit::kExactBanded;
     sp.batch_starts = false;  // [20]: one machine per block/candidate pair
     sp.seed = guess_seed;
-    sp.workers = params.workers;
-    sp.strict_memory = params.strict_memory;
     sp.memory_cap_bytes = cap;
-    sp.recorder = params.recorder;
     auto pipeline = run_small_distance(s, t, sp);
     result.trace.merge_parallel(pipeline.trace);
 

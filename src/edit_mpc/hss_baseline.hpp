@@ -12,21 +12,19 @@
 #include <cstdint>
 
 #include "edit_mpc/small_distance.hpp"
+#include "mpc/cluster.hpp"
 #include "mpc/stats.hpp"
-#include "obs/recorder.hpp"
 #include "seq/types.hpp"
 
 namespace mpcsd::edit_mpc {
 
-struct HssBaselineParams {
+/// Model parameters; the execution knobs come from mpc::ExecOptions.
+struct HssBaselineParams : mpc::ExecOptions {
   double x = 0.25;
   double epsilon = 1.0;          ///< eps' = eps/4 internally (1+eps overall)
   std::uint64_t seed = 23;
-  std::size_t workers = 0;
-  bool strict_memory = false;
   double memory_slack = 8.0;
   bool early_exit = true;        ///< stop at the first self-certifying guess
-  obs::Recorder* recorder = nullptr;  ///< observability (null = detached)
 };
 
 struct HssBaselineResult {

@@ -9,6 +9,7 @@
 #include "common/contracts.hpp"
 #include "common/grid.hpp"
 #include "common/rng.hpp"
+#include "mpc/combine_round.hpp"
 #include "mpc/plan.hpp"
 #include "seq/combine.hpp"
 #include "seq/edit_distance.hpp"
@@ -206,14 +207,9 @@ LargeDistanceResult run_large_distance(SymView s, SymView t,
       std::max<std::int64_t>(params.distance_cap_factor * params.delta_guess, 4);
   const auto taus = tau_grid(cap, params.eps_prime);
 
-  mpc::ClusterConfig config;
+  mpc::ClusterConfig config{params};
   config.memory_limit_bytes = params.memory_cap_bytes;
-  config.strict_memory = params.strict_memory;
-  config.workers = params.workers;
   config.seed = params.seed;
-  config.backend = params.backend;
-  config.audit = params.audit;
-  config.recorder = params.recorder;
   mpc::Driver driver(large_plan(), config);
   obs::Span pipeline_span(params.recorder, "edit:large", "pipeline");
   pipeline_span.arg("guess", static_cast<double>(params.delta_guess));
@@ -586,22 +582,11 @@ LargeDistanceResult run_large_distance(SymView s, SymView t,
   // ------------------------------------------------------------------
   ByteChain all_tuples = mpc::gather_view(mail2, kTuples.mailbox);
   all_tuples.add(mpc::gather_view(mail3, kTuples.mailbox));
-  using TupleInbox = mpc::Inbox<std::vector<seq::Tuple>>;
-  const mpc::Stage<TupleInbox> combine_stage{
-      "edit:large:combine", [n, n_bar](mpc::StageContext<TupleInbox>& ctx) {
-        std::uint64_t work = 0;
-        std::vector<seq::Tuple> tuples;
-        for (auto& batch : ctx.in().messages) {
-          tuples.insert(tuples.end(), batch.begin(), batch.end());
-        }
-        const auto tuple_count = static_cast<std::uint64_t>(tuples.size());
-        seq::CombineOptions options;
-        options.gap = seq::GapCost::kSum;
-        const std::int64_t answer =
-            seq::combine_tuples(std::move(tuples), n, n_bar, options, &work);
-        ctx.charge_work(work);
-        ctx.charge_scratch(tuple_count * sizeof(seq::Tuple) * 2);
-        ctx.send(kAnswer, answer);
+  const mpc::Stage<mpc::TupleInbox> combine_stage{
+      "edit:large:combine", [n, n_bar](mpc::StageContext<mpc::TupleInbox>& ctx) {
+        std::uint64_t tuple_count = 0;
+        ctx.send(kAnswer, mpc::combine_inbox(ctx, n, n_bar, seq::GapCost::kSum,
+                                             &tuple_count));
         ctx.stash(tuple_count);
       }};
   std::vector<Bytes> combine_stash;

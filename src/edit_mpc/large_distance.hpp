@@ -20,11 +20,14 @@
 
 #include "edit_mpc/graph_tau.hpp"
 #include "edit_mpc/small_distance.hpp"
+#include "mpc/cluster.hpp"
 #include "seq/types.hpp"
 
 namespace mpcsd::edit_mpc {
 
-struct LargeDistanceParams {
+/// Model parameters of one guess; the execution knobs come from
+/// mpc::ExecOptions.
+struct LargeDistanceParams : mpc::ExecOptions {
   double eps_prime = 0.05;          ///< eps' = eps/22
   double x = 0.25;                  ///< memory exponent
   std::int64_t delta_guess = 0;     ///< the distance guess n^delta
@@ -37,12 +40,7 @@ struct LargeDistanceParams {
   std::size_t max_extend_per_block = 0;  ///< 0 = floor(n^alpha) (the paper's bound)
   std::size_t max_representatives = 48;  ///< hard cap on |R| (0 = uncapped)
   std::uint64_t seed = 13;
-  std::size_t workers = 0;
-  bool strict_memory = false;
   std::uint64_t memory_cap_bytes = UINT64_MAX;
-  mpc::BackendKind backend = mpc::BackendKind::kAuto;  ///< see mpc/backend.hpp
-  mpc::AuditOptions audit{};  ///< conformance auditing (see mpc/audit.hpp)
-  obs::Recorder* recorder = nullptr;  ///< observability (null = detached)
 };
 
 struct LargeDistanceResult {

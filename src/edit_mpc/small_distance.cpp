@@ -6,6 +6,7 @@
 
 #include "common/contracts.hpp"
 #include "common/grid.hpp"
+#include "mpc/combine_round.hpp"
 #include "mpc/plan.hpp"
 #include "seq/edit_distance.hpp"
 #include "seq/edit_distance_fast.hpp"
@@ -210,14 +211,9 @@ PipelineResult run_small_distance(SymView s, SymView t,
 
   const CandidateGeometry geo = small_geometry(n, n_bar, params);
 
-  mpc::ClusterConfig config;
+  mpc::ClusterConfig config{params};
   config.memory_limit_bytes = params.memory_cap_bytes;
-  config.strict_memory = params.strict_memory;
-  config.workers = params.workers;
   config.seed = params.seed;
-  config.backend = params.backend;
-  config.audit = params.audit;
-  config.recorder = params.recorder;
   mpc::Driver driver(small_plan(), config);
   obs::Span pipeline_span(params.recorder, "edit:small", "pipeline");
   pipeline_span.arg("guess", static_cast<double>(params.delta_guess));
@@ -242,22 +238,11 @@ PipelineResult run_small_distance(SymView s, SymView t,
   // The answer returns through the mailbox, the tuple count through the
   // unmetered stash: bodies may run in forked worker processes whose host
   // writes are invisible (mpc/backend.hpp).
-  using TupleInbox = mpc::Inbox<std::vector<seq::Tuple>>;
-  const mpc::Stage<TupleInbox> combine_stage{
-      "edit:small:combine", [n, n_bar](mpc::StageContext<TupleInbox>& ctx) {
-        std::uint64_t work = 0;
-        std::vector<seq::Tuple> tuples;
-        for (auto& batch : ctx.in().messages) {
-          tuples.insert(tuples.end(), batch.begin(), batch.end());
-        }
-        const auto tuple_count = static_cast<std::uint64_t>(tuples.size());
-        seq::CombineOptions options;
-        options.gap = seq::GapCost::kSum;
-        const std::int64_t answer =
-            seq::combine_tuples(std::move(tuples), n, n_bar, options, &work);
-        ctx.charge_work(work);
-        ctx.charge_scratch(tuple_count * sizeof(seq::Tuple) * 2);
-        ctx.send(kAnswer, answer);
+  const mpc::Stage<mpc::TupleInbox> combine_stage{
+      "edit:small:combine", [n, n_bar](mpc::StageContext<mpc::TupleInbox>& ctx) {
+        std::uint64_t tuple_count = 0;
+        ctx.send(kAnswer, mpc::combine_inbox(ctx, n, n_bar, seq::GapCost::kSum,
+                                             &tuple_count));
         ctx.stash(tuple_count);
       }};
   std::vector<Bytes> combine_stash;

@@ -20,10 +20,8 @@
 #include <vector>
 
 #include "edit_mpc/candidates.hpp"
-#include "mpc/audit.hpp"
-#include "mpc/backend.hpp"
+#include "mpc/cluster.hpp"
 #include "mpc/stats.hpp"
-#include "obs/recorder.hpp"
 #include "seq/approx_edit.hpp"
 #include "seq/combine.hpp"
 #include "seq/myers.hpp"
@@ -36,22 +34,19 @@ enum class DistanceUnit : std::uint8_t {
   kApprox3,      ///< CGKKS-style 3+eps' unit: Õ(B^{2-1/6}) per pair
 };
 
-struct SmallDistanceParams {
+/// Model parameters of one guess; the execution knobs come from
+/// mpc::ExecOptions.
+struct SmallDistanceParams : mpc::ExecOptions {
   double eps_prime = 0.05;           ///< eps' = eps/22
   double x = 0.25;                   ///< memory exponent (y = x here)
   std::int64_t delta_guess = 0;      ///< the distance guess n^delta
   DistanceUnit unit = DistanceUnit::kApprox3;
-  seq::ApproxEditParams approx;      ///< settings for the kApprox3 unit
+  seq::ApproxEditParams approx{};    ///< settings for the kApprox3 unit
   /// Batch several candidate starts per machine (the paper's improvement
   /// over [20]); false = one machine per start (the HSS baseline layout).
   bool batch_starts = true;
   std::uint64_t seed = 11;
-  std::size_t workers = 0;
-  bool strict_memory = false;
   std::uint64_t memory_cap_bytes = UINT64_MAX;
-  mpc::BackendKind backend = mpc::BackendKind::kAuto;  ///< see mpc/backend.hpp
-  mpc::AuditOptions audit{};  ///< conformance auditing (see mpc/audit.hpp)
-  obs::Recorder* recorder = nullptr;  ///< observability (null = detached)
 };
 
 struct PipelineResult {

@@ -82,24 +82,19 @@ EditMpcResult edit_distance_mpc(SymView s, SymView t, const EditMpcParams& param
     outcome.guess = guess;
     mpc::ExecutionTrace guess_trace;
     if (guess <= small_limit) {
-      SmallDistanceParams sp;
+      SmallDistanceParams sp{params};
       sp.eps_prime = eps_prime;
       sp.x = params.x;
       sp.delta_guess = guess;
       sp.unit = params.unit;
       sp.approx = params.approx;
       sp.seed = guess_seed;
-      sp.workers = params.workers;
-      sp.strict_memory = params.strict_memory;
       sp.memory_cap_bytes = result.memory_cap_bytes;
-      sp.backend = params.backend;
-      sp.audit = params.audit;
-      sp.recorder = params.recorder;
       auto pipeline = run_small_distance(s, t, sp);
       outcome.distance = pipeline.distance;
       guess_trace = std::move(pipeline.trace);
     } else {
-      LargeDistanceParams lp;
+      LargeDistanceParams lp{params};
       lp.eps_prime = eps_prime;
       lp.x = params.x;
       lp.delta_guess = guess;
@@ -108,12 +103,7 @@ EditMpcResult edit_distance_mpc(SymView s, SymView t, const EditMpcParams& param
       lp.distance_cap_factor = params.distance_cap_factor;
       lp.max_extend_per_block = params.max_extend_per_block;
       lp.seed = guess_seed;
-      lp.workers = params.workers;
-      lp.strict_memory = params.strict_memory;
       lp.memory_cap_bytes = result.memory_cap_bytes;
-      lp.backend = params.backend;
-      lp.audit = params.audit;
-      lp.recorder = params.recorder;
       auto pipeline = run_large_distance(s, t, lp);
       outcome.distance = pipeline.distance;
       outcome.large_pipeline = true;

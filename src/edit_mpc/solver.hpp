@@ -20,7 +20,6 @@
 
 #include "edit_mpc/large_distance.hpp"
 #include "edit_mpc/small_distance.hpp"
-#include "mpc/audit.hpp"
 #include "mpc/stats.hpp"
 #include "seq/types.hpp"
 
@@ -31,29 +30,23 @@ enum class GuessMode : std::uint8_t {
   kAll,        ///< run every guess (the literal parallel execution)
 };
 
-struct EditMpcParams {
+/// Model parameters; the execution knobs come from mpc::ExecOptions and
+/// reach every guess pipeline unchanged.
+struct EditMpcParams : mpc::ExecOptions {
   double x = 0.25;                 ///< memory exponent (Theorem 9: x <= 5/17)
   double epsilon = 1.0;            ///< approximation slack; eps' = eps/22
   /// Implementation floor on eps' (the paper's eps/22 is proof
   /// bookkeeping; tiny eps' only inflates the hidden poly(1/eps) factors).
   double eps_prime_floor = 0.15;
   DistanceUnit unit = DistanceUnit::kApprox3;
-  seq::ApproxEditParams approx;    ///< kApprox3 unit settings
+  seq::ApproxEditParams approx{};  ///< kApprox3 unit settings
   double rep_constant = 2.0;
   double sample_constant = 3.0;
   std::int64_t distance_cap_factor = 4;
   std::size_t max_extend_per_block = 0;
   GuessMode guess_mode = GuessMode::kEarlyExit;
   std::uint64_t seed = 19;
-  std::size_t workers = 0;
-  bool strict_memory = false;
   double memory_slack = 8.0;       ///< constant inside the Õ_eps(n^{1-x}) cap
-  /// Execution backend for every guess pipeline (see mpc/backend.hpp).
-  mpc::BackendKind backend = mpc::BackendKind::kAuto;
-  /// Model-conformance auditing of every guess pipeline (see mpc/audit.hpp).
-  mpc::AuditOptions audit{};
-  /// Observability recorder passed to every guess pipeline (null = detached).
-  obs::Recorder* recorder = nullptr;
 };
 
 struct GuessOutcome {

@@ -79,7 +79,7 @@ struct BackendResolution {
 struct RoundWork {
   std::size_t round = 0;
   std::uint64_t seed = 0;
-  /// parallel_for grain, already auto-resolved by the cluster.
+  /// parallel_for grain, resolved by the cluster from the machine count.
   std::size_t grain = 1;
   std::size_t machines = 0;
   const std::vector<ByteChain>* inputs = nullptr;

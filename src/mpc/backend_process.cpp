@@ -117,6 +117,8 @@ void ProcessBackend::execute(const RoundWork& work) {
   const bool traced = recorder_ != nullptr && recorder_->enabled();
   const std::uint64_t round_start_us = traced ? recorder_->now_us() : 0;
 
+  // Fork only with every pool thread parked: see ThreadPool::wait_idle.
+  pool_->wait_idle();
   std::string failure;
   for (std::size_t w = 0; w < workers; ++w) {
     const std::size_t begin = w * machines / workers;

@@ -253,18 +253,13 @@ Mail Cluster::run_round_views(const std::string& label,
     exec_inputs = &guards.chains;
   }
 
-  // Auto grain: ~8 chunks per worker keeps balancing slack while tiny
-  // machine bodies stop paying one contended RMW each.
-  std::size_t grain = config_.grain;
-  if (grain == 0) {
-    grain = std::clamp<std::size_t>(machines / (pool_->worker_count() * 8 + 1),
-                                    1, 64);
-  }
-
   RoundWork work;
   work.round = round;
   work.seed = config_.seed;
-  work.grain = grain;
+  // Grain: ~8 chunks per worker keeps balancing slack while tiny machine
+  // bodies stop paying one contended RMW each.
+  work.grain = std::clamp<std::size_t>(
+      machines / (pool_->worker_count() * 8 + 1), 1, 64);
   work.machines = machines;
   work.inputs = exec_inputs;
   work.body = &body;

@@ -42,20 +42,16 @@
 
 namespace mpcsd::mpc {
 
-struct ClusterConfig {
-  /// Per-machine memory cap in bytes; default unlimited.
-  std::uint64_t memory_limit_bytes = UINT64_MAX;
-  /// Throw MemoryLimitExceeded instead of recording a violation.
-  bool strict_memory = false;
+/// How the simulator executes machine bodies.  None of these knobs changes
+/// the model: rounds, machine counts, metering and answers are the same
+/// under every setting (the audit and the recorder only observe).  Every
+/// solver params struct derives from this, so a driver hands its options
+/// to the cluster in one step (`ClusterConfig config{params};`).
+struct ExecOptions {
   /// Thread-pool size; 0 = hardware concurrency.
   std::size_t workers = 0;
-  /// Root seed for all machine RNG streams.
-  std::uint64_t seed = 0;
-  /// parallel_for grain: consecutive machines one worker claims per atomic
-  /// fetch.  0 = auto (scales with machines per worker, capped at 64) so
-  /// rounds with thousands of tiny machine bodies don't pay one contended
-  /// RMW per machine; rounds with few machines keep perfect balancing.
-  std::size_t grain = 0;
+  /// Throw MemoryLimitExceeded instead of recording a violation.
+  bool strict_memory = false;
   /// How machine bodies execute: the shared thread pool (seed semantics)
   /// or forked worker processes with shared-memory result arenas (physical
   /// isolation).  kAuto resolves through MPCSD_BACKEND and defaults to
@@ -68,6 +64,13 @@ struct ClusterConfig {
   /// recorder's sinks.  Null or sink-less recorders cost one inlined check
   /// on the round path (see obs/recorder.hpp).
   obs::Recorder* recorder = nullptr;
+};
+
+struct ClusterConfig : ExecOptions {
+  /// Per-machine memory cap in bytes; default unlimited.
+  std::uint64_t memory_limit_bytes = UINT64_MAX;
+  /// Root seed for all machine RNG streams.
+  std::uint64_t seed = 0;
 };
 
 class MemoryLimitExceeded : public std::runtime_error {

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/grid.hpp"
+#include "mpc/combine_round.hpp"
 #include "mpc/plan.hpp"
 #include "mpc/primitives.hpp"
-#include "seq/combine.hpp"
 #include "seq/lis.hpp"
 
 namespace mpcsd::ulam_mpc {
@@ -80,14 +81,9 @@ UlamMpcResult ulam_distance_mpc(SymView s, SymView t, const UlamMpcParams& param
   result.block_count = static_cast<std::size_t>(block_count);
   result.memory_cap_bytes = ulam_memory_cap_bytes(n, params);
 
-  mpc::ClusterConfig config;
+  mpc::ClusterConfig config{params};
   config.memory_limit_bytes = result.memory_cap_bytes;
-  config.strict_memory = params.strict_memory;
-  config.workers = params.workers;
   config.seed = params.seed;
-  config.backend = params.backend;
-  config.audit = params.audit;
-  config.recorder = params.recorder;
   mpc::Driver driver(ulam_plan(), config);
   obs::Span solve_span(params.recorder, "ulam:solve", "solver");
   solve_span.arg("n", static_cast<double>(n))
@@ -163,30 +159,15 @@ UlamMpcResult ulam_distance_mpc(SymView s, SymView t, const UlamMpcParams& param
   // ---- Stage 2: Algorithm 2 on one machine. ----
   // The combine machine reads the round-1 tuple batches in place
   // (zero-copy); its metered input is still the full mailbox byte count.
-  using TupleInbox = mpc::Inbox<std::vector<seq::Tuple>>;
-  const mpc::Stage<TupleInbox> combine_stage{
+  // The answer rides the mailbox, the tuple count the stash.
+  const mpc::Stage<mpc::TupleInbox> combine_stage{
       "ulam:combine",
-      [n, n_bar, keep_tuples = params.keep_tuples,
-       combine_gap = params.combine_gap](mpc::StageContext<TupleInbox>& ctx) {
-        std::uint64_t work = 0;
-        std::vector<seq::Tuple> tuples;
-        for (auto& batch : ctx.in().messages) {
-          tuples.insert(tuples.end(), batch.begin(), batch.end());
-        }
-        const auto tuple_count = static_cast<std::uint64_t>(tuples.size());
-        std::vector<seq::Tuple> kept;
-        if (keep_tuples) kept = tuples;
-        seq::CombineOptions options;
-        options.gap = combine_gap;
-        const std::int64_t answer =
-            seq::combine_tuples(std::move(tuples), n, n_bar, options, &work);
-        ctx.charge_work(work);
-        ctx.charge_scratch(tuple_count * sizeof(seq::Tuple) * 2);
-        ctx.send(kAnswer, answer);
-        // Diagnostics ride the stash; the answer rides the mailbox.  The
-        // stash layout (count, then tuples iff keep_tuples) is decoded below.
+      [n, n_bar, combine_gap = params.combine_gap](
+          mpc::StageContext<mpc::TupleInbox>& ctx) {
+        std::uint64_t tuple_count = 0;
+        ctx.send(kAnswer,
+                 mpc::combine_inbox(ctx, n, n_bar, combine_gap, &tuple_count));
         ctx.stash(tuple_count);
-        if (keep_tuples) ctx.stash(kept);
       }};
   std::vector<Bytes> stage2_stash;
   mpc::RoundOptions stage2_options;
@@ -198,14 +179,8 @@ UlamMpcResult ulam_distance_mpc(SymView s, SymView t, const UlamMpcParams& param
   const auto answers = driver.receive(mail2, kAnswer);
   MPCSD_ENSURES(answers.size() == 1);
   result.distance = answers.front();
-  {
-    ByteReader r(stage2_stash.at(0));
-    result.tuple_count =
-        static_cast<std::size_t>(mpc::Codec<std::uint64_t>::decode(r));
-    if (params.keep_tuples) {
-      result.tuples = mpc::Codec<std::vector<seq::Tuple>>::decode(r);
-    }
-  }
+  result.tuple_count =
+      static_cast<std::size_t>(mpc::unstash<std::uint64_t>(stage2_stash.at(0)));
   result.trace = driver.take_trace();
   MPCSD_ENSURES(result.trace.round_count() ==
                 (params.in_model_position_map ? 4u : 2u));

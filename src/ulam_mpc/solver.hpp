@@ -11,27 +11,22 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "mpc/audit.hpp"
-#include "mpc/backend.hpp"
+#include "mpc/cluster.hpp"
 #include "mpc/stats.hpp"
-#include "obs/recorder.hpp"
 #include "seq/combine.hpp"
 #include "seq/types.hpp"
 #include "ulam_mpc/candidates.hpp"
 
 namespace mpcsd::ulam_mpc {
 
-struct UlamMpcParams {
+/// Model parameters; the execution knobs come from mpc::ExecOptions.
+struct UlamMpcParams : mpc::ExecOptions {
   double x = 1.0 / 3;          ///< memory exponent: B = n^{1-x}; needs x < 1/2
   double epsilon = 0.5;        ///< approximation slack (eps' = eps/2 internally)
   double theta_constant = 8.0; ///< hitting-set rate constant (paper: 8)
   std::uint64_t seed = 7;
-  std::size_t workers = 0;     ///< simulator thread pool; 0 = hardware
-  bool strict_memory = false;  ///< throw on per-machine memory violations
   double memory_slack = 8.0;   ///< constant inside the Õ_eps(n^{1-x}) cap
-  bool keep_tuples = false;    ///< retain round-1 tuples in the result
   /// Build the character-position map with an in-model MPC hash join (two
   /// extra rounds) instead of driver-side routing.  The paper's two-round
   /// count assumes the input is already distributed; this flag makes that
@@ -41,13 +36,6 @@ struct UlamMpcParams {
   /// paired stretch); kSum is the Algorithm 4 variant, exposed for the
   /// DESIGN.md ablation.
   seq::GapCost combine_gap = seq::GapCost::kMax;
-  /// Execution backend for the owned cluster (see mpc/backend.hpp):
-  /// kAuto honours MPCSD_BACKEND, kThread/kProcess pin it.
-  mpc::BackendKind backend = mpc::BackendKind::kAuto;
-  /// Model-conformance auditing of the pipeline's rounds (see mpc/audit.hpp).
-  mpc::AuditOptions audit{};
-  /// Observability recorder handed to the owned cluster (null = detached).
-  obs::Recorder* recorder = nullptr;
 };
 
 struct UlamMpcResult {
@@ -58,7 +46,6 @@ struct UlamMpcResult {
   std::uint64_t memory_cap_bytes = 0;
   mpc::ExecutionTrace trace;
   CandidateStats stats;              ///< aggregated over all round-1 machines
-  std::vector<seq::Tuple> tuples;    ///< populated iff keep_tuples
 };
 
 /// Approximates ulam(s, t).  Preconditions: both strings repeat-free.

@@ -5,9 +5,11 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 
 #include "core/batch.hpp"
 #include "core/workload.hpp"
+#include "edit_mpc/hss_baseline.hpp"
 #include "edit_mpc/solver.hpp"
 #include "mpc/audit.hpp"
 #include "mpc/cluster.hpp"
@@ -226,6 +228,29 @@ TEST(Audit, EditPipelineConformsUnderAudit) {
   const auto audited = edit_mpc::edit_distance_mpc(s, t, params);
   EXPECT_EQ(plain.distance, audited.distance);
   EXPECT_EQ(plain.trace.structural_hash(), audited.trace.structural_hash());
+}
+
+TEST(Audit, HssPipelineConformsUnderAudit) {
+  const auto s = core::random_string(240, 8, 7);
+  const auto t = core::plant_edits(s, 12, 8, false).text;
+  edit_mpc::HssBaselineParams params;
+  params.workers = 2;
+  const auto plain = edit_mpc::hss_edit_distance_mpc(s, t, params);
+  // The audit must reach every guess pipeline's cluster: the (read-only)
+  // injection hook counts the machines it audited.
+  auto audited_machines = std::make_shared<std::atomic<std::size_t>>(0);
+  params.audit.enabled = true;
+  params.audit.inject_after_round = [audited_machines](std::size_t, std::size_t,
+                                                       std::vector<Envelope>&) {
+    audited_machines->fetch_add(1);
+  };
+  const auto audited = edit_mpc::hss_edit_distance_mpc(s, t, params);
+  EXPECT_EQ(plain.distance, audited.distance);
+  EXPECT_EQ(plain.trace.structural_hash(), audited.trace.structural_hash());
+  std::size_t machines = 0;
+  for (const auto& round : audited.trace.rounds()) machines += round.machines;
+  EXPECT_GT(machines, 0u);
+  EXPECT_GE(audited_machines->load(), machines);
 }
 
 TEST(Audit, BatchPipelinesConformUnderAudit) {

@@ -249,6 +249,19 @@ TEST(ThreadPool, SingleWorkerStillCompletes) {
   EXPECT_EQ(total.load(), 1000);
 }
 
+TEST(ThreadPool, WaitIdleReturnsOnceEveryWorkerIsParked) {
+  // Must return for a fresh pool (workers still starting) and after calls
+  // that leave straggler tasks queued, and leave the pool usable.
+  ThreadPool pool(4);
+  pool.wait_idle();
+  std::atomic<int> total{0};
+  for (int call = 0; call < 50; ++call) {
+    pool.parallel_for(64, [&](std::size_t) { total.fetch_add(1); });
+    pool.wait_idle();
+  }
+  EXPECT_EQ(total.load(), 50 * 64);
+}
+
 TEST(ThreadPool, ZeroCountNoOp) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });

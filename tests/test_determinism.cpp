@@ -10,6 +10,7 @@
 #include "common/cpu.hpp"
 #include "core/batch.hpp"
 #include "core/workload.hpp"
+#include "edit_mpc/hss_baseline.hpp"
 #include "edit_mpc/solver.hpp"
 #include "mpc/backend.hpp"
 #include "mpc/stats.hpp"
@@ -174,6 +175,30 @@ TEST(Determinism, EditTraceHashIndependentOfExecutionBackend) {
   for (const auto backend :
        {mpc::BackendKind::kThread, mpc::BackendKind::kProcess}) {
     for (const std::size_t workers : {1ul, 2ul, 5ul}) {
+      const auto r = run(backend, workers);
+      EXPECT_EQ(r.distance, base.distance)
+          << mpc::backend_kind_name(backend) << " x " << workers;
+      EXPECT_EQ(r.accepted_guess, base.accepted_guess)
+          << mpc::backend_kind_name(backend) << " x " << workers;
+      EXPECT_EQ(r.trace.structural_hash(), base.trace.structural_hash())
+          << mpc::backend_kind_name(backend) << " x " << workers;
+    }
+  }
+}
+
+TEST(Determinism, HssTraceHashIndependentOfExecutionBackend) {
+  const auto s = core::random_string(240, 8, 65);
+  const auto t = core::plant_edits(s, 12, 66, false).text;
+  auto run = [&](mpc::BackendKind backend, std::size_t workers) {
+    edit_mpc::HssBaselineParams params;
+    params.workers = workers;
+    params.backend = backend;
+    return edit_mpc::hss_edit_distance_mpc(s, t, params);
+  };
+  const auto base = run(mpc::BackendKind::kThread, 1);
+  for (const auto backend :
+       {mpc::BackendKind::kThread, mpc::BackendKind::kProcess}) {
+    for (const std::size_t workers : {1ul, 3ul}) {
       const auto r = run(backend, workers);
       EXPECT_EQ(r.distance, base.distance)
           << mpc::backend_kind_name(backend) << " x " << workers;

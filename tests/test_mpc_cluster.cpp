@@ -46,10 +46,8 @@ TEST(Cluster, SingleRoundEcho) {
 
 TEST(Cluster, MailOrderIsDeterministicAcrossRuns) {
   auto run_once = [] {
-    Cluster cluster(ClusterConfig{.memory_limit_bytes = UINT64_MAX,
-                                  .strict_memory = false,
-                                  .workers = 4,
-                                  .seed = 5});
+    Cluster cluster(ClusterConfig{{.workers = 4},
+                                  /*memory_limit_bytes=*/UINT64_MAX, /*seed=*/5});
     std::vector<Bytes> inputs;
     for (std::int64_t i = 0; i < 50; ++i) inputs.push_back(payload_of(i));
     const auto mail = cluster.run_round("m", inputs, [](MachineContext& ctx) {
@@ -65,10 +63,8 @@ TEST(Cluster, MailOrderIsDeterministicAcrossRuns) {
 
 TEST(Cluster, MachineRngIsDeterministicPerMachine) {
   auto sample = [](std::size_t workers) {
-    Cluster cluster(ClusterConfig{.memory_limit_bytes = UINT64_MAX,
-                                  .strict_memory = false,
-                                  .workers = workers,
-                                  .seed = 42});
+    Cluster cluster(ClusterConfig{{.workers = workers},
+                                  /*memory_limit_bytes=*/UINT64_MAX, /*seed=*/42});
     std::vector<Bytes> inputs(8);
     std::vector<std::uint32_t> values(8);
     cluster.run_round("rng", inputs, [&](MachineContext& ctx) {
@@ -93,20 +89,16 @@ TEST(Cluster, MemoryAccountingCountsInputAndOutput) {
 }
 
 TEST(Cluster, StrictMemoryThrows) {
-  Cluster cluster(ClusterConfig{.memory_limit_bytes = 50,
-                                .strict_memory = true,
-                                .workers = 1,
-                                .seed = 0});
+  Cluster cluster(ClusterConfig{{.workers = 1, .strict_memory = true},
+                                /*memory_limit_bytes=*/50, /*seed=*/0});
   std::vector<Bytes> inputs{Bytes(100)};
   EXPECT_THROW(cluster.run_round("boom", inputs, [](MachineContext&) {}),
                MemoryLimitExceeded);
 }
 
 TEST(Cluster, NonStrictMemoryRecordsViolation) {
-  Cluster cluster(ClusterConfig{.memory_limit_bytes = 50,
-                                .strict_memory = false,
-                                .workers = 1,
-                                .seed = 0});
+  Cluster cluster(ClusterConfig{{.workers = 1},
+                                /*memory_limit_bytes=*/50, /*seed=*/0});
   std::vector<Bytes> inputs{Bytes(100), Bytes(10)};
   cluster.run_round("soft", inputs, [](MachineContext&) {});
   EXPECT_EQ(cluster.trace().rounds()[0].memory_violations, 1u);
@@ -669,10 +661,8 @@ TEST(Cluster, FlatRoutingMatchesMapReference) {
 }
 
 TEST(Cluster, StrictMemoryThrowsOnViewsPath) {
-  Cluster cluster(ClusterConfig{.memory_limit_bytes = 50,
-                                .strict_memory = true,
-                                .workers = 1,
-                                .seed = 0});
+  Cluster cluster(ClusterConfig{{.workers = 1, .strict_memory = true},
+                                /*memory_limit_bytes=*/50, /*seed=*/0});
   const Bytes big(100);
   std::vector<ByteChain> chains(1);
   chains[0].add(ByteSpan(big));
@@ -680,27 +670,26 @@ TEST(Cluster, StrictMemoryThrowsOnViewsPath) {
                MemoryLimitExceeded);
 }
 
-TEST(Cluster, GrainConfigDoesNotChangeResults) {
-  auto run_with_grain = [](std::size_t grain) {
-    Cluster cluster(ClusterConfig{.memory_limit_bytes = UINT64_MAX,
-                                  .strict_memory = false,
-                                  .workers = 4,
-                                  .seed = 5,
-                                  .grain = grain});
+TEST(Cluster, MultiMachineGrainDoesNotChangeResults) {
+  // 2000 machines: the cluster's grain is 2000 / (8·workers + 1), clamped
+  // to 64 — 64 at one worker, 60 at four — so workers claim many machines
+  // per fetch, and the mail and RNG draws must not depend on it.
+  auto run = [](std::size_t workers) {
+    Cluster cluster(ClusterConfig{{.workers = workers},
+                                  /*memory_limit_bytes=*/UINT64_MAX, /*seed=*/5});
     std::vector<Bytes> inputs;
-    for (std::int64_t i = 0; i < 100; ++i) inputs.push_back(payload_of(i));
+    for (std::int64_t i = 0; i < 2000; ++i) inputs.push_back(payload_of(i));
     const auto mail = cluster.run_round("g", inputs, [](MachineContext& ctx) {
       auto r = ctx.reader();
       ByteWriter w;
       w.put<std::int64_t>(r.get<std::int64_t>() * 2);
-      ctx.emit(0, std::move(w).take());
+      w.put<std::uint32_t>(ctx.rng().next());
+      ctx.emit(static_cast<std::uint32_t>(ctx.machine_id() % 3), std::move(w).take());
     });
-    return gather(mail, 0);
+    EXPECT_EQ(mail.message_count(), 2000u);
+    return std::vector<Bytes>{gather(mail, 0), gather(mail, 1), gather(mail, 2)};
   };
-  const auto baseline = run_with_grain(1);
-  EXPECT_EQ(run_with_grain(0), baseline);   // auto
-  EXPECT_EQ(run_with_grain(7), baseline);
-  EXPECT_EQ(run_with_grain(64), baseline);
+  EXPECT_EQ(run(1), run(4));
 }
 
 TEST(Cluster, GatherViewMatchesGather) {

@@ -55,10 +55,8 @@ TEST(MpcSort, BalancedPartitionsKeepMemoryLow) {
 
 TEST(MpcSort, DeterministicGivenSeed) {
   auto run = [] {
-    Cluster cluster(ClusterConfig{.memory_limit_bytes = UINT64_MAX,
-                                  .strict_memory = false,
-                                  .workers = 3,
-                                  .seed = 99});
+    Cluster cluster(ClusterConfig{{.workers = 3},
+                                  /*memory_limit_bytes=*/UINT64_MAX, /*seed=*/99});
     return mpc_sort(cluster, random_records(3000, 3), 8).records;
   };
   EXPECT_EQ(run(), run());

@@ -135,15 +135,6 @@ TEST(UlamMpc, MachineCountMatchesBlockCount) {
   EXPECT_EQ(result.trace.rounds()[1].machines, 1u);
 }
 
-TEST(UlamMpc, KeepTuplesReturnsRound1Output) {
-  const auto w = planted(300, 15, 11);
-  UlamMpcParams params;
-  params.keep_tuples = true;
-  const auto result = ulam_distance_mpc(w.s, w.t, params);
-  EXPECT_EQ(result.tuples.size(), result.tuple_count);
-  EXPECT_GT(result.tuple_count, 0u);
-}
-
 TEST(UlamMpc, InModelPositionMapAgrees) {
   // Running the position map as an in-model hash join adds two rounds but
   // must not change the answer.
