@@ -30,8 +30,9 @@ fail() {
 }
 
 # Every rule scans the library and harness sources.  Tests deliberately
-# violate some invariants (e.g. the auditor negative tests mutate inbox
-# views), so they are out of scope.
+# violate some invariants (e.g. the auditor negative tests share a mutable
+# counter across machines, and a backend test writes through its inbox
+# view to pin process isolation), so they are out of scope.
 sources=(src fuzz examples)
 
 # --- No C rand()/srand() — all randomness must flow through the seeded

@@ -51,13 +51,13 @@ HssBaselineResult hss_edit_distance_mpc(SymView s, SymView t,
     auto pipeline = run_small_distance(s, t, sp);
     result.trace.merge_parallel(pipeline.trace);
 
-    if (pipeline.distance < best) {
-      best = pipeline.distance;
-      result.accepted_guess = guess;
-    }
+    best = std::min(best, pipeline.distance);
     const auto accept = static_cast<std::int64_t>(
         std::ceil((1.0 + params.epsilon) * static_cast<double>(guess))) + 2;
-    if (params.early_exit && pipeline.distance <= accept) break;
+    if (pipeline.distance <= accept) {
+      if (result.accepted_guess == 0) result.accepted_guess = guess;
+      if (params.early_exit) break;
+    }
   }
 
   result.distance = best;

@@ -29,6 +29,9 @@ struct HssBaselineParams : mpc::ExecOptions {
 
 struct HssBaselineResult {
   std::int64_t distance = 0;
+  /// First guess whose answer is within its 1+eps accept bound
+  /// (ceil((1+eps)·guess) + 2); 0 when the strings were equal or no guess
+  /// certified.
   std::int64_t accepted_guess = 0;
   std::size_t guesses_run = 0;
   mpc::ExecutionTrace trace;     ///< parallel merge over executed guesses

@@ -113,16 +113,13 @@ EditMpcResult edit_distance_mpc(SymView s, SymView t, const EditMpcParams& param
     result.per_guess.push_back(outcome);
     result.trace.merge_parallel(guess_trace);
 
-    if (outcome.distance < best) {
-      best = outcome.distance;
-      result.accepted_guess = guess;
-    }
+    best = std::min(best, outcome.distance);
     // Accept once the answer certifies itself against the guess: for a
     // guess >= ed(s, t) the pipeline output is <= (3+eps)·ed <= (3+eps)·
     // guess, so this fires no later than that guess.
-    if (params.guess_mode == GuessMode::kEarlyExit &&
-        outcome.distance <= accept_threshold(guess, params.epsilon)) {
-      break;
+    if (outcome.distance <= accept_threshold(guess, params.epsilon)) {
+      if (result.accepted_guess == 0) result.accepted_guess = guess;
+      if (params.guess_mode == GuessMode::kEarlyExit) break;
     }
   }
 

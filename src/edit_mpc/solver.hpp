@@ -58,7 +58,11 @@ struct GuessOutcome {
 
 struct EditMpcResult {
   std::int64_t distance = 0;
-  std::int64_t accepted_guess = 0; ///< 0 when the strings were equal
+  /// First guess whose answer certified itself (answer <=
+  /// accept_threshold(guess, epsilon)), in both guess modes — the meaning
+  /// core::QueryResult::accepted_guess has.  0 when the strings were equal
+  /// or no guess certified.
+  std::int64_t accepted_guess = 0;
   std::size_t guesses_run = 0;
   std::uint64_t memory_cap_bytes = 0;
   mpc::ExecutionTrace trace;       ///< parallel merge over executed guesses

@@ -4,10 +4,9 @@
 // they verify its round-scoped arenas (outboxes, reports) in place.
 #include "mpc/audit.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "mpc/cluster.hpp"
@@ -16,10 +15,8 @@ namespace mpcsd::mpc {
 
 namespace {
 
-/// Canary pad size on each side of a guarded input buffer.
-constexpr std::size_t kGuardPad = 32;
-/// Canary fill; also the poison value stale views read after the round.
-constexpr std::byte kGuardByte{0xA5};
+/// Seed of the per-round machine-order permutation used by the replay.
+constexpr std::uint64_t kReplayPermutationSeed = 0x5eedULL;
 
 /// Fingerprint of one machine's observable effect: every emitted envelope
 /// (destination + payload bytes, in emission order), the stash bytes, and
@@ -50,10 +47,6 @@ std::string hex(std::uint64_t v) {
 
 const char* to_string(AuditViolationKind kind) noexcept {
   switch (kind) {
-    case AuditViolationKind::kInputMutation:
-      return "input-mutation";
-    case AuditViolationKind::kGuardBreach:
-      return "guard-breach";
     case AuditViolationKind::kCommAccounting:
       return "comm-accounting";
     case AuditViolationKind::kScheduleDependence:
@@ -74,75 +67,10 @@ std::string AuditViolation::describe() const {
 AuditError::AuditError(AuditViolation violation)
     : std::runtime_error(violation.describe()), violation_(std::move(violation)) {}
 
-std::string AuditReport::summary() const {
-  std::ostringstream os;
-  os << "audit: " << rounds_audited << " rounds audited, " << replays_run
-     << " replays, " << violations.size() << " violations\n";
-  for (const AuditViolation& v : violations) os << "  " << v.describe() << '\n';
-  return os.str();
-}
-
-void Cluster::audit_record(AuditViolation violation) {
-  if (config_.audit.fail_fast) throw AuditError(std::move(violation));
-  audit_report_.violations.push_back(std::move(violation));
-}
-
-Cluster::AuditGuards Cluster::audit_guard_inputs(
-    const std::vector<ByteChain>& inputs) {
-  AuditGuards guards;
-  const std::size_t machines = inputs.size();
-  guards.buffers.resize(machines);
-  guards.chains.resize(machines);
-  guards.interior_hash.resize(machines);
-  pool_->parallel_for(
-      machines,
-      [&](std::size_t i) {
-        const ByteChain& in = inputs[i];
-        Bytes& buf = guards.buffers[i];
-        buf.assign(in.total_bytes() + 2 * kGuardPad, kGuardByte);
-        std::size_t off = kGuardPad;
-        for (const ByteSpan part : in.parts()) {
-          std::memcpy(buf.data() + off, part.data(), part.size());
-          off += part.size();
-        }
-        guards.chains[i].add(
-            ByteSpan(buf.data() + kGuardPad, in.total_bytes()));
-        guards.interior_hash[i] =
-            hash_bytes(buf.data() + kGuardPad, in.total_bytes());
-      },
-      /*grain=*/8);
-  return guards;
-}
-
-void Cluster::audit_check_guards(const std::string& label, std::size_t round,
-                                 const AuditGuards& guards) {
-  for (std::size_t i = 0; i < guards.buffers.size(); ++i) {
-    const Bytes& buf = guards.buffers[i];
-    const std::size_t interior = buf.size() - 2 * kGuardPad;
-    const auto canary_intact = [&](std::size_t begin) {
-      for (std::size_t k = 0; k < kGuardPad; ++k) {
-        if (buf[begin + k] != kGuardByte) return false;
-      }
-      return true;
-    };
-    if (!canary_intact(0) || !canary_intact(kGuardPad + interior)) {
-      audit_record(AuditViolation{
-          AuditViolationKind::kGuardBreach, label, round, i,
-          "machine body wrote outside its input fragments (canary overwritten)"});
-      continue;  // the interior hash is meaningless once the pads are gone
-    }
-    if (hash_bytes(buf.data() + kGuardPad, interior) != guards.interior_hash[i]) {
-      audit_record(AuditViolation{
-          AuditViolationKind::kInputMutation, label, round, i,
-          "machine body mutated its inbox view (input fingerprint changed)"});
-    }
-  }
-}
-
 void Cluster::audit_replay(const std::string& label, std::size_t round,
-                           const std::vector<ByteChain>& exec_inputs,
+                           const std::vector<ByteChain>& inputs,
                            const std::function<void(MachineContext&)>& body) {
-  const std::size_t machines = exec_inputs.size();
+  const std::size_t machines = inputs.size();
   ++audit_report_.replays_run;
 
   std::vector<std::uint64_t> main_print(machines);
@@ -153,14 +81,13 @@ void Cluster::audit_replay(const std::string& label, std::size_t round,
   // Permuted execution order, deterministic per (seed, round).
   std::vector<std::size_t> perm(machines);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
-  Pcg32 rng = derive_stream(config_.audit.replay_permutation_seed ^ config_.seed,
-                            round);
+  Pcg32 rng = derive_stream(kReplayPermutationSeed ^ config_.seed, round);
   for (std::size_t i = machines; i > 1; --i) {
     std::swap(perm[i - 1], perm[rng.below(static_cast<std::uint32_t>(i))]);
   }
 
-  std::size_t replay_workers = config_.audit.replay_workers;
-  if (replay_workers == 0) replay_workers = pool_->worker_count() > 1 ? 1 : 2;
+  // Always a different worker count than the main pool's.
+  const std::size_t replay_workers = pool_->worker_count() > 1 ? 1 : 2;
 
   std::vector<std::vector<Envelope>> replay_out(machines);
   std::vector<Bytes> replay_stash(machines);
@@ -168,9 +95,9 @@ void Cluster::audit_replay(const std::string& label, std::size_t round,
   std::vector<std::string> replay_errors(machines);
   const auto run_one = [&](std::size_t slot) {
     const std::size_t i = perm[slot];
-    MachineContext ctx(i, &exec_inputs[i], derive_stream(config_.seed, round, i),
+    MachineContext ctx(i, &inputs[i], derive_stream(config_.seed, round, i),
                        &replay_out[i], &replay_stash[i]);
-    ctx.report_.input_bytes = exec_inputs[i].total_bytes();
+    ctx.report_.input_bytes = inputs[i].total_bytes();
     try {
       body(ctx);
     } catch (const std::exception& e) {
@@ -178,26 +105,23 @@ void Cluster::audit_replay(const std::string& label, std::size_t round,
     }
     replay_reports[i] = ctx.report_;
   };
-  if (replay_workers <= 1) {
+  if (replay_workers == 1) {
     for (std::size_t slot = 0; slot < machines; ++slot) run_one(slot);
   } else {
-    if (!replay_pool_ || replay_pool_->worker_count() != replay_workers) {
-      replay_pool_ = std::make_unique<ThreadPool>(replay_workers);
-    }
+    if (!replay_pool_) replay_pool_ = std::make_unique<ThreadPool>(replay_workers);
     replay_pool_->parallel_for(machines, run_one, /*grain=*/1);
   }
 
   for (std::size_t i = 0; i < machines; ++i) {
     if (!replay_errors[i].empty()) {
-      audit_record(AuditViolation{
+      throw AuditError(AuditViolation{
           AuditViolationKind::kScheduleDependence, label, round, i,
           "machine body threw only under replay: " + replay_errors[i]});
-      continue;
     }
     const std::uint64_t replayed =
         fingerprint(replay_out[i], replay_stash[i], replay_reports[i]);
     if (replayed != main_print[i]) {
-      audit_record(AuditViolation{
+      throw AuditError(AuditViolation{
           AuditViolationKind::kScheduleDependence, label, round, i,
           "outbox/report fingerprint diverged under permuted-order replay (" +
               hex(main_print[i]) + " with " +
@@ -218,23 +142,11 @@ void Cluster::audit_verify_comm(const std::string& label, std::size_t round,
   std::uint64_t actual = 0;
   for (const Envelope& env : mail.all()) actual += env.payload.size();
   if (actual != reported_bytes) {
-    audit_record(AuditViolation{
+    throw AuditError(AuditViolation{
         AuditViolationKind::kCommAccounting, label, round,
         AuditViolation::kNoMachine,
         "routed mail carries " + std::to_string(actual) +
             " bytes but machines accounted " + std::to_string(reported_bytes)});
-  }
-}
-
-void Cluster::audit_poison(AuditGuards guards) {
-  // The previous round's poison retires here — after this round's body and
-  // replay have run — so a view retained across one round boundary reads
-  // 0xA5 deterministically instead of dangling into recycled storage.
-  audit_poisoned_.clear();
-  audit_poisoned_.reserve(guards.buffers.size());
-  for (Bytes& buf : guards.buffers) {
-    std::fill(buf.begin(), buf.end(), kGuardByte);
-    audit_poisoned_.push_back(std::move(buf));
   }
 }
 

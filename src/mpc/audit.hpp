@@ -3,34 +3,26 @@
 // The simulator promises the model of Section 1 of the paper: within a
 // round every machine sees exactly its routed input bytes, shares no state
 // with any other machine, and the trace's communication columns count
-// exactly the bytes that crossed machines.  The concurrent execution plane
-// (thread-pool machine bodies, chunked parallel routing, arena reuse) makes
-// those promises easy to break silently — a body that stashes a span into
-// its inbox view, reads a neighbour's slot, or emits bytes the accounting
-// never saw would still produce plausible-looking results while voiding the
-// Table 1 claims.  `AuditOptions` turns on an instrumented execution mode
-// that mechanically checks conformance on every round:
+// exactly the bytes that crossed machines.  "Shares no state" is enforced
+// before any run: mpcsd_verify's purity and `conf-const-cast` rules reject
+// bodies that capture host state by reference or write through their const
+// inbox view, `-Wold-style-cast` closes the C-cast route around the latter,
+// and the process backend runs bodies in separate address spaces.  What no
+// static rule sees is checked here, on every round, when
+// `AuditOptions::enabled` is set:
 //
-//   * Guarded inbox handout (`guard_inputs`): each machine receives a
-//     private copy of its routed input inside a canary-padded buffer.
-//     After the body returns, the canaries and an interior fingerprint are
-//     verified — a body that writes through its (const) inbox view or past
-//     a fragment boundary is reported with its round and machine id.  The
-//     buffer is then poisoned (0xA5) and kept alive one extra round, so a
-//     stale view retained across rounds reads loud garbage instead of
-//     silently aliasing live mail.
-//   * Communication accounting (`verify_comm_bytes`): after routing, the
-//     bytes physically present in the round's mail must equal the sum of
-//     byte-metered `emit` calls — the `total_comm_bytes` column is certified
-//     against the actual traffic.
-//   * Dual-schedule replay (`replay`): every round is re-executed with a
+//   * Communication accounting: after routing, the bytes physically
+//     present in the round's mail must equal the sum of byte-metered
+//     `emit` calls — the `total_comm_bytes` column is certified against the
+//     actual traffic.
+//   * Dual-schedule replay: every round is re-executed on the host with a
 //     permuted machine order on a different worker count, and each
-//     machine's outbox bytes + metering report must be identical to the
-//     first execution.  Any dependence on schedule — shared mutable
-//     captures, cross-machine reads, order-sensitive side effects — shows
-//     up as a fingerprint mismatch on the offending machine.
+//     machine's outbox bytes + stash + metering report must be identical to
+//     the first execution.  Any dependence on schedule — shared mutable
+//     state, cross-machine reads, order-sensitive side effects — shows up
+//     as a fingerprint mismatch on the offending machine.
 //
-// Auditing is opt-in (`ClusterConfig::audit.enabled`) and metering-neutral:
+// The first violation throws `AuditError`.  Auditing is metering-neutral:
 // an audited execution produces a byte-identical `ExecutionTrace` (checked
 // by `ExecutionTrace::structural_hash`).  Machine bodies must be idempotent
 // per (round, machine) — exactly what the MPC model requires of them.
@@ -48,10 +40,6 @@ namespace mpcsd::mpc {
 struct Envelope;
 
 enum class AuditViolationKind : std::uint8_t {
-  /// A machine body wrote through its (shared-storage) inbox view.
-  kInputMutation,
-  /// A machine body wrote outside its input fragments (canary breach).
-  kGuardBreach,
   /// Reported communication bytes differ from the bytes actually routed.
   kCommAccounting,
   /// Permuted-order / different-worker replay produced a different outbox
@@ -62,7 +50,7 @@ enum class AuditViolationKind : std::uint8_t {
 [[nodiscard]] const char* to_string(AuditViolationKind kind) noexcept;
 
 struct AuditViolation {
-  AuditViolationKind kind = AuditViolationKind::kInputMutation;
+  AuditViolationKind kind = AuditViolationKind::kCommAccounting;
   std::string round_label;
   std::size_t round = 0;    ///< round index within the cluster's execution
   /// Offending machine id; `kNoMachine` for round-level violations.
@@ -74,7 +62,7 @@ struct AuditViolation {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Thrown on the first violation when `AuditOptions::fail_fast` is set.
+/// Thrown on the first violation of an audited round.
 class AuditError : public std::runtime_error {
  public:
   explicit AuditError(AuditViolation violation);
@@ -90,22 +78,6 @@ class AuditError : public std::runtime_error {
 struct AuditOptions {
   /// Master switch; when false the simulator runs the plain fast path.
   bool enabled = false;
-  /// Hand every machine a canary-padded private copy of its inbox, verify
-  /// it after the body returns, and poison it afterwards.
-  bool guard_inputs = true;
-  /// Certify Σ emitted bytes == bytes present in the routed mail.
-  bool verify_comm_bytes = true;
-  /// Re-execute each round in a permuted order on a different worker count
-  /// and require byte-identical outboxes and metering reports.
-  bool replay = true;
-  /// Worker count of the replay execution; 0 = auto (1 when the main pool
-  /// is concurrent, 2 when the main pool is serial — always different).
-  std::size_t replay_workers = 0;
-  /// Seed of the per-round machine-order permutation used by the replay.
-  std::uint64_t replay_permutation_seed = 0x5eedULL;
-  /// Throw AuditError at the first violation (default); when false,
-  /// violations accumulate in `Cluster::audit_report()` instead.
-  bool fail_fast = true;
   /// Test-only fault injection: invoked once per machine after the round's
   /// bodies (and the replay comparison) have finished, with mutable access
   /// to that machine's outbox.  Lets the negative tests seed an unaccounted
@@ -117,12 +89,8 @@ struct AuditOptions {
 };
 
 struct AuditReport {
-  std::vector<AuditViolation> violations;
   std::size_t rounds_audited = 0;
   std::size_t replays_run = 0;
-
-  [[nodiscard]] bool clean() const noexcept { return violations.empty(); }
-  [[nodiscard]] std::string summary() const;
 };
 
 }  // namespace mpcsd::mpc

@@ -98,11 +98,6 @@ class ExecutionBackend {
   /// time may differ across backends and worker counts.
   virtual void execute(const RoundWork& work) = 0;
 
-  /// True when machine bodies cannot write the host's or a sibling's
-  /// memory (separate address spaces).  The auditor uses this to discharge
-  /// the canary-copy detectors that exist only to approximate it.
-  [[nodiscard]] virtual bool isolates_machine_memory() const noexcept = 0;
-
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   /// The transport carrying this backend's cross-machine bytes; its

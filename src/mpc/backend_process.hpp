@@ -1,7 +1,9 @@
 // The multi-process execution backend: machine bodies run in forked worker
 // processes, so a machine body's writes are physically confined to its own
-// address space — the MPC model's no-shared-state guarantee enforced by the
-// kernel instead of approximated by the auditor's canary copies.
+// address space: forked bodies write copy-on-write pages, and nothing they
+// do reaches the host's or a sibling machine's memory.  On the thread
+// backend the same guarantee is enforced before any run, by mpcsd_verify's
+// purity and `conf-const-cast` rules (docs/TOOLING.md).
 //
 // Per round:
 //   * the host forks one worker per pool slot (capped at the machine
@@ -53,12 +55,6 @@ class ProcessBackend final : public ExecutionBackend {
   ProcessBackend& operator=(const ProcessBackend&) = delete;
 
   void execute(const RoundWork& work) override;
-
-  /// Forked bodies write copy-on-write pages; nothing they do can reach
-  /// the host's or a sibling machine's memory.
-  [[nodiscard]] bool isolates_machine_memory() const noexcept override {
-    return true;
-  }
 
   [[nodiscard]] const char* name() const noexcept override { return "process"; }
 

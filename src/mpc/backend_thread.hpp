@@ -19,12 +19,6 @@ class ThreadBackend final : public ExecutionBackend {
 
   void execute(const RoundWork& work) override;
 
-  /// Threads share one address space: a stray write in a machine body can
-  /// land anywhere, so the auditor's canary copies stay armed.
-  [[nodiscard]] bool isolates_machine_memory() const noexcept override {
-    return false;
-  }
-
   [[nodiscard]] const char* name() const noexcept override { return "thread"; }
 
   /// In-process "wire": a frame is one envelope handed to the router, a

@@ -236,23 +236,6 @@ Mail Cluster::run_round_views(const std::string& label,
   if (outboxes_.size() < machines) outboxes_.resize(machines);
   if (stashes_.size() < machines) stashes_.resize(machines);
 
-  // Audited execution swaps the zero-copy inputs for canary-padded private
-  // copies.  The previous round's poisoned buffers stay alive through this
-  // round (audit_poison retires them at round end), so a view a machine
-  // retained across one round boundary reads 0xA5 instead of dangling.
-  // A backend that isolates machine memory (separate address spaces)
-  // discharges the canary detectors physically — the copies are skipped;
-  // schedule replay and byte accounting stay armed.
-  const AuditOptions& audit = config_.audit;
-  const bool guard_inputs = audit.enabled && audit.guard_inputs &&
-                            !backend_->isolates_machine_memory();
-  AuditGuards guards;
-  const std::vector<ByteChain>* exec_inputs = &inputs;
-  if (guard_inputs) {
-    guards = audit_guard_inputs(inputs);
-    exec_inputs = &guards.chains;
-  }
-
   RoundWork work;
   work.round = round;
   work.seed = config_.seed;
@@ -261,7 +244,7 @@ Mail Cluster::run_round_views(const std::string& label,
   work.grain = std::clamp<std::size_t>(
       machines / (pool_->worker_count() * 8 + 1), 1, 64);
   work.machines = machines;
-  work.inputs = exec_inputs;
+  work.inputs = &inputs;
   work.body = &body;
   work.outboxes = &outboxes_;
   work.reports = &reports_;
@@ -270,12 +253,11 @@ Mail Cluster::run_round_views(const std::string& label,
   backend_->execute(work);
   const double wall_seconds = wall.seconds();
 
+  const AuditOptions& audit = config_.audit;
   if (audit.enabled) {
     ++audit_report_.rounds_audited;
-    if (guard_inputs) audit_check_guards(label, round, guards);
-    if (audit.replay) audit_replay(label, round, *exec_inputs, body);
+    audit_replay(label, round, inputs, body);
     if (audit.inject_after_round) audit_inject(round);
-    if (guard_inputs) audit_poison(std::move(guards));
   }
 
   RoundReport rr;
@@ -320,7 +302,7 @@ Mail Cluster::run_round_views(const std::string& label,
   // on the worker pool.
   Mail mail;
   route_mail(machines, mail.msgs_);
-  if (audit.enabled && audit.verify_comm_bytes) {
+  if (audit.enabled) {
     audit_verify_comm(label, round, mail, rr.total_comm_bytes);
   }
   if (round_span) {

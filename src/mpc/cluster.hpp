@@ -221,9 +221,8 @@ class Cluster {
   /// tests can pin the high-water-mark decay; not part of machine metering.
   [[nodiscard]] std::size_t arena_footprint_bytes() const noexcept;
 
-  /// Conformance findings of the audited rounds (empty unless
-  /// `config.audit.enabled`; always empty with `audit.fail_fast`, which
-  /// throws AuditError at the first violation instead).
+  /// Rounds and replays audited so far (zero unless `config.audit.enabled`;
+  /// a violation throws AuditError instead of being recorded).
   [[nodiscard]] const AuditReport& audit_report() const noexcept {
     return audit_report_;
   }
@@ -246,24 +245,12 @@ class Cluster {
 
   // --- audited execution path (implemented in audit.cpp) ---------------
 
-  /// Canary-padded private copies of one round's machine inputs.
-  struct AuditGuards {
-    std::vector<Bytes> buffers;                ///< [canary][data][canary]
-    std::vector<ByteChain> chains;             ///< views over the data regions
-    std::vector<std::uint64_t> interior_hash;  ///< data-region fingerprints
-  };
-
-  [[nodiscard]] AuditGuards audit_guard_inputs(const std::vector<ByteChain>& inputs);
-  void audit_check_guards(const std::string& label, std::size_t round,
-                          const AuditGuards& guards);
   void audit_replay(const std::string& label, std::size_t round,
-                    const std::vector<ByteChain>& exec_inputs,
+                    const std::vector<ByteChain>& inputs,
                     const std::function<void(MachineContext&)>& body);
   void audit_inject(std::size_t round);
   void audit_verify_comm(const std::string& label, std::size_t round,
                          const Mail& mail, std::uint64_t reported_bytes);
-  void audit_poison(AuditGuards guards);
-  void audit_record(AuditViolation violation);
 
   ClusterConfig config_;
   std::shared_ptr<ThreadPool> pool_;
@@ -283,12 +270,9 @@ class Cluster {
   std::vector<ByteChain> input_chains_;
   std::size_t arena_low_rounds_ = 0;
 
-  // Audit state: findings, the differently-sized replay pool (lazy), and
-  // the previous round's guard buffers — poisoned and kept alive one extra
-  // round so stale inbox views read 0xA5 garbage instead of dangling.
+  // Audit state: counts and the differently-sized replay pool (lazy).
   AuditReport audit_report_;
   std::unique_ptr<ThreadPool> replay_pool_;
-  std::vector<Bytes> audit_poisoned_;
 };
 
 /// Zero-copy gather: a chain over the mailbox payloads in place.  The

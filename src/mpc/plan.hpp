@@ -410,10 +410,6 @@ class Driver {
   [[nodiscard]] const ExecutionBackend& backend() const noexcept {
     return cluster_.backend();
   }
-  /// Conformance findings of the owned cluster (see mpc/audit.hpp).
-  [[nodiscard]] const AuditReport& audit_report() const noexcept {
-    return cluster_.audit_report();
-  }
   [[nodiscard]] const ExecutionTrace& trace() const noexcept {
     return cluster_.trace();
   }

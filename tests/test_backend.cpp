@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <stdexcept>
@@ -71,28 +72,17 @@ TEST(Backend, ResolutionPolicy) {
             BackendKind::kThread);
 }
 
-TEST(Backend, MakeBackendReportsIsolation) {
-  auto pool = std::make_shared<ThreadPool>(2);
-  const auto thread_backend =
-      make_backend(BackendKind::kThread, pool, nullptr);
-  EXPECT_STREQ(thread_backend->name(), "thread");
-  EXPECT_FALSE(thread_backend->isolates_machine_memory());
-  const auto process_backend =
-      make_backend(BackendKind::kProcess, pool, nullptr);
-  EXPECT_STREQ(process_backend->name(), "process");
-  EXPECT_TRUE(process_backend->isolates_machine_memory());
-}
-
-TEST(Backend, BackendsExposeTheirTransport) {
+TEST(Backend, BackendsReportTheirNameAndTransport) {
   // Every backend owns a metered transport; the names pin the wire each
   // one uses (see docs/BACKENDS.md).
   auto pool = std::make_shared<ThreadPool>(2);
-  EXPECT_STREQ(
-      make_backend(BackendKind::kThread, pool, nullptr)->transport().name(),
-      "inproc");
-  EXPECT_STREQ(
-      make_backend(BackendKind::kProcess, pool, nullptr)->transport().name(),
-      "shm");
+  const auto thread_backend = make_backend(BackendKind::kThread, pool, nullptr);
+  EXPECT_STREQ(thread_backend->name(), "thread");
+  EXPECT_STREQ(thread_backend->transport().name(), "inproc");
+  const auto process_backend =
+      make_backend(BackendKind::kProcess, pool, nullptr);
+  EXPECT_STREQ(process_backend->name(), "process");
+  EXPECT_STREQ(process_backend->transport().name(), "shm");
 }
 
 TEST(Backend, ProcessRoundByteIdenticalToThreadRound) {
@@ -204,8 +194,8 @@ TEST(Backend, IsolatingBackendsPropagateBodyFailure) {
 TEST(Backend, IsolatedWritesToCapturedHostStateAreInvisible) {
   // The documented isolation property: a body that scribbles on captured
   // host memory has no effect on the host (on the thread backend this same
-  // body would be a model violation the auditor has to catch with
-  // canaries; fork isolation makes it physically inert).
+  // body is a model violation mpcsd_verify's purity-ref-capture rule
+  // rejects before it runs; fork isolation makes it physically inert).
   ClusterConfig cfg;
   cfg.workers = 2;
   cfg.backend = BackendKind::kProcess;
@@ -217,6 +207,33 @@ TEST(Backend, IsolatedWritesToCapturedHostStateAreInvisible) {
     host_state = 999;  // lands in the child's COW copy only
   });
   EXPECT_EQ(host_state, 42u);
+}
+
+TEST(Backend, IsolatedInboxWritesAreInvisible) {
+  // A body that casts away its inbox view's const (mpcsd_verify's
+  // conf-const-cast rule rejects this outside tests) writes only its
+  // worker's copy of the mail: the host's input bytes and a second round
+  // over the same inputs see the original bytes.
+  ClusterConfig cfg;
+  cfg.workers = 2;
+  cfg.backend = BackendKind::kProcess;
+  Cluster cluster(cfg);
+  std::vector<Bytes> inputs{payload_of(7), payload_of(8), payload_of(9)};
+  const std::vector<Bytes> original = inputs;
+  cluster.run_round("scribbler", inputs, [](MachineContext& ctx) {
+    for (const ByteSpan part : ctx.input().parts()) {
+      std::fill_n(const_cast<std::byte*>(part.data()), part.size(),
+                  std::byte{0xFF});
+    }
+  });
+  EXPECT_EQ(inputs, original);
+  const Mail mail = cluster.run_round("echo", inputs, [](MachineContext& ctx) {
+    ctx.emit(static_cast<std::uint32_t>(ctx.machine_id()),
+             ctx.input().to_bytes());
+  });
+  for (std::uint32_t m = 0; m < inputs.size(); ++m) {
+    EXPECT_EQ(gather_view(mail, m).to_bytes(), original[m]) << "machine " << m;
+  }
 }
 
 TEST(Backend, ProcessWorkersAllReapedAfterClusterDestruction) {

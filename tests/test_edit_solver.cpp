@@ -2,6 +2,7 @@
 // baseline: sandwich bounds, round budgets, machine-count comparison.
 #include <gtest/gtest.h>
 
+#include "core/batch.hpp"
 #include "core/workload.hpp"
 #include "edit_mpc/hss_baseline.hpp"
 #include "edit_mpc/solver.hpp"
@@ -160,6 +161,53 @@ TEST(EditSolver, PerGuessRecordKeeping) {
   ASSERT_FALSE(result.per_guess.empty());
   for (std::size_t i = 1; i < result.per_guess.size(); ++i) {
     EXPECT_GT(result.per_guess[i].guess, result.per_guess[i - 1].guess);
+  }
+}
+
+TEST(EditSolver, AcceptedGuessMatchesTheBatchEngine) {
+  // One meaning of accepted_guess: the first guess whose answer certified
+  // itself.  On this input both paths answer 28, and the batch reports
+  // guess 8 (a lower guess reaches 28 without certifying it).
+  const auto s = core::random_string(512, 4, 1);
+  const auto t = core::plant_edits(s, 32, 101, false).text;
+  EditMpcParams params;
+  params.workers = 2;
+  const auto single = edit_distance_mpc(s, t, params);
+
+  core::BatchRequest request;
+  request.algorithm = core::BatchAlgorithm::kEdit;
+  request.mode = core::BatchMode::kThroughput;
+  request.router = core::RouterPolicy::kOff;
+  request.edit = params;
+  request.queries.push_back(core::BatchQuery{s, t});
+  const auto batch = core::distance_batch(request);
+  ASSERT_EQ(batch.queries.size(), 1u);
+  EXPECT_EQ(single.distance, batch.queries[0].distance);
+  EXPECT_EQ(single.accepted_guess, batch.queries[0].accepted_guess);
+  EXPECT_GT(single.accepted_guess, 0);
+}
+
+TEST(EditSolver, AcceptedGuessIsTheFirstSelfCertifyingGuess) {
+  for (const GuessMode mode : {GuessMode::kEarlyExit, GuessMode::kAll}) {
+    for (const std::int64_t n : {256, 512}) {
+      for (const std::int64_t k : {n / 64, n / 16, n / 4}) {
+        const auto s = core::random_string(n, 4, static_cast<std::uint64_t>(n + k));
+        const auto t = core::plant_edits(s, k, 101, false).text;
+        EditMpcParams params;
+        params.workers = 2;
+        params.guess_mode = mode;
+        const auto result = edit_distance_mpc(s, t, params);
+        std::int64_t first_certified = 0;
+        for (const GuessOutcome& g : result.per_guess) {
+          if (g.distance <= accept_threshold(g.guess, params.epsilon)) {
+            first_certified = g.guess;
+            break;
+          }
+        }
+        EXPECT_EQ(result.accepted_guess, first_certified)
+            << "n=" << n << " k=" << k << " all=" << (mode == GuessMode::kAll);
+      }
+    }
   }
 }
 

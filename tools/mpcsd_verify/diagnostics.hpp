@@ -30,6 +30,7 @@ enum class DiagId {
   kDetPointerKeyed,
   kConfMutableLambda,
   kConfReinterpretCast,
+  kConfConstCast,
   kConfWallSeconds,
   kConfIntrinsics,
   kConfProcessPrimitive,
@@ -74,6 +75,10 @@ inline constexpr std::array<DiagInfo, static_cast<std::size_t>(DiagId::kCount_)>
         {DiagId::kConfReinterpretCast, "conf-reinterpret-cast",
          "reinterpret_cast outside common/bytes.hpp or the SIMD kernel "
          "TUs; route bytes through ByteWriter/ByteReader"},
+        {DiagId::kConfConstCast, "conf-const-cast",
+         "const_cast in library, fuzz or example code; a machine body that "
+         "casts away its inbox view's const writes mail another machine may "
+         "share (no file is allowed one)"},
         {DiagId::kConfWallSeconds, "conf-wall-seconds",
          "RoundReport::wall_seconds written outside src/obs/, "
          "src/mpc/cluster.cpp, src/mpc/stats.cpp; route timing through "

@@ -41,6 +41,7 @@ struct Policy {
   [[nodiscard]] static bool mutable_scoped(std::string_view path);
 
   // --- per-rule allowlists -------------------------------------------------
+  // conf-const-cast has none: every file in_lint_sources() is in scope.
   [[nodiscard]] static bool allow_reinterpret_cast(std::string_view path);
   [[nodiscard]] static bool allow_wall_seconds(std::string_view path);
   [[nodiscard]] static bool allow_intrinsics(std::string_view path);

@@ -569,6 +569,7 @@ class FileAnalysis {
       if (!allow_reinterpret && tk.text == "reinterpret_cast") {
         diag(DiagId::kConfReinterpretCast, tk.line, "");
       }
+      if (tk.text == "const_cast") diag(DiagId::kConfConstCast, tk.line, "");
       if (!allow_wall && tk.text == "wall_seconds" && i >= 1 &&
           (is_punct(t_[i - 1], ".") || is_punct(t_[i - 1], "->")) &&
           i + 1 < t_.size() && t_[i + 1].kind == TokKind::kPunct &&
