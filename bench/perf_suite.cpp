@@ -458,14 +458,15 @@ int main(int argc, char** argv) {
   {
     const std::size_t machines = smoke ? 4 : 64;
     const std::size_t tuples_per_machine = smoke ? 16 : 512;
-    constexpr mpc::Channel<std::vector<seq::Tuple>> kInbox{0, "inbox"};
+    static constexpr mpc::Channel<std::vector<seq::Tuple>> kInbox{0, "inbox"};
     mpc::Driver driver(
         mpc::Plan{"perf:combine-inbox",
                   {{"perf:emit", "machine id (sharded input)", "inbox"}}},
         {});
-    const mpc::Stage<std::uint32_t> emit_stage{
-        "perf:emit", [&](mpc::StageContext<std::uint32_t>& ctx) {
-          std::vector<seq::Tuple> tuples(tuples_per_machine);
+    const mpc::Stage<std::uint32_t, std::size_t> emit_stage{
+        "perf:emit",
+        [](mpc::StageContext<std::uint32_t>& ctx, const std::size_t& count) {
+          std::vector<seq::Tuple> tuples(count);
           for (std::size_t t = 0; t < tuples.size(); ++t) {
             tuples[t] = seq::Tuple{static_cast<std::int64_t>(t),
                                    static_cast<std::int64_t>(t + 8),
@@ -476,7 +477,8 @@ int main(int argc, char** argv) {
         }};
     std::vector<std::uint32_t> ids(machines);
     for (std::size_t i = 0; i < machines; ++i) ids[i] = static_cast<std::uint32_t>(i);
-    const auto mail = driver.run(emit_stage, mpc::Driver::shard(ids));
+    const auto mail =
+        driver.run(emit_stage, mpc::Driver::shard(ids), tuples_per_machine);
     driver.finish();
     const std::int64_t total_tuples =
         static_cast<std::int64_t>(machines * tuples_per_machine);
@@ -569,12 +571,17 @@ int main(int argc, char** argv) {
   {
     const std::size_t machines = smoke ? 32 : 512;
     const std::size_t per_machine = smoke ? 4 : 64;
-    const auto fill = [&](mpc::MachineContext& ctx) {
-      for (std::size_t m = 0; m < per_machine; ++m) {
+    // Round params: (machines, envelopes per machine).
+    struct FillParams {
+      std::uint64_t machines;
+      std::uint64_t per_machine;
+    };
+    const auto fill = [](mpc::MachineContext& ctx, const FillParams& p) {
+      for (std::size_t m = 0; m < p.per_machine; ++m) {
         const std::uint64_t r = ctx.rng().next();
         const auto dest = r % 4 != 0
                               ? static_cast<std::uint32_t>(r % 3)
-                              : static_cast<std::uint32_t>(r % (machines * 4));
+                              : static_cast<std::uint32_t>(r % (p.machines * 4));
         ByteWriter w;
         w.put<std::uint64_t>(ctx.machine_id());
         w.put<std::uint64_t>(m);
@@ -591,7 +598,10 @@ int main(int argc, char** argv) {
     mpc::Mail mail;
     Record radix{"route", "mail_route_radix", "", total};
     time_into(radix, Stat::kMin, reps,
-              [&] { mail = cluster.run_round("bench:route", inputs, fill); });
+              [&] {
+                mail = cluster.run_round("bench:route", inputs, fill,
+                                         FillParams{machines, per_machine});
+              });
     radix.work = mail.message_count();
     radix.bytes_moved = cluster.trace().rounds().back().total_comm_bytes;
     records.push_back(radix);

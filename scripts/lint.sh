@@ -6,7 +6,7 @@
 #      nor the conformance analyzer enforces;
 #   2. mpcsd_verify (tools/mpcsd_verify), the conformance analyzer, over
 #      src/, fuzz/ and examples/ (mandatory: build it first) — the
-#      purity, determinism and boundary-confinement rules;
+#      determinism and boundary-confinement rules;
 #   3. clang-tidy over src/ and fuzz/ with the committed .clang-tidy
 #      profile (run only when a clang-tidy binary exists; CI installs one,
 #      minimal containers may not have it).

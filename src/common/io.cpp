@@ -3,6 +3,7 @@
 #include <cerrno>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <sys/socket.h>
 #include <unistd.h>
 #define MPCSD_HAVE_POSIX_IO 1
 #endif
@@ -28,10 +29,23 @@ bool read_full(int fd, void* data, std::size_t n) noexcept {
 
 bool write_full(int fd, const void* data, std::size_t n) noexcept {
   const char* p = static_cast<const char*>(data);
+#if defined(MSG_NOSIGNAL)
+  bool socket = true;  // until send() reports otherwise
+#else
+  const bool socket = false;
+#endif
   while (n > 0) {
+#if defined(MSG_NOSIGNAL)
+    const ssize_t w = socket ? ::send(fd, p, n, MSG_NOSIGNAL) : ::write(fd, p, n);
+#else
     const ssize_t w = ::write(fd, p, n);
+#endif
     if (w < 0) {
       if (errno == EINTR) continue;
+      if (socket && errno == ENOTSOCK) {
+        socket = false;
+        continue;
+      }
       return false;
     }
     p += w;

@@ -1,5 +1,5 @@
 // EINTR-safe file-descriptor IO for the bytes that cross a process
-// boundary (the process backend's round-barrier pipes).
+// boundary (the process backend's worker sockets).
 //
 // POSIX read/write may transfer fewer bytes than asked (signals, pipe
 // buffers).  Before this helper existed each caller carried its own retry
@@ -19,7 +19,9 @@ namespace mpcsd::io {
 [[nodiscard]] bool read_full(int fd, void* data, std::size_t n) noexcept;
 
 /// Writes exactly `n` bytes from `data`, retrying on EINTR and resuming
-/// partial writes.  Returns false on a write error.
+/// partial writes.  Returns false on a write error.  On a socket a peer
+/// that is gone is such an error, not a SIGPIPE (the write uses
+/// MSG_NOSIGNAL), so a host writing to a dead worker survives to report it.
 [[nodiscard]] bool write_full(int fd, const void* data, std::size_t n) noexcept;
 
 /// Closes `fd` if it is valid and resets it to -1.  Deliberately does NOT

@@ -83,6 +83,24 @@ struct UlamBatchTask {
   }
 };
 
+/// Round 1: Algorithm 1 on one block of one query; params hold each
+/// query's candidate parameters, by query id.
+void ulam_candidates_body(mpc::StageContext<UlamBatchTask>& ctx,
+                          const std::vector<ulam_mpc::CandidateParams>& queries) {
+  const ulam_mpc::CandidateParams& cp = queries[ctx.in().query];
+  ulam_mpc::CandidateStats st;
+  const auto tuples = ulam_mpc::build_block_candidates(
+      ctx.in().begin, ctx.in().positions, cp, ctx.rng(), &st);
+  ctx.charge_work(st.work);
+  ctx.charge_scratch(ctx.in().positions.size() * 32);
+  ctx.send(mpc::Channel<std::vector<seq::Tuple>>(ctx.in().query), tuples);
+}
+
+const mpc::Stage<UlamBatchTask, std::vector<ulam_mpc::CandidateParams>>
+    kUlamCandidatesStage{"batch:ulam:candidates", &ulam_candidates_body};
+const mpc::Stage<mpc::TupleInbox, mpc::CombineParams> kUlamCombineStage{
+    "batch:ulam:combine", &mpc::combine_body};
+
 BatchResult run_ulam_batch(const BatchRequest& request) {
   const auto& params = request.ulam;
   BatchResult result;
@@ -163,60 +181,44 @@ BatchResult run_ulam_batch(const BatchRequest& request) {
     }
   }
 
-  const double eps_prime = params.epsilon / 2.0;
-  const mpc::Stage<UlamBatchTask> candidates_stage{
-      "batch:ulam:candidates",
-      [meta, eps_prime, theta_constant = params.theta_constant](
-          mpc::StageContext<UlamBatchTask>& ctx) {
-        const QueryMeta& m = meta[ctx.in().query];
-        ulam_mpc::CandidateParams cp;
-        cp.eps_prime = eps_prime;
-        cp.theta_constant = theta_constant;
-        cp.n = m.n;
-        cp.n_bar = m.n_bar;
-        ulam_mpc::CandidateStats st;
-        const auto tuples = ulam_mpc::build_block_candidates(
-            ctx.in().begin, ctx.in().positions, cp, ctx.rng(), &st);
-        ctx.charge_work(st.work);
-        ctx.charge_scratch(ctx.in().positions.size() * 32);
-        ctx.send(mpc::Channel<std::vector<seq::Tuple>>(ctx.in().query), tuples);
-      }};
+  std::vector<ulam_mpc::CandidateParams> query_params(meta.size());
+  for (std::size_t q = 0; q < meta.size(); ++q) {
+    query_params[q].eps_prime = params.epsilon / 2.0;
+    query_params[q].theta_constant = params.theta_constant;
+    query_params[q].n = meta[q].n;
+    query_params[q].n_bar = meta[q].n_bar;
+  }
   std::vector<mpc::MachineReport> reports1;
   mpc::RoundOptions options1;
   options1.machine_memory_limits = &task_limits;
   options1.machine_reports = &reports1;
-  const auto mail =
-      driver.run(candidates_stage, driver.shard_parallel(tasks), options1);
+  const auto mail = driver.run(kUlamCandidatesStage, driver.shard_parallel(tasks),
+                               query_params, options1);
 
   // One combine machine per live query.
   std::vector<std::uint32_t> combine_query;
   std::vector<ByteChain> combine_inputs;
   std::vector<std::uint64_t> combine_limits;
+  mpc::CombineParams combine_params;
+  combine_params.gap = params.combine_gap;
   for (std::uint32_t q = 0; q < meta.size(); ++q) {
     if (meta[q].degenerate) continue;
     combine_query.push_back(q);
     combine_inputs.push_back(mpc::gather_view(mail, q));
     combine_limits.push_back(meta[q].cap);
+    combine_params.targets.push_back({q, meta[q].n, meta[q].n_bar});
   }
 
-  const mpc::Stage<mpc::TupleInbox> combine_stage{
-      "batch:ulam:combine",
-      [meta, combine_query, combine_gap = params.combine_gap](
-          mpc::StageContext<mpc::TupleInbox>& ctx) {
-        const std::uint32_t q = combine_query[ctx.machine_id()];
-        const QueryMeta& m = meta[q];
-        ctx.send(mpc::Channel<std::int64_t>(q),
-                 mpc::combine_inbox(ctx, m.n, m.n_bar, combine_gap));
-      }};
   std::vector<mpc::MachineReport> reports2;
   mpc::RoundOptions options2;
   options2.machine_memory_limits = &combine_limits;
   options2.machine_reports = &reports2;
-  const auto mail2 = driver.run_views(combine_stage, combine_inputs, options2);
+  const auto mail2 = driver.run_views(kUlamCombineStage, combine_inputs,
+                                      combine_params, options2);
   driver.finish();
 
   // Answers come back out of the routed mail (mailbox = query id), not out
-  // of shared host memory: combine bodies may have run in forked workers.
+  // of shared host memory: combine bodies may have run in worker processes.
   std::vector<std::int64_t> answers(meta.size(), 0);
   for (const std::uint32_t q : combine_query) {
     answers[q] = driver.receive(mail2, mpc::Channel<std::int64_t>(q)).at(0);
@@ -267,6 +269,11 @@ struct EditCell {
   std::int64_t guess = 0;
   edit_mpc::SmallDistanceParams params;
   edit_mpc::CandidateGeometry geo;
+
+  static constexpr auto fields() {
+    return std::make_tuple(&EditCell::query, &EditCell::guess,
+                           &EditCell::params, &EditCell::geo);
+  }
 };
 
 /// Round-1 machine input: one small-distance task of one cell.
@@ -278,6 +285,25 @@ struct EditBatchTask {
     return std::make_tuple(&EditBatchTask::cell, &EditBatchTask::task);
   }
 };
+
+/// Round 1: Algorithm 3 on one task of one cell; params hold every cell
+/// of the round-pair, by cell id.
+void edit_distances_body(mpc::StageContext<EditBatchTask>& ctx,
+                         const std::vector<EditCell>& cells) {
+  const EditCell& cell = cells[ctx.in().cell];
+  std::uint64_t work = 0;
+  const auto tuples =
+      edit_mpc::small_task_tuples(ctx.in().task, cell.params, cell.geo, &work);
+  ctx.charge_work(work);
+  ctx.charge_scratch((ctx.in().task.block.size() + ctx.in().task.chunk.size()) *
+                     sizeof(Symbol));
+  ctx.send(mpc::Channel<std::vector<seq::Tuple>>(ctx.in().cell), tuples);
+}
+
+const mpc::Stage<EditBatchTask, std::vector<EditCell>> kEditDistancesStage{
+    "batch:edit:distances", &edit_distances_body};
+const mpc::Stage<mpc::TupleInbox, mpc::CombineParams> kEditCombineStage{
+    "batch:edit:combine", &mpc::combine_body};
 
 /// Per-query precomputation: the clipped guess ladder and the per-rung
 /// seeds.  Seeds chain along the ladder exactly as the parallel-guess mode
@@ -351,50 +377,36 @@ std::vector<std::int64_t> run_edit_round_pair(
     }
   }
 
-  const mpc::Stage<EditBatchTask> distances_stage{
-      "batch:edit:distances", [&cells](mpc::StageContext<EditBatchTask>& ctx) {
-        const EditCell& cell = cells[ctx.in().cell];
-        std::uint64_t work = 0;
-        const auto tuples = edit_mpc::small_task_tuples(ctx.in().task, cell.params,
-                                                        cell.geo, &work);
-        ctx.charge_work(work);
-        ctx.charge_scratch((ctx.in().task.block.size() + ctx.in().task.chunk.size()) *
-                           sizeof(Symbol));
-        ctx.send(mpc::Channel<std::vector<seq::Tuple>>(ctx.in().cell), tuples);
-      }};
   std::vector<mpc::MachineReport> reports1;
   mpc::RoundOptions options1;
   options1.machine_memory_limits = &task_limits;
   options1.machine_reports = &reports1;
-  const auto mail =
-      driver.run(distances_stage, driver.shard_parallel(tasks), options1);
+  const auto mail = driver.run(kEditDistancesStage, driver.shard_parallel(tasks),
+                               cells, options1);
 
-  // One combine machine per cell.
+  // One combine machine per cell; its answer goes to mailbox = cell id.
   std::vector<ByteChain> combine_inputs;
   std::vector<std::uint64_t> combine_limits;
   std::vector<std::uint32_t> combine_owner;
+  mpc::CombineParams combine_params;
+  combine_params.gap = seq::GapCost::kSum;
   for (std::uint32_t c = 0; c < cells.size(); ++c) {
+    const QueryMeta& m = meta[cells[c].query];
     combine_inputs.push_back(mpc::gather_view(mail, c));
-    combine_limits.push_back(meta[cells[c].query].cap);
+    combine_limits.push_back(m.cap);
     combine_owner.push_back(cells[c].query);
+    combine_params.targets.push_back({c, m.n, m.n_bar});
   }
 
-  const mpc::Stage<mpc::TupleInbox> combine_stage{
-      "batch:edit:combine",
-      [&meta, &cells](mpc::StageContext<mpc::TupleInbox>& ctx) {
-        const auto c = static_cast<std::uint32_t>(ctx.machine_id());
-        const QueryMeta& m = meta[cells[c].query];
-        ctx.send(mpc::Channel<std::int64_t>(c),
-                 mpc::combine_inbox(ctx, m.n, m.n_bar, seq::GapCost::kSum));
-      }};
   std::vector<mpc::MachineReport> reports2;
   mpc::RoundOptions options2;
   options2.machine_memory_limits = &combine_limits;
   options2.machine_reports = &reports2;
-  const auto mail2 = driver.run_views(combine_stage, combine_inputs, options2);
+  const auto mail2 = driver.run_views(kEditCombineStage, combine_inputs,
+                                      combine_params, options2);
 
   // Per-cell answers return through the routed mail (mailbox = cell id):
-  // combine bodies may have run in forked workers whose host writes vanish.
+  // combine bodies may have run in worker processes.
   std::vector<std::int64_t> cell_answers(cells.size(), 0);
   for (std::uint32_t c = 0; c < cells.size(); ++c) {
     cell_answers[c] = driver.receive(mail2, mpc::Channel<std::int64_t>(c)).at(0);

@@ -153,6 +153,190 @@ constexpr mpc::Channel<std::vector<seq::Tuple>> kTuples{0, "tuples"};
 constexpr mpc::Channel<std::vector<ExtendRequest>> kExtendRequests{1, "extend-requests"};
 constexpr mpc::Channel<std::int64_t> kAnswer{0, "answer"};
 
+/// Round params of the representatives stage: the tau grid and the block
+/// count (node ids below it are blocks).
+struct RepParams {
+  std::vector<std::int64_t> taus;
+  std::uint64_t nb = 0;
+
+  static constexpr auto fields() {
+    return std::make_tuple(&RepParams::taus, &RepParams::nb);
+  }
+};
+
+/// Round params of the classify stage.
+struct ClassifyParams {
+  std::vector<std::int64_t> taus;
+  CandidateGeometry geo;
+  std::int64_t cap = 0;
+  std::uint64_t max_extend = 0;
+  std::int64_t block = 0;
+  std::int64_t larger_block = 0;
+  std::int64_t n = 0;
+  std::int64_t n_bar = 0;
+
+  static constexpr auto fields() {
+    return std::make_tuple(&ClassifyParams::taus, &ClassifyParams::geo,
+                           &ClassifyParams::cap, &ClassifyParams::max_extend,
+                           &ClassifyParams::block, &ClassifyParams::larger_block,
+                           &ClassifyParams::n, &ClassifyParams::n_bar);
+  }
+};
+
+/// Stage 1 (Algorithm 5): representatives vs all nodes.
+void representatives_body(mpc::StageContext<RepVsNodes>& ctx, const RepParams& p) {
+  std::uint64_t work = 0;
+  std::vector<RepTuple> tuples;
+  for (const IdSyms& z : ctx.in().reps) {
+    for (const IdSyms& v : ctx.in().nodes) {
+      const auto limit = std::min<std::int64_t>(
+          2 * p.taus.back(),
+          static_cast<std::int64_t>(z.syms.size() + v.syms.size()));
+      const auto d = seq::edit_distance_bounded_fast(SymView(z.syms), SymView(v.syms),
+                                                std::max<std::int64_t>(limit, 1),
+                                                &work);
+      if (!d.has_value()) continue;
+      const bool v_is_block = static_cast<std::size_t>(v.id) < p.nb;
+      // Blocks need d <= tau; candidate substrings need d <= 2*tau.
+      const std::int64_t needed = v_is_block ? *d : ceil_div(*d, 2);
+      const std::size_t j = min_tau_index(p.taus, needed);
+      if (j >= p.taus.size()) continue;
+      tuples.push_back(RepTuple{v.id, z.id, static_cast<std::int32_t>(j), *d});
+    }
+  }
+  ctx.charge_work(work);
+  ctx.send(kRepTuples, tuples);
+}
+
+/// Stage 2 (Algorithm 6): pairing machines join b-tuples with cs-tuples;
+/// sampled low-degree machines compute exact distances and request
+/// extensions.
+void classify_body(mpc::StageContext<ClassifyInput>& ctx, const ClassifyParams& p) {
+  std::uint64_t work = 0;
+  if (const auto* pairing = std::get_if<PairingInput>(&ctx.in())) {
+    // Pairing machine: join b-tuples with cs-tuples on the rep.
+    std::unordered_map<std::int32_t, const std::vector<CsWindow>*> cs_by_rep;
+    for (const RepCsList& list : pairing->reps) {
+      cs_by_rep.emplace(list.rep, &list.entries);
+    }
+    std::vector<seq::Tuple> tuples;
+    for (const BlockObsList& info : pairing->blocks) {
+      // Keep the best estimate per window.  Sorted sweep (not a hash
+      // map): the tuple stream feeds metered mailboxes, so its byte
+      // order must not depend on the standard library's hash layout.
+      std::vector<std::pair<std::uint64_t, std::int64_t>> bounds;
+      for (const BlockObservation& o : info.obs) {
+        const auto it = cs_by_rep.find(o.rep);
+        if (it == cs_by_rep.end()) continue;
+        for (const CsWindow& e : *it->second) {
+          ++work;
+          const std::int64_t bound = o.distance + e.distance;
+          const std::uint64_t key =
+              (static_cast<std::uint64_t>(e.begin) << 32U) |
+              static_cast<std::uint64_t>(e.end - e.begin);
+          bounds.emplace_back(key, bound);
+        }
+      }
+      std::sort(bounds.begin(), bounds.end());
+      for (std::size_t i = 0; i < bounds.size(); ++i) {
+        if (i > 0 && bounds[i].first == bounds[i - 1].first) continue;
+        const auto [key, bound] = bounds[i];  // min: sorted pair order
+        const auto begin = static_cast<std::int64_t>(key >> 32U);
+        const auto len = static_cast<std::int64_t>(key & 0xffffffffULL);
+        tuples.push_back(
+            seq::Tuple{info.begin, info.end, begin, begin + len, bound});
+      }
+    }
+    ctx.charge_work(work + 1);
+    ctx.send(kTuples, tuples);
+  } else {
+    // Sampled low-degree block: exact distances + extension requests.
+    const SampledInput& in = std::get<SampledInput>(ctx.in());
+    const SymView block_view(in.block);
+    const SymView chunk_view(in.chunk);
+    const auto block_len = static_cast<std::int64_t>(in.block.size());
+    const std::int64_t block_end = in.block_begin + block_len;
+
+    // Largest threshold below the block's coverage level: candidates
+    // this close get extended (the block is low degree there).
+    const std::int64_t extend_threshold = in.jb == 0 ? -1 : p.taus[in.jb - 1];
+
+    std::vector<seq::Tuple> tuples;
+    std::vector<std::pair<std::int64_t, Interval>> extendable;  // (e, window)
+    for (const std::int64_t sp : in.starts) {
+      for (const std::int64_t ep : candidate_ends(sp, block_len, p.geo)) {
+        const SymView window =
+            subview(chunk_view, {sp - in.chunk_begin, ep - in.chunk_begin});
+        // Distances beyond the guess cap cannot enter an accepted
+        // solution; censor them (keeps per-pair cost O(B·cap)).
+        const auto limit = std::min<std::int64_t>(
+            p.cap,
+            std::max<std::int64_t>(
+                1, block_len + static_cast<std::int64_t>(window.size())));
+        const auto e =
+            seq::edit_distance_bounded_fast(block_view, window, limit, &work);
+        if (!e.has_value()) continue;
+        tuples.push_back(seq::Tuple{in.block_begin, block_end, sp, ep, *e});
+        if (*e <= extend_threshold) extendable.emplace_back(*e, Interval{sp, ep});
+      }
+    }
+    // Low-degree nodes have at most n^alpha close candidates; cap.
+    std::sort(extendable.begin(), extendable.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    if (extendable.size() > p.max_extend) extendable.resize(p.max_extend);
+
+    // Extension requests for every sibling block in the same larger
+    // block (the machine derives sibling intervals from n, B, B').
+    std::vector<ExtendRequest> requests;
+    const std::int64_t lb = in.block_begin / p.larger_block;
+    for (std::int64_t pos = 0; pos < p.n; pos += p.block) {
+      if (pos / p.larger_block != lb || pos == in.block_begin) continue;
+      const std::int64_t sib_end = std::min(p.n, pos + p.block);
+      for (const auto& [e, win] : extendable) {
+        const std::int64_t wb =
+            std::clamp<std::int64_t>(win.begin + (pos - in.block_begin), 0, p.n_bar);
+        const std::int64_t we = std::clamp<std::int64_t>(
+            win.end + (sib_end - block_end), wb, p.n_bar);
+        requests.push_back(ExtendRequest{pos, sib_end, wb, we});
+      }
+    }
+
+    ctx.charge_work(work + 1);
+    ctx.charge_scratch((in.block.size() + in.chunk.size()) * sizeof(Symbol));
+    ctx.send(kTuples, tuples);
+    ctx.send(kExtendRequests, requests);
+  }
+}
+
+/// Stage 3 (Algorithm 7): evaluate extension requests exactly, censored at
+/// `cap`.
+void extend_body(mpc::StageContext<ExtendBatch>& ctx, const std::int64_t& cap) {
+  std::uint64_t work = 0;
+  std::vector<seq::Tuple> tuples;
+  for (const ExtendJob& job : ctx.in().jobs) {
+    const auto limit = std::min<std::int64_t>(
+        cap, std::max<std::int64_t>(
+                 1, static_cast<std::int64_t>(job.block.size() +
+                                              job.window.size())));
+    const auto e = seq::edit_distance_bounded_fast(SymView(job.block),
+                                              SymView(job.window), limit, &work);
+    if (!e.has_value()) continue;
+    tuples.push_back(seq::Tuple{job.block_begin, job.block_end,
+                                job.window_begin, job.window_end, *e});
+  }
+  ctx.charge_work(work + 1);
+  ctx.send(kTuples, tuples);
+}
+
+const mpc::Stage<RepVsNodes, RepParams> kRepresentativesStage{
+    "edit:large:representatives", &representatives_body};
+const mpc::Stage<ClassifyInput, ClassifyParams> kClassifyStage{
+    "edit:large:classify", &classify_body};
+const mpc::Stage<ExtendBatch, std::int64_t> kExtendStage{"edit:large:extend",
+                                                         &extend_body};
+const mpc::Stage<mpc::TupleInbox, mpc::CombineParams> kCombineStage{
+    "edit:large:combine", &mpc::combine_body};
+
 mpc::Plan large_plan() {
   return mpc::Plan{
       "edit:large",
@@ -273,32 +457,9 @@ LargeDistanceResult run_large_distance(SymView s, SymView t,
     }
   }
 
-  const mpc::Stage<RepVsNodes> representatives_stage{
-      "edit:large:representatives", [taus, nb](mpc::StageContext<RepVsNodes>& ctx) {
-        std::uint64_t work = 0;
-        std::vector<RepTuple> tuples;
-        for (const IdSyms& z : ctx.in().reps) {
-          for (const IdSyms& v : ctx.in().nodes) {
-            const auto limit = std::min<std::int64_t>(
-                2 * taus.back(),
-                static_cast<std::int64_t>(z.syms.size() + v.syms.size()));
-            const auto d = seq::edit_distance_bounded_fast(SymView(z.syms), SymView(v.syms),
-                                                      std::max<std::int64_t>(limit, 1),
-                                                      &work);
-            if (!d.has_value()) continue;
-            const bool v_is_block = static_cast<std::size_t>(v.id) < nb;
-            // Blocks need d <= tau; candidate substrings need d <= 2*tau.
-            const std::int64_t needed = v_is_block ? *d : ceil_div(*d, 2);
-            const std::size_t j = min_tau_index(taus, needed);
-            if (j >= taus.size()) continue;
-            tuples.push_back(RepTuple{v.id, z.id, static_cast<std::int32_t>(j), *d});
-          }
-        }
-        ctx.charge_work(work);
-        ctx.send(kRepTuples, tuples);
-      }};
   const auto mail1 =
-      driver.run(representatives_stage, mpc::Driver::shard(round1_tasks));
+      driver.run(kRepresentativesStage, mpc::Driver::shard(round1_tasks),
+                 RepParams{taus, nb});
 
   // Driver-side routing: index RepTuples by block and by representative.
   std::vector<std::vector<BlockObservation>> btups(nb);
@@ -411,106 +572,9 @@ LargeDistanceResult run_large_distance(SymView s, SymView t,
   }
   result.sampled_blocks = sampled_blocks;
 
-  const mpc::Stage<ClassifyInput> classify_stage{
-      "edit:large:classify",
-      [taus, geo, cap, max_extend, block, larger_block, n,
-       n_bar](mpc::StageContext<ClassifyInput>& ctx) {
-        std::uint64_t work = 0;
-        if (const auto* pairing = std::get_if<PairingInput>(&ctx.in())) {
-          // Pairing machine: join b-tuples with cs-tuples on the rep.
-          std::unordered_map<std::int32_t, const std::vector<CsWindow>*> cs_by_rep;
-          for (const RepCsList& list : pairing->reps) {
-            cs_by_rep.emplace(list.rep, &list.entries);
-          }
-          std::vector<seq::Tuple> tuples;
-          for (const BlockObsList& info : pairing->blocks) {
-            // Keep the best estimate per window.  Sorted sweep (not a hash
-            // map): the tuple stream feeds metered mailboxes, so its byte
-            // order must not depend on the standard library's hash layout.
-            std::vector<std::pair<std::uint64_t, std::int64_t>> bounds;
-            for (const BlockObservation& o : info.obs) {
-              const auto it = cs_by_rep.find(o.rep);
-              if (it == cs_by_rep.end()) continue;
-              for (const CsWindow& e : *it->second) {
-                ++work;
-                const std::int64_t bound = o.distance + e.distance;
-                const std::uint64_t key =
-                    (static_cast<std::uint64_t>(e.begin) << 32U) |
-                    static_cast<std::uint64_t>(e.end - e.begin);
-                bounds.emplace_back(key, bound);
-              }
-            }
-            std::sort(bounds.begin(), bounds.end());
-            for (std::size_t i = 0; i < bounds.size(); ++i) {
-              if (i > 0 && bounds[i].first == bounds[i - 1].first) continue;
-              const auto [key, bound] = bounds[i];  // min: sorted pair order
-              const auto begin = static_cast<std::int64_t>(key >> 32U);
-              const auto len = static_cast<std::int64_t>(key & 0xffffffffULL);
-              tuples.push_back(
-                  seq::Tuple{info.begin, info.end, begin, begin + len, bound});
-            }
-          }
-          ctx.charge_work(work + 1);
-          ctx.send(kTuples, tuples);
-        } else {
-          // Sampled low-degree block: exact distances + extension requests.
-          const SampledInput& in = std::get<SampledInput>(ctx.in());
-          const SymView block_view(in.block);
-          const SymView chunk_view(in.chunk);
-          const auto block_len = static_cast<std::int64_t>(in.block.size());
-          const std::int64_t block_end = in.block_begin + block_len;
-
-          // Largest threshold below the block's coverage level: candidates
-          // this close get extended (the block is low degree there).
-          const std::int64_t extend_threshold = in.jb == 0 ? -1 : taus[in.jb - 1];
-
-          std::vector<seq::Tuple> tuples;
-          std::vector<std::pair<std::int64_t, Interval>> extendable;  // (e, window)
-          for (const std::int64_t sp : in.starts) {
-            for (const std::int64_t ep : candidate_ends(sp, block_len, geo)) {
-              const SymView window =
-                  subview(chunk_view, {sp - in.chunk_begin, ep - in.chunk_begin});
-              // Distances beyond the guess cap cannot enter an accepted
-              // solution; censor them (keeps per-pair cost O(B·cap)).
-              const auto limit = std::min<std::int64_t>(
-                  cap,
-                  std::max<std::int64_t>(
-                      1, block_len + static_cast<std::int64_t>(window.size())));
-              const auto e =
-                  seq::edit_distance_bounded_fast(block_view, window, limit, &work);
-              if (!e.has_value()) continue;
-              tuples.push_back(seq::Tuple{in.block_begin, block_end, sp, ep, *e});
-              if (*e <= extend_threshold) extendable.emplace_back(*e, Interval{sp, ep});
-            }
-          }
-          // Low-degree nodes have at most n^alpha close candidates; cap.
-          std::sort(extendable.begin(), extendable.end(),
-                    [](const auto& a, const auto& b) { return a.first < b.first; });
-          if (extendable.size() > max_extend) extendable.resize(max_extend);
-
-          // Extension requests for every sibling block in the same larger
-          // block (the machine derives sibling intervals from n, B, B').
-          std::vector<ExtendRequest> requests;
-          const std::int64_t lb = in.block_begin / larger_block;
-          for (std::int64_t pos = 0; pos < n; pos += block) {
-            if (pos / larger_block != lb || pos == in.block_begin) continue;
-            const std::int64_t sib_end = std::min(n, pos + block);
-            for (const auto& [e, win] : extendable) {
-              const std::int64_t wb =
-                  std::clamp<std::int64_t>(win.begin + (pos - in.block_begin), 0, n_bar);
-              const std::int64_t we = std::clamp<std::int64_t>(
-                  win.end + (sib_end - block_end), wb, n_bar);
-              requests.push_back(ExtendRequest{pos, sib_end, wb, we});
-            }
-          }
-
-          ctx.charge_work(work + 1);
-          ctx.charge_scratch((in.block.size() + in.chunk.size()) * sizeof(Symbol));
-          ctx.send(kTuples, tuples);
-          ctx.send(kExtendRequests, requests);
-        }
-      }};
-  const auto mail2 = driver.run(classify_stage, mpc::Driver::shard(round2_tasks));
+  const auto mail2 = driver.run(
+      kClassifyStage, mpc::Driver::shard(round2_tasks),
+      ClassifyParams{taus, geo, cap, max_extend, block, larger_block, n, n_bar});
 
   // Driver: dedupe extension requests and pack round-3 machines.
   std::vector<ExtendRequest> requests;
@@ -556,25 +620,8 @@ LargeDistanceResult run_large_distance(SymView s, SymView t,
   // ------------------------------------------------------------------
   // Stage 3 (Algorithm 7): evaluate extension requests exactly.
   // ------------------------------------------------------------------
-  const mpc::Stage<ExtendBatch> extend_stage{
-      "edit:large:extend", [cap](mpc::StageContext<ExtendBatch>& ctx) {
-        std::uint64_t work = 0;
-        std::vector<seq::Tuple> tuples;
-        for (const ExtendJob& job : ctx.in().jobs) {
-          const auto limit = std::min<std::int64_t>(
-              cap, std::max<std::int64_t>(
-                       1, static_cast<std::int64_t>(job.block.size() +
-                                                    job.window.size())));
-          const auto e = seq::edit_distance_bounded_fast(SymView(job.block),
-                                                    SymView(job.window), limit, &work);
-          if (!e.has_value()) continue;
-          tuples.push_back(seq::Tuple{job.block_begin, job.block_end,
-                                      job.window_begin, job.window_end, *e});
-        }
-        ctx.charge_work(work + 1);
-        ctx.send(kTuples, tuples);
-      }};
-  const auto mail3 = driver.run(extend_stage, mpc::Driver::shard(round3_tasks));
+  const auto mail3 =
+      driver.run(kExtendStage, mpc::Driver::shard(round3_tasks), cap);
 
   // ------------------------------------------------------------------
   // Stage 4: combine everything (round-2 and round-3 tuple payloads are
@@ -582,17 +629,13 @@ LargeDistanceResult run_large_distance(SymView s, SymView t,
   // ------------------------------------------------------------------
   ByteChain all_tuples = mpc::gather_view(mail2, kTuples.mailbox);
   all_tuples.add(mpc::gather_view(mail3, kTuples.mailbox));
-  const mpc::Stage<mpc::TupleInbox> combine_stage{
-      "edit:large:combine", [n, n_bar](mpc::StageContext<mpc::TupleInbox>& ctx) {
-        std::uint64_t tuple_count = 0;
-        ctx.send(kAnswer, mpc::combine_inbox(ctx, n, n_bar, seq::GapCost::kSum,
-                                             &tuple_count));
-        ctx.stash(tuple_count);
-      }};
   std::vector<Bytes> combine_stash;
   mpc::RoundOptions combine_options;
   combine_options.machine_stash = &combine_stash;
-  const auto mail4 = driver.run_views(combine_stage, {all_tuples}, combine_options);
+  const auto mail4 = driver.run_views(
+      kCombineStage, {all_tuples},
+      mpc::CombineParams{{{kAnswer.mailbox, n, n_bar}}, seq::GapCost::kSum},
+      combine_options);
   driver.finish();
 
   const auto answers = driver.receive(mail4, kAnswer);

@@ -18,6 +18,31 @@ namespace {
 constexpr mpc::Channel<std::vector<seq::Tuple>> kTuples{0, "tuples"};
 constexpr mpc::Channel<std::int64_t> kAnswer{0, "answer"};
 
+/// Round params of the distances stage: one guess and its geometry.
+struct GuessParams {
+  SmallDistanceParams params;
+  CandidateGeometry geo;
+
+  static constexpr auto fields() {
+    return std::make_tuple(&GuessParams::params, &GuessParams::geo);
+  }
+};
+
+/// Stage 1 (Algorithm 3): block-vs-candidate distances.
+void distances_body(mpc::StageContext<SmallTask>& ctx, const GuessParams& guess) {
+  std::uint64_t work = 0;
+  const auto tuples = small_task_tuples(ctx.in(), guess.params, guess.geo, &work);
+  ctx.charge_work(work);
+  ctx.charge_scratch((ctx.in().block.size() + ctx.in().chunk.size()) *
+                     sizeof(Symbol));
+  ctx.send(kTuples, tuples);
+}
+
+const mpc::Stage<SmallTask, GuessParams> kDistancesStage{"edit:small:distances",
+                                                         &distances_body};
+const mpc::Stage<mpc::TupleInbox, mpc::CombineParams> kCombineStage{
+    "edit:small:combine", &mpc::combine_body};
+
 mpc::Plan small_plan() {
   return mpc::Plan{
       "edit:small",
@@ -223,33 +248,19 @@ PipelineResult run_small_distance(SymView s, SymView t,
   result.machines_round1 = inputs.size();
 
   // ---- Stage 1 (Algorithm 3): block-vs-candidate distances. ----
-  const mpc::Stage<SmallTask> distances_stage{
-      "edit:small:distances", [params, geo](mpc::StageContext<SmallTask>& ctx) {
-        std::uint64_t work = 0;
-        const auto tuples = small_task_tuples(ctx.in(), params, geo, &work);
-        ctx.charge_work(work);
-        ctx.charge_scratch((ctx.in().block.size() + ctx.in().chunk.size()) *
-                           sizeof(Symbol));
-        ctx.send(kTuples, tuples);
-      }};
-  const auto mail = driver.run(distances_stage, inputs);
+  const auto mail = driver.run(kDistancesStage, inputs, GuessParams{params, geo});
 
   // ---- Stage 2 (Algorithm 4): combine on one machine (zero-copy inbox). ----
   // The answer returns through the mailbox, the tuple count through the
-  // unmetered stash: bodies may run in forked worker processes whose host
+  // unmetered stash: bodies may run in worker processes whose host
   // writes are invisible (mpc/backend.hpp).
-  const mpc::Stage<mpc::TupleInbox> combine_stage{
-      "edit:small:combine", [n, n_bar](mpc::StageContext<mpc::TupleInbox>& ctx) {
-        std::uint64_t tuple_count = 0;
-        ctx.send(kAnswer, mpc::combine_inbox(ctx, n, n_bar, seq::GapCost::kSum,
-                                             &tuple_count));
-        ctx.stash(tuple_count);
-      }};
   std::vector<Bytes> combine_stash;
   mpc::RoundOptions combine_options;
   combine_options.machine_stash = &combine_stash;
   const auto mail2 = driver.run_views(
-      combine_stage, {mpc::gather_view(mail, kTuples.mailbox)}, combine_options);
+      kCombineStage, {mpc::gather_view(mail, kTuples.mailbox)},
+      mpc::CombineParams{{{kAnswer.mailbox, n, n_bar}}, seq::GapCost::kSum},
+      combine_options);
   driver.finish();
 
   const auto answers = driver.receive(mail2, kAnswer);

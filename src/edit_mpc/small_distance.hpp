@@ -47,6 +47,16 @@ struct SmallDistanceParams : mpc::ExecOptions {
   bool batch_starts = true;
   std::uint64_t seed = 11;
   std::uint64_t memory_cap_bytes = UINT64_MAX;
+
+  /// The model fields as round params (mpc::Codec); the execution knobs do
+  /// not travel.
+  static constexpr auto fields() {
+    return std::make_tuple(
+        &SmallDistanceParams::eps_prime, &SmallDistanceParams::x,
+        &SmallDistanceParams::delta_guess, &SmallDistanceParams::unit,
+        &SmallDistanceParams::approx, &SmallDistanceParams::batch_starts,
+        &SmallDistanceParams::seed, &SmallDistanceParams::memory_cap_bytes);
+  }
 };
 
 struct PipelineResult {

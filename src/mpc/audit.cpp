@@ -69,7 +69,7 @@ AuditError::AuditError(AuditViolation violation)
 
 void Cluster::audit_replay(const std::string& label, std::size_t round,
                            const std::vector<ByteChain>& inputs,
-                           const std::function<void(MachineContext&)>& body) {
+                           const BodyEntry& body, const void* params) {
   const std::size_t machines = inputs.size();
   ++audit_report_.replays_run;
 
@@ -99,7 +99,7 @@ void Cluster::audit_replay(const std::string& label, std::size_t round,
                        &replay_out[i], &replay_stash[i]);
     ctx.report_.input_bytes = inputs[i].total_bytes();
     try {
-      body(ctx);
+      body.call(body.fn, ctx, params);
     } catch (const std::exception& e) {
       replay_errors[i] = e.what();
     }

@@ -4,12 +4,13 @@
 // round every machine sees exactly its routed input bytes, shares no state
 // with any other machine, and the trace's communication columns count
 // exactly the bytes that crossed machines.  "Shares no state" is enforced
-// before any run: mpcsd_verify's purity and `conf-const-cast` rules reject
-// bodies that capture host state by reference or write through their const
-// inbox view, `-Wold-style-cast` closes the C-cast route around the latter,
-// and the process backend runs bodies in separate address spaces.  What no
-// static rule sees is checked here, on every round, when
-// `AuditOptions::enabled` is set:
+// before any run: a round body is a capture-free function (a capturing
+// lambda does not compile, mpc/body.hpp), mpcsd_verify's `conf-const-cast`
+// rule rejects bodies that write through their const inbox view,
+// `-Wold-style-cast` closes the C-cast route around it, and the process
+// backend runs bodies in separate address spaces.  What no static rule
+// sees is checked here, on every round, when `AuditOptions::enabled` is
+// set:
 //
 //   * Communication accounting: after routing, the bytes physically
 //     present in the round's mail must equal the sum of byte-metered

@@ -10,13 +10,17 @@
 //   * `ThreadBackend`  — the seed path: bodies run on the cluster's shared
 //     thread pool inside one address space.  Extracted verbatim; pinned
 //     byte-identical by the golden traces.
-//   * `ProcessBackend` — bodies run in forked worker processes.  A machine
-//     body gets a copy-on-write snapshot of the host state; its writes are
-//     invisible to the host and to sibling machines, so a stray pointer
-//     physically cannot corrupt another machine's fragment.  Results travel
-//     back through per-worker shared-memory arenas (memfd) carrying the
-//     shared machine-result records, with framed round barriers over pipes.
-//     See docs/BACKENDS.md.
+//   * `ProcessBackend` — bodies run in worker processes forked once per
+//     cluster, in its first round.  A round is one kRound frame per worker
+//     (body id, round, seed, machine range, params; inputs in a shared
+//     memfd the workers map read-only), answered by a kBarrier frame and
+//     the worker's shared-memory result arena.  A worker's writes never
+//     reach the host or a sibling worker, so a stray pointer physically
+//     cannot corrupt another worker's machines; a worker's later rounds
+//     share its address space, as the machines of one worker already do
+//     within a round.  A worker exits when its socket reaches EOF; a failed
+//     round reaps the whole pool and the next round forks a fresh one.  See
+//     backend_process.hpp and docs/BACKENDS.md.
 //
 // Every backend owns a `Transport` (mpc/transport.hpp): the uniform
 // frames/bytes/flushes/barrier counters for its cross-machine bytes, which
@@ -30,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -38,6 +41,7 @@
 
 #include "common/bytes.hpp"
 #include "common/thread_pool.hpp"
+#include "mpc/body.hpp"
 #include "mpc/stats.hpp"
 #include "mpc/transport.hpp"
 #include "obs/recorder.hpp"
@@ -75,15 +79,20 @@ struct BackendResolution {
 /// Everything one round's machine bodies need, passed by pointer into the
 /// cluster's round-scoped arenas: the backend fills `outboxes`, `reports`,
 /// and `stashes` for machines [0, machines); orchestration (metering,
-/// routing, audit) stays in the cluster.
+/// routing, audit) stays in the cluster.  The body is a registered
+/// capture-free function (mpc/body.hpp): what it reads besides its inbox
+/// is `params`, decoded once per round in each executing process.
 struct RoundWork {
   std::size_t round = 0;
   std::uint64_t seed = 0;
-  /// parallel_for grain, resolved by the cluster from the machine count.
+  /// Machines per scheduling chunk (parallel_for grain, process-backend
+  /// claim size), resolved by the cluster from the machine count.
   std::size_t grain = 1;
   std::size_t machines = 0;
   const std::vector<ByteChain>* inputs = nullptr;
-  const std::function<void(MachineContext&)>* body = nullptr;
+  /// The capture-free body every machine runs, and its encoded round params.
+  BodyRef body;
+  ByteSpan params;
   std::vector<std::vector<Envelope>>* outboxes = nullptr;
   std::vector<MachineReport>* reports = nullptr;
   std::vector<Bytes>* stashes = nullptr;

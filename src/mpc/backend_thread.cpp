@@ -6,6 +6,8 @@
 namespace mpcsd::mpc {
 
 void ThreadBackend::execute(const RoundWork& work) {
+  const BodyEntry& body = work.body.entry;
+  const BodyEntry::Params params = body.decode(work.params);
   pool_->parallel_for(
       work.machines,
       [&](std::size_t i) {
@@ -15,7 +17,7 @@ void ThreadBackend::execute(const RoundWork& work) {
                            derive_stream(work.seed, work.round, i),
                            &(*work.outboxes)[i], &(*work.stashes)[i]);
         ctx.report_.input_bytes = (*work.inputs)[i].total_bytes();
-        (*work.body)(ctx);
+        body.call(body.fn, ctx, params.get());
         (*work.reports)[i] = ctx.report_;
       },
       work.grain);

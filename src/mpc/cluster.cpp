@@ -63,18 +63,29 @@ Cluster::Cluster(ClusterConfig config)
   backend_ = make_backend(config_.backend, pool_, config_.recorder);
 }
 
-Mail Cluster::run_round(const std::string& label, const std::vector<Bytes>& inputs,
-                        const std::function<void(MachineContext&)>& body,
-                        const RoundOptions& options) {
-  // Wrap each contiguous input as a single-fragment chain (no copy).  The
-  // chain vector is an arena: fragment lists keep their capacity across
+const std::vector<ByteChain>& Cluster::wrap_inputs(
+    const std::vector<Bytes>& inputs) {
+  // The chain vector is an arena: fragment lists keep their capacity across
   // rounds.
   input_chains_.resize(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     input_chains_[i].clear();
     input_chains_[i].add(ByteSpan(inputs[i]));
   }
-  return run_round_views(label, input_chains_, body, options);
+  return input_chains_;
+}
+
+Mail Cluster::run_round(const std::string& label, const std::vector<Bytes>& inputs,
+                        const Body<MachineContext>& body,
+                        const RoundOptions& options) {
+  return run_body(label, wrap_inputs(inputs), body.ref(), {}, options);
+}
+
+Mail Cluster::run_round_views(const std::string& label,
+                              const std::vector<ByteChain>& inputs,
+                              const Body<MachineContext>& body,
+                              const RoundOptions& options) {
+  return run_body(label, inputs, body.ref(), {}, options);
 }
 
 void Cluster::route_mail(std::size_t machines, std::vector<Envelope>& out) {
@@ -212,10 +223,9 @@ void Cluster::route_mail(std::size_t machines, std::vector<Envelope>& out) {
   route_scratch_.clear();
 }
 
-Mail Cluster::run_round_views(const std::string& label,
-                              const std::vector<ByteChain>& inputs,
-                              const std::function<void(MachineContext&)>& body,
-                              const RoundOptions& options) {
+Mail Cluster::run_body(const std::string& label,
+                       const std::vector<ByteChain>& inputs, const BodyRef& body,
+                       ByteSpan params, const RoundOptions& options) {
   const std::size_t round = round_index_++;
   const std::size_t machines = inputs.size();
   // Observability span covering the whole round (machine bodies + routing).
@@ -245,7 +255,8 @@ Mail Cluster::run_round_views(const std::string& label,
       machines / (pool_->worker_count() * 8 + 1), 1, 64);
   work.machines = machines;
   work.inputs = &inputs;
-  work.body = &body;
+  work.body = body;
+  work.params = params;
   work.outboxes = &outboxes_;
   work.reports = &reports_;
   work.stashes = &stashes_;
@@ -256,7 +267,8 @@ Mail Cluster::run_round_views(const std::string& label,
   const AuditOptions& audit = config_.audit;
   if (audit.enabled) {
     ++audit_report_.rounds_audited;
-    audit_replay(label, round, inputs, body);
+    const BodyEntry::Params decoded = body.entry.decode(params);
+    audit_replay(label, round, inputs, body.entry, decoded.get());
     if (audit.inject_after_round) audit_inject(round);
   }
 
@@ -340,6 +352,7 @@ Mail Cluster::run_round_views(const std::string& label,
                 static_cast<double>(tc.flushes));
     rec.counter("transport.barrier_waits", "transport",
                 static_cast<double>(tc.barrier_waits));
+    rec.counter("transport.forks", "transport", static_cast<double>(tc.forks));
   }
   maybe_decay_arenas(machines, mail.msgs_.size());
   return mail;

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -37,6 +36,7 @@
 #include "common/thread_pool.hpp"
 #include "mpc/audit.hpp"
 #include "mpc/backend.hpp"
+#include "mpc/body.hpp"
 #include "mpc/stats.hpp"
 #include "obs/recorder.hpp"
 
@@ -131,9 +131,9 @@ class MachineContext {
   /// `RoundOptions::machine_stash`.  Unlike `emit`, stashed bytes are not
   /// communication: they never route, never count against memory or comm
   /// metering, and exist so drivers can read back per-machine results
-  /// (answers, counters) without the body writing captured host state —
-  /// which the process backend makes physically impossible.  Stash content
-  /// must be deterministic; the audit replay fingerprints it.
+  /// (answers, counters): a body cannot write host state, it captures
+  /// none and may run in a worker process.  Stash content must be
+  /// deterministic; the audit replay fingerprints it.
   void stash_append(Bytes bytes);
 
  private:
@@ -141,9 +141,10 @@ class MachineContext {
   friend class ThreadBackend;
   /// The process backend's workers build contexts through the partition
   /// runner in transport.cpp.
-  friend BarrierRecord run_round_partition(const RoundWork& work,
-                                           std::size_t begin, std::size_t end,
-                                           ByteWriter& out);
+  friend BarrierRecord run_claimed_machines(
+      const BodyEntry& body, const RoundCommand& command,
+      std::atomic<std::uint64_t>& next, const std::vector<ByteChain>& inputs,
+      ByteWriter& out);
   MachineContext(std::size_t id, const ByteChain* input, Pcg32 rng,
                  std::vector<Envelope>* outbox, Bytes* stash)
       : id_(id), input_(input), rng_(rng), outbox_(outbox), stash_(stash) {}
@@ -183,19 +184,43 @@ class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
 
-  /// Executes one round with `inputs.size()` machines.  Returns the merged
-  /// mail for the next round.  Round metrics are appended to the trace.
+  /// Executes one round with `inputs.size()` machines, each running the
+  /// capture-free `body` (see mpc/body.hpp).  Returns the merged mail for
+  /// the next round.  Round metrics are appended to the trace.
   Mail run_round(const std::string& label, const std::vector<Bytes>& inputs,
-                 const std::function<void(MachineContext&)>& body,
+                 const Body<MachineContext>& body,
                  const RoundOptions& options = {});
+
+  /// As above; every machine body also receives `params`, encoded once here
+  /// and decoded once per round in each executing process.
+  template <typename P>
+  Mail run_round(const std::string& label, const std::vector<Bytes>& inputs,
+                 const std::type_identity_t<Body<MachineContext, P>>& body,
+                 const P& params, const RoundOptions& options = {}) {
+    return run_body(label, wrap_inputs(inputs), body.ref(),
+                    encode_params(params), options);
+  }
 
   /// Zero-copy variant: each machine's input is a chain of byte fragments
   /// (typically `gather_view` of the previous round's mail) read in place.
   /// The storage the chains reference must stay alive for the call.
   /// Metering is byte-identical to feeding the concatenated buffers.
   Mail run_round_views(const std::string& label, const std::vector<ByteChain>& inputs,
-                       const std::function<void(MachineContext&)>& body,
+                       const Body<MachineContext>& body,
                        const RoundOptions& options = {});
+
+  template <typename P>
+  Mail run_round_views(const std::string& label, const std::vector<ByteChain>& inputs,
+                       const std::type_identity_t<Body<MachineContext, P>>& body,
+                       const P& params, const RoundOptions& options = {}) {
+    return run_body(label, inputs, body.ref(), encode_params(params), options);
+  }
+
+  /// The round every overload above (and `Driver`'s stages) lowers to: the
+  /// registered `body` over the encoded round `params`.
+  Mail run_body(const std::string& label, const std::vector<ByteChain>& inputs,
+                const BodyRef& body, ByteSpan params,
+                const RoundOptions& options = {});
 
   [[nodiscard]] const ExecutionTrace& trace() const noexcept { return trace_; }
   [[nodiscard]] ExecutionTrace take_trace() { return std::move(trace_); }
@@ -237,6 +262,10 @@ class Cluster {
   /// plus payload bytes so emission skew doesn't serialize one chunk.
   void route_mail(std::size_t machines, std::vector<Envelope>& out);
 
+  /// Wraps each contiguous input as a single-fragment chain (no copy) in
+  /// the `input_chains_` arena.
+  const std::vector<ByteChain>& wrap_inputs(const std::vector<Bytes>& inputs);
+
   /// High-water-mark decay for the round-scoped arenas: after enough
   /// consecutive rounds using a small fraction of the retained capacity,
   /// releases it so one skewed round (a 1MB-payload burst) doesn't pin
@@ -246,8 +275,8 @@ class Cluster {
   // --- audited execution path (implemented in audit.cpp) ---------------
 
   void audit_replay(const std::string& label, std::size_t round,
-                    const std::vector<ByteChain>& inputs,
-                    const std::function<void(MachineContext&)>& body);
+                    const std::vector<ByteChain>& inputs, const BodyEntry& body,
+                    const void* params);
   void audit_inject(std::size_t round);
   void audit_verify_comm(const std::string& label, std::size_t round,
                          const Mail& mail, std::uint64_t reported_bytes);

@@ -7,18 +7,12 @@
 // named mailboxes to the next stage.  This header makes that shape a
 // first-class object:
 //
-//   * `Codec<T>`        — the wire format of a message type.  Trivially
-//     copyable types and vectors of them reuse the exact ByteWriter /
-//     ChainReader encodings the hand-rolled drivers used, so porting a
-//     driver onto the plan layer is byte-identical on the wire (proven by
-//     the golden-trace test).  Aggregate message structs declare a
-//     `fields()` tuple of member pointers; `std::variant` encodes a uint8
-//     tag (heterogeneous machine families in one round, e.g. Algorithm 6's
-//     pairing + sampled machines).
+//   * `Codec<T>`        — the wire format of a message type (mpc/codec.hpp).
 //   * `Channel<T>`      — a named, typed mailbox: `send` only accepts `T`,
 //     `Driver::receive` only decodes `T`.  Stage IO is type-checked at
 //     compile time instead of being an untyped byte soup.
-//   * `Stage<In>`       — a labelled machine body over decoded inputs.
+//   * `Stage<In, P>`    — a labelled, capture-free machine body over decoded
+//     inputs and a round-params value `P` (see `Body` in mpc/body.hpp).
 //   * `Plan`            — the declared stage graph (labels + channel
 //     wiring), validated against execution order by the driver.
 //   * `Driver`          — owns the cluster: shards typed inputs, executes
@@ -33,167 +27,18 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <type_traits>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/contracts.hpp"
 #include "common/timer.hpp"
 #include "mpc/cluster.hpp"
+#include "mpc/codec.hpp"
 
 namespace mpcsd::mpc {
-
-// ---------------------------------------------------------------------------
-// Wire codecs.
-// ---------------------------------------------------------------------------
-
-template <typename T>
-struct Codec;
-
-/// Aggregate message structs opt in by declaring
-///   static constexpr auto fields() { return std::make_tuple(&T::a, &T::b); }
-/// members are encoded in declaration order with their own codecs.
-template <typename T>
-concept WireStruct = requires { T::fields(); };
-
-/// Trivially copyable scalars/structs without a fields() override go over
-/// the wire as raw bytes — exactly `ByteWriter::put`.
-template <typename T>
-concept WirePod = std::is_trivially_copyable_v<T> && !WireStruct<T>;
-
-template <WirePod T>
-struct Codec<T> {
-  static void encode(ByteWriter& w, const T& value) { w.put(value); }
-  template <typename Reader>
-  static T decode(Reader& r) {
-    return r.template get<T>();
-  }
-};
-
-/// Vectors of trivially copyable elements use the length-prefixed
-/// `put_vector` layout (the format every seed driver used for symbol
-/// blocks, position maps, and tuple batches).
-template <WirePod T>
-struct Codec<std::vector<T>> {
-  static void encode(ByteWriter& w, const std::vector<T>& v) { w.put_vector(v); }
-  template <typename Reader>
-  static std::vector<T> decode(Reader& r) {
-    return r.template get_vector<T>();
-  }
-};
-
-/// Vectors of composite messages: uint64 count + element-wise encoding.
-template <typename T>
-  requires(!WirePod<T>)
-struct Codec<std::vector<T>> {
-  static void encode(ByteWriter& w, const std::vector<T>& v) {
-    w.put<std::uint64_t>(v.size());
-    for (const T& e : v) Codec<T>::encode(w, e);
-  }
-  template <typename Reader>
-  static std::vector<T> decode(Reader& r) {
-    const auto n = r.template get<std::uint64_t>();
-    std::vector<T> out;
-    // No reserve: `n` comes off the wire; element decodes throw on overread.
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(Codec<T>::decode(r));
-    return out;
-  }
-};
-
-template <>
-struct Codec<std::string> {
-  static void encode(ByteWriter& w, const std::string& s) { w.put_string(s); }
-  template <typename Reader>
-  static std::string decode(Reader& r) {
-    return r.get_string();
-  }
-};
-
-template <WireStruct T>
-struct Codec<T> {
-  static void encode(ByteWriter& w, const T& value) {
-    std::apply(
-        [&](auto... member) {
-          (Codec<std::decay_t<decltype(value.*member)>>::encode(w, value.*member),
-           ...);
-        },
-        T::fields());
-  }
-  template <typename Reader>
-  static T decode(Reader& r) {
-    T value{};
-    std::apply(
-        [&](auto... member) {
-          ((value.*member =
-                Codec<std::decay_t<decltype(value.*member)>>::decode(r)),
-           ...);
-        },
-        T::fields());
-    return value;
-  }
-};
-
-/// Tagged union: uint8 alternative index + the alternative's encoding.  The
-/// seed drivers' hand-written `tag` bytes (Algorithm 6's pairing=0 /
-/// sampled=1 machines) map onto alternative order.
-template <typename... Ts>
-struct Codec<std::variant<Ts...>> {
-  using V = std::variant<Ts...>;
-
-  static void encode(ByteWriter& w, const V& value) {
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(value.index()));
-    std::visit(
-        [&](const auto& alt) {
-          Codec<std::decay_t<decltype(alt)>>::encode(w, alt);
-        },
-        value);
-  }
-  template <typename Reader>
-  static V decode(Reader& r) {
-    const auto tag = r.template get<std::uint8_t>();
-    MPCSD_EXPECTS(tag < sizeof...(Ts));
-    return decode_at<0>(r, tag);
-  }
-
- private:
-  template <std::size_t I, typename Reader>
-  static V decode_at(Reader& r, std::uint8_t tag) {
-    if constexpr (I == sizeof...(Ts)) {
-      throw std::logic_error("variant codec: unreachable tag");
-    } else {
-      if (tag == I) {
-        return V{std::in_place_index<I>,
-                 Codec<std::variant_alternative_t<I, V>>::decode(r)};
-      }
-      return decode_at<I + 1>(r, tag);
-    }
-  }
-};
-
-/// A whole mailbox decoded message-by-message: combine-style stages receive
-/// one `Inbox<T>` holding every `T` the previous stage sent to the channel.
-template <typename T>
-struct Inbox {
-  std::vector<T> messages;
-};
-
-template <typename T>
-struct Codec<Inbox<T>> {
-  // Inboxes are produced by mail routing, never encoded by a sender.
-  static void encode(ByteWriter&, const Inbox<T>&) = delete;
-  template <typename Reader>
-  static Inbox<T> decode(Reader& r) {
-    Inbox<T> in;
-    while (!r.exhausted()) in.messages.push_back(Codec<T>::decode(r));
-    return in;
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Channels, stages, plans.
@@ -216,8 +61,14 @@ struct Channel {
 template <typename In>
 class StageContext {
  public:
+  using Input = In;
+
   StageContext(MachineContext& machine, In input)
       : machine_(machine), input_(std::move(input)) {}
+  /// Decodes the machine's whole input as one `In` (how a stage body's
+  /// context is built; see `Body`).
+  explicit StageContext(MachineContext& machine)
+      : machine_(machine), input_(decode_input(machine)) {}
 
   [[nodiscard]] const In& in() const noexcept { return input_; }
   [[nodiscard]] In& in() noexcept { return input_; }
@@ -253,6 +104,11 @@ class StageContext {
   [[nodiscard]] MachineContext& machine() noexcept { return machine_; }
 
  private:
+  static In decode_input(MachineContext& machine) {
+    ChainReader r(machine.input());
+    return Codec<In>::decode(r);
+  }
+
   MachineContext& machine_;
   In input_;
 };
@@ -267,11 +123,14 @@ template <typename T>
   return Codec<T>::decode(r);
 }
 
-/// One labelled round: a machine body over decoded `In` messages.
-template <typename In>
+/// One labelled round: a capture-free machine body over decoded `In`
+/// messages and the round's params `P`.  A `Stage` declared at namespace
+/// scope registers its body at static initialisation, so a process
+/// backend's workers forked later can already run it.
+template <typename In, typename P = NoParams>
 struct Stage {
   std::string label;
-  std::function<void(StageContext<In>&)> body;
+  Body<StageContext<In>, P> body;
 };
 
 /// Declared wiring of one stage: the label the executed stage must carry
@@ -348,6 +207,14 @@ class Driver {
   template <typename In>
   Mail run(const Stage<In>& stage, const std::vector<Bytes>& inputs,
            const RoundOptions& options = {}) {
+    return run(stage, inputs, NoParams{}, options);
+  }
+
+  /// As above, with the round params every machine body receives.
+  template <typename In, typename P>
+  Mail run(const Stage<In, P>& stage, const std::vector<Bytes>& inputs,
+           const std::type_identity_t<P>& params,
+           const RoundOptions& options = {}) {
     // `chains_` is a driver arena: escalation loops run many rounds of
     // similar shape, and the fragment lists keep their capacity across them.
     chains_.resize(inputs.size());
@@ -355,12 +222,19 @@ class Driver {
       chains_[i].clear();
       chains_[i].add(ByteSpan(inputs[i]));
     }
-    return run_views(stage, chains_, options);
+    return run_views(stage, chains_, params, options);
   }
 
   /// Zero-copy variant: inputs are chains over routed mail fragments.
   template <typename In>
   Mail run_views(const Stage<In>& stage, const std::vector<ByteChain>& inputs,
+                 const RoundOptions& options = {}) {
+    return run_views(stage, inputs, NoParams{}, options);
+  }
+
+  template <typename In, typename P>
+  Mail run_views(const Stage<In, P>& stage, const std::vector<ByteChain>& inputs,
+                 const std::type_identity_t<P>& params,
                  const RoundOptions& options = {}) {
     // Stamp the driver-glue seconds forward into the round's report (via a
     // copy of the caller's options) instead of back-annotating the trace
@@ -368,14 +242,8 @@ class Driver {
     RoundOptions staged = options;
     staged.driver_seconds = begin_stage(stage.label);
     obs::Span stage_span(cluster_.recorder(), stage.label, "stage");
-    Mail mail = cluster_.run_round_views(
-        stage.label, inputs,
-        [&stage](MachineContext& machine) {
-          ChainReader r(machine.input());
-          StageContext<In> ctx(machine, Codec<In>::decode(r));
-          stage.body(ctx);
-        },
-        staged);
+    Mail mail = cluster_.run_body(stage.label, inputs, stage.body.ref(),
+                                  encode_params<P>(params), staged);
     if (stage_span) {
       stage_span.arg("glue_seconds", staged.driver_seconds)
           .arg("machines", static_cast<double>(inputs.size()));

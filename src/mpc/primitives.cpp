@@ -37,6 +37,133 @@ bool kv_less(const KeyValue& a, const KeyValue& b) {
   return a.value < b.value;
 }
 
+// Machine bodies of the primitives' rounds.  Each is capture-free: what it
+// needs beyond its inbox arrives as the round's params (mpc/body.hpp).
+
+/// sort:sample — samples each record with probability `rate`.
+void sort_sample(MachineContext& ctx, const double& rate) {
+  auto r = ctx.reader();
+  const auto recs = r.get_vector<KeyValue>();
+  std::vector<KeyValue> sample;
+  for (const KeyValue& kv : recs) {
+    if (ctx.rng().bernoulli(rate)) sample.push_back(kv);
+  }
+  ctx.charge_work(recs.size());
+  ByteWriter w;
+  w.put_vector(sample);
+  ctx.emit(0, std::move(w).take());
+}
+
+/// sort:splitters — one coordinator picks `machines - 1` splitters.
+void sort_splitters(MachineContext& ctx, const std::size_t& machines) {
+  std::vector<KeyValue> sample;
+  auto r = ctx.reader();
+  while (!r.exhausted()) {
+    const auto part = r.get_vector<KeyValue>();
+    sample.insert(sample.end(), part.begin(), part.end());
+  }
+  std::sort(sample.begin(), sample.end(), kv_less);
+  ctx.charge_work(sample.size() + 1);
+  std::vector<KeyValue> picks;
+  if (!sample.empty()) {
+    for (std::size_t p = 1; p < machines; ++p) {
+      picks.push_back(sample[p * sample.size() / machines]);
+    }
+  }
+  ByteWriter w;
+  w.put_vector(picks);
+  ctx.emit(0, std::move(w).take());
+}
+
+/// sort:partition — routes each record to its splitter bucket.
+void sort_partition(MachineContext& ctx, const std::size_t& machines) {
+  auto r = ctx.reader();
+  const auto splits = r.get_vector<KeyValue>();
+  const auto recs = r.get_vector<KeyValue>();
+  std::vector<std::vector<KeyValue>> parts(machines);
+  for (const KeyValue& kv : recs) {
+    const auto it = std::upper_bound(splits.begin(), splits.end(), kv, kv_less);
+    parts[static_cast<std::size_t>(it - splits.begin())].push_back(kv);
+  }
+  ctx.charge_work(recs.size() * 2 + 1);
+  for (std::size_t p = 0; p < machines; ++p) {
+    if (parts[p].empty()) continue;
+    ByteWriter w;
+    w.put_vector(parts[p]);
+    ctx.emit(static_cast<std::uint32_t>(p), std::move(w).take());
+  }
+}
+
+/// sort:local — sorts one partition.
+void sort_local(MachineContext& ctx) {
+  std::vector<KeyValue> recs;
+  auto r = ctx.reader();
+  while (!r.exhausted()) {
+    const auto part = r.get_vector<KeyValue>();
+    recs.insert(recs.end(), part.begin(), part.end());
+  }
+  std::sort(recs.begin(), recs.end(), kv_less);
+  ctx.charge_work(recs.size() + 1);
+  ByteWriter w;
+  w.put_vector(recs);
+  // Mailbox id = machine id keeps partition order on the driver side.
+  ctx.emit(static_cast<std::uint32_t>(ctx.machine_id()), std::move(w).take());
+}
+
+/// join:partition — hash-partitions one tagged chunk.
+void join_partition(MachineContext& ctx, const std::size_t& machines) {
+  auto r = ctx.reader();
+  const auto tag = static_cast<std::uint8_t>(r.get<std::byte>());
+  const auto recs = r.get_vector<KeyValue>();
+  std::vector<std::vector<KeyValue>> parts(machines);
+  for (const KeyValue& kv : recs) {
+    parts[splitmix64(static_cast<std::uint64_t>(kv.key)) % machines].push_back(kv);
+  }
+  ctx.charge_work(recs.size() + 1);
+  for (std::size_t p = 0; p < machines; ++p) {
+    if (parts[p].empty()) continue;
+    ByteWriter w;
+    w.put<std::uint8_t>(tag);
+    w.put_vector(parts[p]);
+    ctx.emit(static_cast<std::uint32_t>(p), std::move(w).take());
+  }
+}
+
+/// join:match — joins one hash partition.
+void join_match(MachineContext& ctx) {
+  std::vector<KeyValue> lefts;
+  std::unordered_map<std::int64_t, std::int64_t> rights;
+  auto r = ctx.reader();
+  while (!r.exhausted()) {
+    const auto tag = r.get<std::uint8_t>();
+    const auto recs = r.get_vector<KeyValue>();
+    if (tag == 0) {
+      lefts.insert(lefts.end(), recs.begin(), recs.end());
+    } else {
+      for (const KeyValue& kv : recs) rights.emplace(kv.key, kv.value);
+    }
+  }
+  std::vector<JoinedRecord> out;
+  for (const KeyValue& kv : lefts) {
+    if (const auto it = rights.find(kv.key); it != rights.end()) {
+      out.push_back(JoinedRecord{kv.key, kv.value, it->second});
+    }
+  }
+  ctx.charge_work(lefts.size() + rights.size() + 1);
+  ByteWriter w;
+  w.put<std::uint64_t>(out.size());
+  for (const JoinedRecord& j : out) w.put(j);
+  ctx.emit(0, std::move(w).take());
+}
+
+// Registered at static initialisation, before any worker forks.
+const Body<MachineContext, double> kSortSample{&sort_sample};
+const Body<MachineContext, std::size_t> kSortSplitters{&sort_splitters};
+const Body<MachineContext, std::size_t> kSortPartition{&sort_partition};
+const Body<MachineContext> kSortLocal{&sort_local};
+const Body<MachineContext, std::size_t> kJoinPartition{&join_partition};
+const Body<MachineContext> kJoinMatch{&join_match};
+
 }  // namespace
 
 SortResult mpc_sort(Cluster& cluster, std::vector<KeyValue> records,
@@ -51,39 +178,11 @@ SortResult mpc_sort(Cluster& cluster, std::vector<KeyValue> records,
 
   // ---- Round 1: sample candidate splitters. ----
   const auto chunks = chunk_records(records, machines);
-  const auto mail1 = cluster.run_round("sort:sample", chunks, [rate](MachineContext& ctx) {
-    auto r = ctx.reader();
-    const auto recs = r.get_vector<KeyValue>();
-    std::vector<KeyValue> sample;
-    for (const KeyValue& kv : recs) {
-      if (ctx.rng().bernoulli(rate)) sample.push_back(kv);
-    }
-    ctx.charge_work(recs.size());
-    ByteWriter w;
-    w.put_vector(sample);
-    ctx.emit(0, std::move(w).take());
-  });
+  const auto mail1 = cluster.run_round("sort:sample", chunks, kSortSample, rate);
 
   // ---- Round 2: one coordinator picks machines-1 splitters. ----
-  const auto mail2 = cluster.run_round_views("sort:splitters", {gather_view(mail1, 0)}, [machines](MachineContext& ctx) {
-    std::vector<KeyValue> sample;
-    auto r = ctx.reader();
-    while (!r.exhausted()) {
-      const auto part = r.get_vector<KeyValue>();
-      sample.insert(sample.end(), part.begin(), part.end());
-    }
-    std::sort(sample.begin(), sample.end(), kv_less);
-    ctx.charge_work(sample.size() + 1);
-    std::vector<KeyValue> picks;
-    if (!sample.empty()) {
-      for (std::size_t p = 1; p < machines; ++p) {
-        picks.push_back(sample[p * sample.size() / machines]);
-      }
-    }
-    ByteWriter w;
-    w.put_vector(picks);
-    ctx.emit(0, std::move(w).take());
-  });
+  const auto mail2 = cluster.run_round_views(
+      "sort:splitters", {gather_view(mail1, 0)}, kSortSplitters, machines);
   // The driver reads the splitter broadcast back out of the routed mail —
   // never out of the machine body's address space — so the round behaves
   // identically under process isolation.
@@ -105,24 +204,8 @@ SortResult mpc_sort(Cluster& cluster, std::vector<KeyValue> records,
     round3_inputs[i].add(ByteSpan(splitter_bytes));
     round3_inputs[i].add(ByteSpan(chunks[i]));
   }
-  const auto mail3 =
-      cluster.run_round_views("sort:partition", round3_inputs, [machines](MachineContext& ctx) {
-        auto r = ctx.reader();
-        const auto splits = r.get_vector<KeyValue>();
-        const auto recs = r.get_vector<KeyValue>();
-        std::vector<std::vector<KeyValue>> parts(machines);
-        for (const KeyValue& kv : recs) {
-          const auto it = std::upper_bound(splits.begin(), splits.end(), kv, kv_less);
-          parts[static_cast<std::size_t>(it - splits.begin())].push_back(kv);
-        }
-        ctx.charge_work(recs.size() * 2 + 1);
-        for (std::size_t p = 0; p < machines; ++p) {
-          if (parts[p].empty()) continue;
-          ByteWriter w;
-          w.put_vector(parts[p]);
-          ctx.emit(static_cast<std::uint32_t>(p), std::move(w).take());
-        }
-      });
+  const auto mail3 = cluster.run_round_views("sort:partition", round3_inputs,
+                                             kSortPartition, machines);
 
   // ---- Round 4: sort each partition locally; concatenation is sorted. ----
   std::vector<ByteChain> round4_inputs;
@@ -130,20 +213,7 @@ SortResult mpc_sort(Cluster& cluster, std::vector<KeyValue> records,
     round4_inputs.push_back(gather_view(mail3, static_cast<std::uint32_t>(p)));
   }
   const auto mail4 =
-      cluster.run_round_views("sort:local", round4_inputs, [](MachineContext& ctx) {
-        std::vector<KeyValue> recs;
-        auto r = ctx.reader();
-        while (!r.exhausted()) {
-          const auto part = r.get_vector<KeyValue>();
-          recs.insert(recs.end(), part.begin(), part.end());
-        }
-        std::sort(recs.begin(), recs.end(), kv_less);
-        ctx.charge_work(recs.size() + 1);
-        ByteWriter w;
-        w.put_vector(recs);
-        // Mailbox id = machine id keeps partition order on the driver side.
-        ctx.emit(static_cast<std::uint32_t>(ctx.machine_id()), std::move(w).take());
-      });
+      cluster.run_round_views("sort:local", round4_inputs, kSortLocal);
 
   for (std::size_t p = 0; p < machines; ++p) {
     const ByteChain view = gather_view(mail4, static_cast<std::uint32_t>(p));
@@ -178,54 +248,16 @@ std::vector<JoinedRecord> mpc_hash_join(Cluster& cluster,
   const auto right_inputs = tag_inputs(right, 1);
   inputs.insert(inputs.end(), right_inputs.begin(), right_inputs.end());
 
-  const auto mail1 = cluster.run_round("join:partition", inputs, [machines](MachineContext& ctx) {
-    auto r = ctx.reader();
-    const auto tag = static_cast<std::uint8_t>(r.get<std::byte>());
-    const auto recs = r.get_vector<KeyValue>();
-    std::vector<std::vector<KeyValue>> parts(machines);
-    for (const KeyValue& kv : recs) {
-      parts[splitmix64(static_cast<std::uint64_t>(kv.key)) % machines].push_back(kv);
-    }
-    ctx.charge_work(recs.size() + 1);
-    for (std::size_t p = 0; p < machines; ++p) {
-      if (parts[p].empty()) continue;
-      ByteWriter w;
-      w.put<std::uint8_t>(tag);
-      w.put_vector(parts[p]);
-      ctx.emit(static_cast<std::uint32_t>(p), std::move(w).take());
-    }
-  });
+  const auto mail1 =
+      cluster.run_round("join:partition", inputs, kJoinPartition, machines);
 
   // ---- Round 2: per-partition hash join. ----
   std::vector<ByteChain> round2_inputs;
   for (std::size_t p = 0; p < machines; ++p) {
     round2_inputs.push_back(gather_view(mail1, static_cast<std::uint32_t>(p)));
   }
-  const auto mail2 = cluster.run_round_views("join:match", round2_inputs, [](MachineContext& ctx) {
-    std::vector<KeyValue> lefts;
-    std::unordered_map<std::int64_t, std::int64_t> rights;
-    auto r = ctx.reader();
-    while (!r.exhausted()) {
-      const auto tag = r.get<std::uint8_t>();
-      const auto recs = r.get_vector<KeyValue>();
-      if (tag == 0) {
-        lefts.insert(lefts.end(), recs.begin(), recs.end());
-      } else {
-        for (const KeyValue& kv : recs) rights.emplace(kv.key, kv.value);
-      }
-    }
-    std::vector<JoinedRecord> out;
-    for (const KeyValue& kv : lefts) {
-      if (const auto it = rights.find(kv.key); it != rights.end()) {
-        out.push_back(JoinedRecord{kv.key, kv.value, it->second});
-      }
-    }
-    ctx.charge_work(lefts.size() + rights.size() + 1);
-    ByteWriter w;
-    w.put<std::uint64_t>(out.size());
-    for (const JoinedRecord& j : out) w.put(j);
-    ctx.emit(0, std::move(w).take());
-  });
+  const auto mail2 =
+      cluster.run_round_views("join:match", round2_inputs, kJoinMatch);
 
   std::vector<JoinedRecord> joined;
   const ByteChain payload = gather_view(mail2, 0);

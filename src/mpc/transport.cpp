@@ -36,7 +36,8 @@ FrameHeader decode_frame_header(const std::byte* data, std::size_t size) {
     throw FrameError("unsupported frame version " + std::to_string(version));
   }
   const auto tag = r.get<std::uint8_t>();
-  if (tag != static_cast<std::uint8_t>(FrameTag::kBarrier)) {
+  if (tag != static_cast<std::uint8_t>(FrameTag::kBarrier) &&
+      tag != static_cast<std::uint8_t>(FrameTag::kRound)) {
     throw FrameError("unknown frame tag " + std::to_string(tag));
   }
   const auto payload_bytes = r.get<std::uint64_t>();
@@ -132,22 +133,63 @@ void decode_machine_result(ByteReader& r, MachineReport* report, Bytes* stash,
   }
 }
 
+void encode_round_command(ByteWriter& w, const RoundCommand& command) {
+  w.put<std::uint32_t>(command.body_id);
+  w.put<std::uint64_t>(command.round);
+  w.put<std::uint64_t>(command.seed);
+  w.put<std::uint64_t>(command.begin);
+  w.put<std::uint64_t>(command.end);
+  w.put<std::uint64_t>(command.grain);
+  w.put<std::uint64_t>(command.input_bytes);
+  w.put_vector(command.params);
+}
+
+RoundCommand decode_round_command(ByteReader& r) {
+  RoundCommand command;
+  command.body_id = r.get<std::uint32_t>();
+  command.round = r.get<std::uint64_t>();
+  command.seed = r.get<std::uint64_t>();
+  command.begin = r.get<std::uint64_t>();
+  command.end = r.get<std::uint64_t>();
+  if (command.end <= command.begin) {
+    throw FrameError("round command for the empty machine range [" +
+                     std::to_string(command.begin) + ", " +
+                     std::to_string(command.end) + ")");
+  }
+  command.grain = r.get<std::uint64_t>();
+  if (command.grain == 0) throw FrameError("round command with a zero grain");
+  command.input_bytes = r.get<std::uint64_t>();
+  command.params = r.get_vector<std::byte>();
+  return command;
+}
+
 // --- worker-side round execution ---------------------------------------
 
-BarrierRecord run_round_partition(const RoundWork& work, std::size_t begin,
-                                  std::size_t end, ByteWriter& out) {
+BarrierRecord run_claimed_machines(const BodyEntry& body,
+                                   const RoundCommand& command,
+                                   std::atomic<std::uint64_t>& next,
+                                   const std::vector<ByteChain>& inputs,
+                                   ByteWriter& out) {
   BarrierRecord record;
   const Stopwatch body_wall;
   try {
-    for (std::size_t i = begin; i < end; ++i) {
-      std::vector<Envelope> outbox;
-      Bytes stash;
-      MachineContext ctx(i, &(*work.inputs)[i],
-                         derive_stream(work.seed, work.round, i), &outbox,
-                         &stash);
-      ctx.report_.input_bytes = (*work.inputs)[i].total_bytes();
-      (*work.body)(ctx);
-      encode_machine_result(out, ctx.report_, stash, outbox);
+    const BodyEntry::Params params = body.decode(command.params);
+    for (;;) {
+      const std::uint64_t first = next.fetch_add(command.grain);
+      if (first >= command.end) break;
+      const std::uint64_t last = std::min(command.end, first + command.grain);
+      out.put<std::uint64_t>(first);
+      out.put<std::uint64_t>(last);
+      for (std::size_t i = first; i < last; ++i) {
+        std::vector<Envelope> outbox;
+        Bytes stash;
+        MachineContext ctx(i, &inputs[i],
+                           derive_stream(command.seed, command.round, i),
+                           &outbox, &stash);
+        ctx.report_.input_bytes = inputs[i].total_bytes();
+        body.call(body.fn, ctx, params.get());
+        encode_machine_result(out, ctx.report_, stash, outbox);
+      }
     }
   } catch (const std::exception& e) {
     record.status = kWorkerBodyThrew;
@@ -163,12 +205,29 @@ BarrierRecord run_round_partition(const RoundWork& work, std::size_t begin,
   return record;
 }
 
-void decode_partition_results(ByteReader& r, const RoundWork& work,
-                              std::size_t begin, std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) {
-    decode_machine_result(r, &(*work.reports)[i], &(*work.stashes)[i],
-                          &(*work.outboxes)[i]);
+std::size_t decode_claimed_results(ByteReader& r, const RoundWork& work,
+                                   std::vector<char>& filled) {
+  std::size_t decoded = 0;
+  while (!r.exhausted()) {
+    const auto first = r.get<std::uint64_t>();
+    const auto last = r.get<std::uint64_t>();
+    if (first >= last || last > work.machines) {
+      throw FrameError("result chunk [" + std::to_string(first) + ", " +
+                       std::to_string(last) + ") outside the round's " +
+                       std::to_string(work.machines) + " machines");
+    }
+    for (std::size_t i = first; i < last; ++i) {
+      if (filled[i] != 0) {
+        throw FrameError("machine " + std::to_string(i) +
+                         " decoded twice in one round");
+      }
+      filled[i] = 1;
+      decode_machine_result(r, &(*work.reports)[i], &(*work.stashes)[i],
+                            &(*work.outboxes)[i]);
+    }
+    decoded += last - first;
   }
+  return decoded;
 }
 
 }  // namespace mpcsd::mpc

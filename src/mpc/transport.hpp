@@ -2,9 +2,9 @@
 //
 // The data plane is three layers, each defined exactly once:
 //
-//   payload codecs (plan.hpp)       typed values <-> payload bytes
-//   records + frames (this file)    envelopes, machine results, barriers,
-//                                   framed messages
+//   payload codecs (codec.hpp)      typed values <-> payload bytes
+//   records + frames (this file)    envelopes, machine results, round
+//                                   commands, barriers, framed messages
 //   byte streams (common/io.hpp)    EINTR-safe fd reads/writes
 //
 // Before this layer existed the middle tier was smeared across three
@@ -19,6 +19,8 @@
 //   * machine-result record the (report, stash, outbox) triple one machine
 //                           produced, in the exact byte layout the process
 //                           backend's arenas pinned in PR 7;
+//   * `RoundCommand`        one round for one worker process: body id,
+//                           round, seed, machines, inputs, params;
 //   * `BarrierRecord`       the end-of-round worker status (the former
 //                           17-byte pipe barrier, now a frame payload).
 //
@@ -26,13 +28,14 @@
 // (magic, version, tag, payload length — all length-prefixed, validated
 // strictly on decode) followed by the payload.  `FrameStream` moves whole
 // frames over an fd; `TransportCounters` meters them uniformly so the obs
-// spine can report frames/bytes/flushes/barrier-waits per backend.
+// spine can report frames/bytes/flushes/barrier-waits/forks per backend.
 //
 // Determinism contract: records are pure functions of machine outputs —
 // byte-identical across {thread, process} backends and worker counts,
 // pinned by test_determinism.cpp and the golden traces.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -40,6 +43,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "mpc/body.hpp"
 #include "mpc/stats.hpp"
 
 namespace mpcsd::mpc {
@@ -66,6 +70,7 @@ class FrameError : public std::runtime_error {
 /// committed fuzz corpus keeps decoding; every other tag byte is rejected.
 enum class FrameTag : std::uint8_t {
   kBarrier = 4,  ///< worker -> host: end-of-round BarrierRecord
+  kRound = 5,    ///< host -> worker: one round's RoundCommand
 };
 
 /// "MPCF" little-endian; the first 4 bytes of every frame.
@@ -111,6 +116,7 @@ struct TransportCounters {
   std::uint64_t bytes_received = 0;
   std::uint64_t flushes = 0;        ///< kernel/router handoff points
   std::uint64_t barrier_waits = 0;  ///< end-of-round barriers awaited
+  std::uint64_t forks = 0;          ///< worker processes started
 };
 
 /// A transport owns the counters for one backend's boundary crossings,
@@ -130,8 +136,8 @@ class Transport {
   TransportCounters counters_;
 };
 
-/// Framed messages over an fd (the round-barrier pipes).  Does not own the
-/// fd.  `counters` (optional) meters every frame moved.
+/// Framed messages over an fd (the process backend's worker sockets).  Does
+/// not own the fd.  `counters` (optional) meters every frame moved.
 class FrameStream {
  public:
   explicit FrameStream(int fd, TransportCounters* counters = nullptr) noexcept
@@ -185,21 +191,46 @@ void encode_machine_result(ByteWriter& w, const MachineReport& report,
 void decode_machine_result(ByteReader& r, MachineReport* report, Bytes* stash,
                            std::vector<Envelope>* outbox);
 
+/// One round for one worker process: which body, which round and seed,
+/// which machines and in what chunks they are claimed, how many input
+/// bytes wait in the input arena, and the round's encoded params.  The
+/// payload of a kRound frame.
+struct RoundCommand {
+  std::uint32_t body_id = 0;
+  std::uint64_t round = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t begin = 0;  ///< first machine id
+  std::uint64_t end = 0;    ///< one past the last machine id
+  std::uint64_t grain = 1;  ///< machines per claimed chunk
+  std::uint64_t input_bytes = 0;
+  Bytes params;
+};
+
+void encode_round_command(ByteWriter& w, const RoundCommand& command);
+/// Throws FrameError on an empty or inverted machine range or a zero
+/// grain (reader underflow raises ContractViolation as everywhere else).
+[[nodiscard]] RoundCommand decode_round_command(ByteReader& r);
+
 // --- worker-side round execution ---------------------------------------
 
-/// Runs machines [begin, end) of `work` serially — the worker side of the
-/// process backend, where pool threads did not survive the fork — appending one machine-result record per machine to `out`.  On a
-/// body exception `out` is replaced by the exception message (put_string)
-/// and the returned status says kWorkerBodyThrew.  The returned
-/// result_bytes is out's final size; body_seconds covers the body loop.
-[[nodiscard]] BarrierRecord run_round_partition(const RoundWork& work,
-                                                std::size_t begin,
-                                                std::size_t end,
-                                                ByteWriter& out);
+/// The worker side of the process backend, on one thread: claims chunks
+/// of command.grain machines from `next` (shared by every worker of the
+/// round) until it passes command.end, and runs each chunk's machines over
+/// `inputs` (one chain per machine id).  Per chunk it appends the chunk's
+/// [first, last) ids as two u64 and then one machine-result record per
+/// machine to `out`.  `body` decodes command.params once.  On a body
+/// exception `out` is replaced by the exception message (put_string) and
+/// the returned status says kWorkerBodyThrew.  The returned result_bytes is
+/// out's final size; body_seconds covers the body loop.
+[[nodiscard]] BarrierRecord run_claimed_machines(
+    const BodyEntry& body, const RoundCommand& command,
+    std::atomic<std::uint64_t>& next, const std::vector<ByteChain>& inputs,
+    ByteWriter& out);
 
-/// Host-side inverse: decodes the records for machines [begin, end) from
-/// `r` into the round arenas of `work`, in machine order.
-void decode_partition_results(ByteReader& r, const RoundWork& work,
-                              std::size_t begin, std::size_t end);
+/// Host-side inverse: decodes every chunk in `r` into the round arenas of
+/// `work`, marking its machines in `filled`; returns the machines decoded.
+/// Throws FrameError on a chunk outside the round or one already decoded.
+std::size_t decode_claimed_results(ByteReader& r, const RoundWork& work,
+                                   std::vector<char>& filled);
 
 }  // namespace mpcsd::mpc

@@ -33,6 +33,26 @@ constexpr mpc::Channel<std::vector<seq::Tuple>> kTuples{0, "tuples"};
 /// Round-2 output: the combined distance.
 constexpr mpc::Channel<std::int64_t> kAnswer{0, "answer"};
 
+/// Stage 1 (Algorithm 1 on one block).  Per-machine stats travel on the
+/// unmetered stash channel rather than a shared host array: machine bodies
+/// may run in worker processes (mpc/backend.hpp).
+void candidates_body(mpc::StageContext<BlockTask>& ctx, const CandidateParams& cp) {
+  CandidateStats st{};
+  const auto tuples = build_block_candidates(ctx.in().begin, ctx.in().positions,
+                                             cp, ctx.rng(), &st);
+  ctx.charge_work(st.work);
+  ctx.charge_scratch(ctx.in().positions.size() * 32);
+  ctx.send(kTuples, tuples);
+  ctx.stash(st);
+}
+
+const mpc::Stage<BlockTask, CandidateParams> kCandidatesStage{
+    "ulam:candidates", &candidates_body};
+/// Stage 2 (Algorithm 2 on one machine): the answer rides the mailbox, the
+/// tuple count the stash.
+const mpc::Stage<mpc::TupleInbox, mpc::CombineParams> kCombineStage{
+    "ulam:combine", &mpc::combine_body};
+
 mpc::Plan ulam_plan() {
   return mpc::Plan{
       "ulam",
@@ -122,30 +142,15 @@ UlamMpcResult ulam_distance_mpc(SymView s, SymView t, const UlamMpcParams& param
   const std::vector<Bytes> inputs = driver.shard_parallel(tasks);
 
   // ---- Stage 1: Algorithm 1 on every block. ----
-  // Per-machine stats travel on the unmetered stash channel rather than a
-  // shared host array: machine bodies may run in forked worker processes
-  // whose writes to host memory are invisible (mpc/backend.hpp).
-  const mpc::Stage<BlockTask> candidates_stage{
-      "ulam:candidates",
-      [eps_prime, n, n_bar, theta_constant = params.theta_constant](
-          mpc::StageContext<BlockTask>& ctx) {
-        CandidateParams cp;
-        cp.eps_prime = eps_prime;
-        cp.theta_constant = theta_constant;
-        cp.n = n;
-        cp.n_bar = n_bar;
-        CandidateStats st{};
-        const auto tuples = build_block_candidates(
-            ctx.in().begin, ctx.in().positions, cp, ctx.rng(), &st);
-        ctx.charge_work(st.work);
-        ctx.charge_scratch(ctx.in().positions.size() * 32);
-        ctx.send(kTuples, tuples);
-        ctx.stash(st);
-      }};
+  CandidateParams cp;
+  cp.eps_prime = eps_prime;
+  cp.theta_constant = params.theta_constant;
+  cp.n = n;
+  cp.n_bar = n_bar;
   std::vector<Bytes> stage1_stash;
   mpc::RoundOptions stage1_options;
   stage1_options.machine_stash = &stage1_stash;
-  const auto mail = driver.run(candidates_stage, inputs, stage1_options);
+  const auto mail = driver.run(kCandidatesStage, inputs, cp, stage1_options);
 
   for (const Bytes& raw : stage1_stash) {
     const auto st = mpc::unstash<CandidateStats>(raw);
@@ -159,21 +164,13 @@ UlamMpcResult ulam_distance_mpc(SymView s, SymView t, const UlamMpcParams& param
   // ---- Stage 2: Algorithm 2 on one machine. ----
   // The combine machine reads the round-1 tuple batches in place
   // (zero-copy); its metered input is still the full mailbox byte count.
-  // The answer rides the mailbox, the tuple count the stash.
-  const mpc::Stage<mpc::TupleInbox> combine_stage{
-      "ulam:combine",
-      [n, n_bar, combine_gap = params.combine_gap](
-          mpc::StageContext<mpc::TupleInbox>& ctx) {
-        std::uint64_t tuple_count = 0;
-        ctx.send(kAnswer,
-                 mpc::combine_inbox(ctx, n, n_bar, combine_gap, &tuple_count));
-        ctx.stash(tuple_count);
-      }};
   std::vector<Bytes> stage2_stash;
   mpc::RoundOptions stage2_options;
   stage2_options.machine_stash = &stage2_stash;
   const auto mail2 = driver.run_views(
-      combine_stage, {mpc::gather_view(mail, kTuples.mailbox)}, stage2_options);
+      kCombineStage, {mpc::gather_view(mail, kTuples.mailbox)},
+      mpc::CombineParams{{{kAnswer.mailbox, n, n_bar}}, params.combine_gap},
+      stage2_options);
   driver.finish();
 
   const auto answers = driver.receive(mail2, kAnswer);

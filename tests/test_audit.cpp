@@ -1,10 +1,10 @@
 // The MPC model-conformance auditor: conformant pipelines audit clean with
 // byte-identical metering on both backends, and both detectors (schedule
 // replay, comm accounting) throw AuditError naming the offending round and
-// machine.  Bodies that write through their inbox view or keep it across
-// rounds are caught before any run, by mpcsd_verify's conf-const-cast and
-// purity-ref-capture rules (fixtures under
-// tools/mpcsd_verify/fixtures/bad/src/mpc/).
+// machine.  Bodies that write through their inbox view are caught before
+// any run by mpcsd_verify's conf-const-cast rule (fixtures under
+// tools/mpcsd_verify/fixtures/bad/src/mpc/); a body that would keep its
+// view across rounds in a capture does not compile (mpc/body.hpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -82,12 +82,13 @@ TEST(Audit, DetectsScheduleDependentBody) {
   // The classic leak: machines share a mutable counter, so each machine's
   // output encodes its execution order.  The serial main run hands out
   // 0,1,2,... in machine order; the permuted replay hands them out in
-  // permutation order — the fingerprints diverge.
+  // permutation order — the fingerprints diverge.  A body cannot capture
+  // the counter, but it can still reach a static one.
   Cluster cluster(audited_config(1));
-  std::atomic<std::uint32_t> counter{0};
   std::vector<Bytes> inputs(8);
   try {
-    cluster.run_round("leaky", inputs, [&](MachineContext& ctx) {
+    cluster.run_round("leaky", inputs, [](MachineContext& ctx) {
+      static std::atomic<std::uint32_t> counter{0};
       ByteWriter w;
       w.put(counter.fetch_add(1));
       ctx.emit(0, std::move(w).take());

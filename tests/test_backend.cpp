@@ -1,22 +1,31 @@
 // The pluggable execution-backend layer: kind parsing / resolution policy,
 // thread/process byte equivalence on raw cluster rounds, the unmetered
-// stash side channel, worker-failure propagation from forked bodies
-// through their shared-memory arenas, and worker reaping.
+// stash side channel, the process pool's lifecycle (one fork per worker
+// per cluster, refork for a body registered later, a fresh pool after a
+// failed round), worker-failure propagation through the shared-memory
+// arenas, and worker reaping.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <csignal>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/thread_pool.hpp"
+#include "common/timer.hpp"
+#include "core/batch.hpp"
+#include "core/workload.hpp"
 #include "mpc/backend.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/plan.hpp"
+#include "obs/sinks.hpp"
 
 namespace mpcsd::mpc {
 namespace {
@@ -191,41 +200,32 @@ TEST(Backend, IsolatingBackendsPropagateBodyFailure) {
   }
 }
 
-TEST(Backend, IsolatedWritesToCapturedHostStateAreInvisible) {
-  // The documented isolation property: a body that scribbles on captured
-  // host memory has no effect on the host (on the thread backend this same
-  // body is a model violation mpcsd_verify's purity-ref-capture rule
-  // rejects before it runs; fork isolation makes it physically inert).
-  ClusterConfig cfg;
-  cfg.workers = 2;
-  cfg.backend = BackendKind::kProcess;
-  Cluster cluster(cfg);
-  std::vector<Bytes> inputs{payload_of(1), payload_of(2)};
-  std::uint64_t host_state = 42;
-  cluster.run_round("scribble", inputs, [&host_state](MachineContext& ctx) {
-    (void)ctx;
-    host_state = 999;  // lands in the child's COW copy only
-  });
-  EXPECT_EQ(host_state, 42u);
-}
-
-TEST(Backend, IsolatedInboxWritesAreInvisible) {
+TEST(Backend, IsolatedInboxIsReadOnly) {
   // A body that casts away its inbox view's const (mpcsd_verify's
-  // conf-const-cast rule rejects this outside tests) writes only its
-  // worker's copy of the mail: the host's input bytes and a second round
-  // over the same inputs see the original bytes.
+  // conf-const-cast rule rejects this outside tests) faults on the worker's
+  // read-only mapping of the input arena: the round fails, the host's input
+  // bytes are untouched, and the next round over the same inputs sees the
+  // original bytes.
   ClusterConfig cfg;
   cfg.workers = 2;
   cfg.backend = BackendKind::kProcess;
   Cluster cluster(cfg);
   std::vector<Bytes> inputs{payload_of(7), payload_of(8), payload_of(9)};
   const std::vector<Bytes> original = inputs;
-  cluster.run_round("scribbler", inputs, [](MachineContext& ctx) {
-    for (const ByteSpan part : ctx.input().parts()) {
-      std::fill_n(const_cast<std::byte*>(part.data()), part.size(),
-                  std::byte{0xFF});
-    }
-  });
+  try {
+    cluster.run_round("scribbler", inputs, [](MachineContext& ctx) {
+      for (const ByteSpan part : ctx.input().parts()) {
+        std::fill_n(const_cast<std::byte*>(part.data()), part.size(),
+                    std::byte{0xFF});
+      }
+    });
+    FAIL() << "expected the write to the read-only inbox to fail the round";
+  } catch (const std::runtime_error& e) {
+    // SIGSEGV, or the exit status a sanitizer runtime turns it into.
+    const std::string what = e.what();
+    EXPECT_NE(what.find("died before the round barrier"), std::string::npos)
+        << what;
+  }
   EXPECT_EQ(inputs, original);
   const Mail mail = cluster.run_round("echo", inputs, [](MachineContext& ctx) {
     ctx.emit(static_cast<std::uint32_t>(ctx.machine_id()),
@@ -236,10 +236,160 @@ TEST(Backend, IsolatedInboxWritesAreInvisible) {
   }
 }
 
+/// The final `transport.forks` counter of one traced batch edit call (two
+/// workers, escalation mode) and the call's round count.
+std::pair<double, std::size_t> batch_edit_forks(BackendKind backend) {
+  obs::Recorder recorder;
+  const auto sink = std::make_shared<obs::AggregateSink>();
+  recorder.add_sink(sink);
+  core::BatchRequest request;
+  request.algorithm = core::BatchAlgorithm::kEdit;
+  request.mode = core::BatchMode::kThroughput;
+  request.router = core::RouterPolicy::kOff;
+  request.edit.x = 0.25;
+  request.edit.epsilon = 1.0;
+  request.edit.workers = 2;
+  request.edit.backend = backend;
+  request.recorder = &recorder;
+  for (std::uint64_t q = 0; q < 3; ++q) {
+    core::BatchQuery query;
+    query.s = core::random_string(192, 8, 40 + q);
+    query.t = core::plant_edits(query.s, 24 + 8 * static_cast<std::int64_t>(q),
+                                50 + q, false)
+                  .text;
+    request.queries.push_back(std::move(query));
+  }
+  const core::BatchResult result = core::distance_batch(request);
+  recorder.flush();
+  return {sink->counters().at("transport.forks").last,
+          result.trace.round_count()};
+}
+
+TEST(Backend, ProcessForksOncePerClusterNotPerRound) {
+  // The process backend forks its workers in the cluster's first round and
+  // keeps them: a multi-round batch call forks W workers, not W per round.
+  const auto [process_forks, rounds] = batch_edit_forks(BackendKind::kProcess);
+  ASSERT_GE(rounds, 6u);
+  EXPECT_EQ(process_forks, 2.0) << rounds << " rounds";
+  const auto [thread_forks, thread_rounds] = batch_edit_forks(BackendKind::kThread);
+  EXPECT_EQ(thread_forks, 0.0);
+  EXPECT_EQ(thread_rounds, rounds);
+}
+
+TEST(Backend, BodyRegisteredAfterForkReforksOnce) {
+  // A worker knows the bodies registered before it forked; a round whose
+  // body came later reforks the pool once, with the larger table.
+  ClusterConfig cfg;
+  cfg.workers = 2;
+  cfg.backend = BackendKind::kProcess;
+  Cluster cluster(cfg);
+  std::vector<Bytes> inputs{payload_of(1), payload_of(2), payload_of(3)};
+  const auto forks = [&] { return cluster.backend().transport().counters().forks; };
+  const auto echo = [](MachineContext& ctx) {
+    ctx.emit(0, ctx.input().to_bytes());
+  };
+  cluster.run_round("first", inputs, echo);
+  EXPECT_EQ(forks(), 2u);
+  cluster.run_round("later", inputs, [](MachineContext& ctx) {
+    ctx.emit(1, ctx.input().to_bytes());
+  });
+  EXPECT_EQ(forks(), 4u);
+  cluster.run_round("first-again", inputs, echo);
+  EXPECT_EQ(forks(), 4u);
+}
+
+/// Mail flattened to (dest, payload) bytes, for byte-identity checks.
+Bytes flatten(const Mail& mail) {
+  ByteWriter w;
+  for (const Envelope& e : mail.all()) {
+    w.put(e.dest);
+    w.put_vector(e.payload);
+  }
+  return std::move(w).take();
+}
+
+/// Emits input + 1 to mailbox (input % 4); throws on the input `poison`.
+void poisoned_relay(MachineContext& ctx, const std::uint64_t& poison) {
+  auto r = ctx.reader();
+  const auto v = r.get<std::uint64_t>();
+  if (v == poison) throw std::runtime_error("machine hit the poison value");
+  ByteWriter w;
+  w.put(v + 1);
+  ctx.emit(static_cast<std::uint32_t>(v % 4), std::move(w).take());
+}
+
+std::vector<Bytes> relay_inputs() {
+  std::vector<Bytes> inputs;
+  for (std::uint64_t i = 0; i < 8; ++i) inputs.push_back(payload_of(i));
+  return inputs;
+}
+
+TEST(Backend, BodyThrowReapsPoolAndNextRoundMatchesFreshCluster) {
+  ClusterConfig cfg;
+  cfg.workers = 2;
+  cfg.backend = BackendKind::kProcess;
+  const std::vector<Bytes> inputs = relay_inputs();
+  constexpr std::uint64_t kNoPoison = UINT64_MAX;
+  Cluster fresh(cfg);
+  const Bytes want =
+      flatten(fresh.run_round("relay", inputs, &poisoned_relay, kNoPoison));
+
+  Cluster cluster(cfg);
+  const auto forks = [&] { return cluster.backend().transport().counters().forks; };
+  for (int round = 0; round < 2; ++round) {
+    cluster.run_round("relay", inputs, &poisoned_relay, kNoPoison);
+  }
+  EXPECT_EQ(forks(), 2u);
+  try {
+    cluster.run_round("relay", inputs, &poisoned_relay, std::uint64_t{5});
+    FAIL() << "expected the body failure to propagate";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("machine body failed in worker process"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("poison"), std::string::npos) << what;
+  }
+  const Bytes got =
+      flatten(cluster.run_round("relay", inputs, &poisoned_relay, kNoPoison));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(forks(), 4u);  // the failed pool was reaped, a fresh one forked
+}
+
+/// Kills its own worker process on machine `victim`; echoes otherwise.
+void suicidal_relay(MachineContext& ctx, const std::uint64_t& victim) {
+  if (ctx.machine_id() == victim) ::raise(SIGKILL);
+  ctx.emit(0, ctx.input().to_bytes());
+}
+
+TEST(Backend, KilledWorkerFailsRoundInBoundedTimeThenNextRoundSucceeds) {
+  ClusterConfig cfg;
+  cfg.workers = 2;
+  cfg.backend = BackendKind::kProcess;
+  Cluster cluster(cfg);
+  const std::vector<Bytes> inputs = relay_inputs();
+  constexpr std::uint64_t kNoVictim = UINT64_MAX;
+  cluster.run_round("relay", inputs, &suicidal_relay, kNoVictim);
+  const Stopwatch wall;
+  try {
+    cluster.run_round("relay", inputs, &suicidal_relay, std::uint64_t{6});
+    FAIL() << "expected the dead worker to fail the round";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("died before the round barrier (signal 9)"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_LT(wall.seconds(), 30.0);
+  const Mail mail = cluster.run_round("relay", inputs, &suicidal_relay, kNoVictim);
+  EXPECT_EQ(mail.all().size(), inputs.size());
+  EXPECT_EQ(cluster.backend().transport().counters().forks, 4u);
+}
+
 TEST(Backend, ProcessWorkersAllReapedAfterClusterDestruction) {
-  // Cleanly finished workers are reaped lazily (next round or the
-  // backend's destructor), never leaked: once the cluster is gone, the
-  // host has no child left, zombie or live.
+  // Runs after the failure tests above: workers are reaped when a round
+  // fails and when their backend is destroyed, never leaked.  Once the
+  // clusters are gone, the host has no child left, zombie or live.
   {
     ClusterConfig cfg;
     cfg.workers = 3;
@@ -256,6 +406,10 @@ TEST(Backend, ProcessWorkersAllReapedAfterClusterDestruction) {
       });
       EXPECT_EQ(mail.all().size(), inputs.size()) << "round " << round;
     }
+    EXPECT_THROW(cluster.run_round("relay", inputs, &poisoned_relay, std::uint64_t{2}),
+                 std::runtime_error);
+    EXPECT_THROW(cluster.run_round("relay", inputs, &suicidal_relay, std::uint64_t{0}),
+                 std::runtime_error);
   }
   errno = 0;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);

@@ -25,6 +25,23 @@ Bytes gather(const Mail& mail, std::uint32_t dest) {
   return gather_view(mail, dest).to_bytes();
 }
 
+/// Machine `id`'s emissions in the 16-bit router test: one envelope to
+/// each of its `span` destinations, then one to the hot destination 0.
+template <typename Sink>
+void emit_span_plan(std::int64_t id, std::size_t span, Sink&& sink) {
+  for (std::size_t k = 0; k < span; ++k) {
+    ByteWriter w;
+    w.put(id);
+    w.put(static_cast<std::int64_t>(k));
+    sink(static_cast<std::uint32_t>(static_cast<std::size_t>(id) * span + k),
+         std::move(w).take());
+  }
+  ByteWriter w;
+  w.put(id);
+  w.put<std::int64_t>(-1);
+  sink(0, std::move(w).take());
+}
+
 TEST(Cluster, SingleRoundEcho) {
   Cluster cluster(ClusterConfig{});
   std::vector<Bytes> inputs{payload_of(1), payload_of(2), payload_of(3)};
@@ -66,10 +83,13 @@ TEST(Cluster, MachineRngIsDeterministicPerMachine) {
     Cluster cluster(ClusterConfig{{.workers = workers},
                                   /*memory_limit_bytes=*/UINT64_MAX, /*seed=*/42});
     std::vector<Bytes> inputs(8);
-    std::vector<std::uint32_t> values(8);
-    cluster.run_round("rng", inputs, [&](MachineContext& ctx) {
-      values[ctx.machine_id()] = ctx.rng().next();
-    });
+    std::vector<Bytes> values;
+    RoundOptions options;
+    options.machine_stash = &values;
+    cluster.run_round(
+        "rng", inputs,
+        [](MachineContext& ctx) { ctx.stash_append(payload_of(ctx.rng().next())); },
+        options);
     return values;
   };
   EXPECT_EQ(sample(1), sample(4));  // independent of scheduling
@@ -153,7 +173,7 @@ TEST(Cluster, ParallelRouterMatchesStableSortByteExact) {
       }
       // Each machine emits a deterministic skewed burst: most messages
       // pile onto a handful of hot mailboxes, the tail spreads out.
-      const auto body = [&](MachineContext& ctx) {
+      const auto body = [](MachineContext& ctx, const std::uint64_t& seed) {
         auto r = ctx.reader();
         const auto id = r.get<std::int64_t>();
         Pcg32 rng(seed * 1000003u + static_cast<std::uint64_t>(id), 54u);
@@ -189,8 +209,8 @@ TEST(Cluster, ParallelRouterMatchesStableSortByteExact) {
                          return a.dest < b.dest;
                        });
 
-      const auto want = serial.run_round("route", inputs, body);
-      const auto got = parallel.run_round("route", inputs, body);
+      const auto want = serial.run_round("route", inputs, body, seed);
+      const auto got = parallel.run_round("route", inputs, body, seed);
 
       ASSERT_EQ(want.message_count(), ref.size())
           << "seed " << seed << " machines " << machines;
@@ -302,34 +322,23 @@ TEST(Cluster, RadixRouterExactly16BitDestRangeSinglePass) {
     for (std::size_t i = 0; i < machines; ++i) {
       inputs.push_back(payload_of(static_cast<std::int64_t>(i)));
     }
-    const auto emit_plan = [&](std::int64_t id, auto&& sink) {
-      for (std::size_t k = 0; k < span; ++k) {
-        ByteWriter w;
-        w.put(id);
-        w.put(static_cast<std::int64_t>(k));
-        sink(static_cast<std::uint32_t>(static_cast<std::size_t>(id) * span + k),
-             std::move(w).take());
-      }
-      ByteWriter w;
-      w.put(id);
-      w.put<std::int64_t>(-1);
-      sink(0, std::move(w).take());
-    };
-    const auto mail =
-        cluster.run_round("route:16bit", inputs, [&](MachineContext& ctx) {
+    const auto mail = cluster.run_round(
+        "route:16bit", inputs,
+        [](MachineContext& ctx, const std::size_t& width) {
           auto r = ctx.reader();
           const auto id = r.get<std::int64_t>();
-          emit_plan(id, [&](std::uint32_t dest, Bytes payload) {
+          emit_span_plan(id, width, [&](std::uint32_t dest, Bytes payload) {
             ctx.emit(dest, std::move(payload));
           });
-        });
+        },
+        span);
 
     std::vector<Envelope> ref;
     for (std::size_t id = 0; id < machines; ++id) {
-      emit_plan(static_cast<std::int64_t>(id),
-                [&](std::uint32_t dest, Bytes payload) {
-                  ref.push_back(Envelope{dest, std::move(payload)});
-                });
+      emit_span_plan(static_cast<std::int64_t>(id), span,
+                     [&](std::uint32_t dest, Bytes payload) {
+                       ref.push_back(Envelope{dest, std::move(payload)});
+                     });
     }
     std::stable_sort(ref.begin(), ref.end(),
                      [](const Envelope& a, const Envelope& b) {
@@ -364,12 +373,12 @@ TEST(Cluster, RadixRouterDest65536TriggersSecondPassByteExact) {
     for (std::size_t i = 0; i < machines; ++i) {
       inputs.push_back(payload_of(static_cast<std::int64_t>(i)));
     }
-    const auto dest_of = [](std::int64_t id) {
+    static constexpr auto dest_of = [](std::int64_t id) {
       if (id == 299) return std::uint32_t{65536};  // the boundary breaker
       return static_cast<std::uint32_t>((id * 131) % 65536);
     };
     const auto mail =
-        cluster.run_round("route:65536", inputs, [&](MachineContext& ctx) {
+        cluster.run_round("route:65536", inputs, [](MachineContext& ctx) {
           auto r = ctx.reader();
           const auto id = r.get<std::int64_t>();
           ByteWriter w;

@@ -1,6 +1,6 @@
 // The transport layer: frame header validation, wire-record round trips
-// (barrier / machine results), FrameStream over real fds, and the
-// EINTR-safe io helpers.
+// (barrier / round command / machine results), FrameStream over real fds,
+// and the EINTR-safe io helpers.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -53,10 +53,11 @@ TEST(Frame, UnsupportedVersionThrows) {
 }
 
 TEST(Frame, UnknownTagThrows) {
-  // Every tag byte but kBarrier's 4 is rejected, 1-3 and 5-8 included.
+  // Every tag byte but kBarrier's 4 and kRound's 5 is rejected, 1-3 and
+  // 6-8 included.
   for (const std::uint8_t tag :
        {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{3},
-        std::uint8_t{5}, std::uint8_t{6}, std::uint8_t{7}, std::uint8_t{8},
+        std::uint8_t{6}, std::uint8_t{7}, std::uint8_t{8},
         std::uint8_t{9}, std::uint8_t{0xFF}}) {
     Bytes raw = header_bytes(FrameTag::kBarrier, 0);
     raw[5] = std::byte{tag};
@@ -94,6 +95,39 @@ TEST(Records, BarrierRejectsUnknownStatus) {
   raw[0] = std::byte{kWorkerPublishFailed + 1};
   ByteReader r(raw.data(), raw.size());
   EXPECT_THROW((void)decode_barrier(r), FrameError);
+}
+
+TEST(Records, RoundCommandRoundTrips) {
+  RoundCommand command;
+  command.body_id = 7;
+  command.round = 3;
+  command.seed = 0x5eed;
+  command.begin = 4;
+  command.end = 9;
+  command.input_bytes = 120;
+  command.params = Bytes{std::byte{1}, std::byte{2}, std::byte{3}};
+  ByteWriter w;
+  encode_round_command(w, command);
+  ByteReader r(w.bytes());
+  const RoundCommand got = decode_round_command(r);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(got.body_id, command.body_id);
+  EXPECT_EQ(got.round, command.round);
+  EXPECT_EQ(got.seed, command.seed);
+  EXPECT_EQ(got.begin, command.begin);
+  EXPECT_EQ(got.end, command.end);
+  EXPECT_EQ(got.input_bytes, command.input_bytes);
+  EXPECT_EQ(got.params, command.params);
+}
+
+TEST(Records, RoundCommandRejectsAnEmptyMachineRange) {
+  RoundCommand command;
+  command.begin = 5;
+  command.end = 5;
+  ByteWriter w;
+  encode_round_command(w, command);
+  ByteReader r(w.bytes());
+  EXPECT_THROW((void)decode_round_command(r), FrameError);
 }
 
 TEST(Records, MachineResultRoundTrips) {

@@ -5,9 +5,8 @@
 // truth for diagnostic names and summaries; the --self-test mode pins the
 // engine to exactly the annotated findings of the fixture corpus.
 //
-// Identifier scheme:
-//   purity-*  machine-body purity (paper §2: machines see only their
-//             fragment + inbox; host state is out of reach)
+// Identifier scheme (machine bodies cannot capture host state at all: a
+// capturing lambda does not convert to a round body, see mpc/body.hpp):
 //   det-*     determinism (trace hashes must be backend/worker invariant)
 //   conf-*    confinement (a boundary-sensitive construct outside the one
 //             file or directory that owns it; see docs/TOOLING.md)
@@ -22,9 +21,6 @@
 namespace mpcsd_verify {
 
 enum class DiagId {
-  kPurityRefCapture,
-  kPurityThisCapture,
-  kPurityPointerWrite,
   kDetUnorderedIter,
   kDetWallClock,
   kDetPointerKeyed,
@@ -46,16 +42,6 @@ struct DiagInfo {
 
 inline constexpr std::array<DiagInfo, static_cast<std::size_t>(DiagId::kCount_)>
     kCatalog{{
-        {DiagId::kPurityRefCapture, "purity-ref-capture",
-         "machine/stage body captures host state by reference (default [&] "
-         "or a named non-const reference); capture by value, use the stash, "
-         "or make the referenced entity const"},
-        {DiagId::kPurityThisCapture, "purity-this-capture",
-         "machine/stage body captures `this`; the body would read or write "
-         "host object state invisible under process isolation"},
-        {DiagId::kPurityPointerWrite, "purity-pointer-write",
-         "machine/stage body writes through a captured pointer; writes to "
-         "host memory are inert under the process backend (use the stash)"},
         {DiagId::kDetUnorderedIter, "det-unordered-iter",
          "iteration over an unordered container in a machine body or "
          "driver/router scope; bucket order is implementation-defined so "

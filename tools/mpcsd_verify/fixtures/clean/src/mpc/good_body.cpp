@@ -1,6 +1,6 @@
 // Clean fixture: the idioms the analyzer must NOT flag.
-//   - machine bodies with explicit by-value captures
-//   - a reference capture of a const local (read-only sharing is fine)
+//   - lambda capture lists (the compiler, not the analyzer, keeps captures
+//     out of round bodies)
 //   - unordered_map *lookup* (find/count) without iteration
 //   - keyword-looking text inside strings and comments (grep's blind spot)
 #include <cstdint>

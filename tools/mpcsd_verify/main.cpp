@@ -1,4 +1,4 @@
-// mpcsd-verify: conformance analyzer for machine-body purity, determinism,
+// mpcsd-verify: conformance analyzer for machine-body determinism
 // and metering/confinement invariants.
 //
 // Usage:

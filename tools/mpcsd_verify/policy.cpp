@@ -36,15 +36,19 @@ bool Policy::in_lint_sources(std::string_view path) {
 }
 
 bool Policy::det_scoped_file(std::string_view path) {
-  // Drivers: the plan driver, the MPC primitives, the batch driver and the
-  // solver pipelines; router decision code.  The cluster itself is covered
-  // by its machine bodies (it runs, it does not decide).
+  // Drivers and every file that holds a round body: the plan driver, the
+  // MPC primitives, the shared combine body, the batch driver and the
+  // solver pipelines; router decision code.  Round bodies are named
+  // functions, not lambdas, so their files must be in scope whole.  The
+  // cluster itself runs bodies, it does not decide.
   if (path_in_dir(path, "src/ulam_mpc/") || path_in_dir(path, "src/edit_mpc/"))
     return true;
   const std::string_view stems[] = {
-      "src/mpc/plan.hpp",  "src/mpc/plan.cpp",  "src/mpc/primitives.hpp",
-      "src/mpc/primitives.cpp", "src/core/batch.hpp", "src/core/batch.cpp",
-      "src/core/router.hpp", "src/core/router.cpp",
+      "src/mpc/plan.hpp",       "src/mpc/plan.cpp",
+      "src/mpc/primitives.hpp", "src/mpc/primitives.cpp",
+      "src/mpc/combine_round.hpp", "src/core/batch.hpp",
+      "src/core/batch.cpp",     "src/core/router.hpp",
+      "src/core/router.cpp",
   };
   for (const auto s : stems) {
     if (path_ends_with(path, s)) return true;

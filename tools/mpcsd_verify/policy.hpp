@@ -32,8 +32,9 @@ struct Policy {
   /// fuzz harnesses, examples.  Tests deliberately violate invariants.
   [[nodiscard]] static bool in_lint_sources(std::string_view path);
 
-  /// Files where the determinism rules apply file-wide (drivers and router
-  /// decision code); machine bodies are determinism scopes everywhere.
+  /// Files where the determinism rules apply file-wide (drivers, files that
+  /// hold round bodies, router decision code); machine-body lambdas are
+  /// determinism scopes everywhere.
   [[nodiscard]] static bool det_scoped_file(std::string_view path);
 
   /// Simulator/driver directories where `mutable` lambdas are banned

@@ -89,20 +89,10 @@ using Toks = std::vector<Tok>;
   return t.size();
 }
 
-struct Capture {
-  enum Kind { kDefaultRef, kDefaultCopy, kThis, kStarThis, kByRef, kByValue };
-  Kind kind;
-  std::string name;  ///< for kByRef/kByValue
-  /// Init-capture rhs when it is a single identifier ("" otherwise / none).
-  std::string init_ident;
-  bool has_init = false;
-};
-
 struct Lambda {
   unsigned intro_line = 0;
   bool machine_body = false;
   bool is_mutable = false;
-  std::vector<Capture> captures;
   std::size_t body_begin = 0;  ///< token index of '{'
   std::size_t body_end = 0;    ///< token index one past matching '}'
 };
@@ -115,7 +105,7 @@ class FileAnalysis {
   Diagnostics run() {
     collect_declarations();
     collect_lambdas();
-    apply_purity_rules();
+    apply_mutable_rule();
     apply_determinism_rules();
     apply_confinement_rules();
     finish();
@@ -147,14 +137,6 @@ class FileAnalysis {
     for (std::size_t i = 0; i < t_.size(); ++i) {
       const Tok& tk = t_[i];
       if (!is_ident(tk)) continue;
-
-      // const-declared names: `const <type...> name` with the declarator
-      // terminated by = ; , ) : { or (.  Structured bindings enumerate
-      // every bound name.
-      if (tk.text == "const") {
-        scan_const_declaration(i + 1);
-        continue;
-      }
 
       // unordered container declarations and aliases.
       if (tk.text == "unordered_map" || tk.text == "unordered_set" ||
@@ -203,40 +185,6 @@ class FileAnalysis {
     }
   }
 
-  void scan_const_declaration(std::size_t i) {
-    std::string last_ident;
-    for (std::size_t j = i; j < t_.size() && j < i + 48; ++j) {
-      const Tok& tk = t_[j];
-      if (is_ident(tk)) {
-        if (!is_type_keyword(tk.text)) last_ident = tk.text;
-        continue;
-      }
-      if (tk.kind != TokKind::kPunct) return;
-      if (tk.text == "<") {
-        const std::size_t after = skip_angles(t_, j);
-        if (after == j) return;
-        j = after - 1;
-        continue;
-      }
-      if (tk.text == "::" || tk.text == "&" || tk.text == "*" || tk.text == "&&")
-        continue;
-      if (tk.text == "[") {
-        // structured binding: const auto& [a, b] = ...
-        for (std::size_t k = j + 1; k < t_.size() && !is_punct(t_[k], "]"); ++k) {
-          if (is_ident(t_[k])) const_names_.insert(t_[k].text);
-        }
-        return;
-      }
-      if (tk.text == "=" || tk.text == ";" || tk.text == "," ||
-          tk.text == ")" || tk.text == ":" || tk.text == "{" ||
-          tk.text == "(") {
-        if (!last_ident.empty()) const_names_.insert(last_ident);
-        return;
-      }
-      return;  // anything else: not a simple declaration
-    }
-  }
-
   /// Records a pointer-keyed verdict if the first top-level template
   /// argument in [begin, end) contains a `*`.
   void check_pointer_key(std::size_t begin, std::size_t end, unsigned line) {
@@ -281,7 +229,7 @@ class FileAnalysis {
 
     Lambda lam;
     lam.intro_line = t_[intro].line;
-    if (!parse_captures(intro + 1, intro_end - 1, &lam.captures)) return;
+    if (!is_capture_list(intro + 1, intro_end - 1)) return;
 
     std::size_t i = intro_end;
     if (i < t_.size() && is_punct(t_[i], "<")) {  // C++20 template lambda
@@ -323,44 +271,26 @@ class FileAnalysis {
     lambdas_.push_back(std::move(lam));
   }
 
-  [[nodiscard]] bool parse_captures(std::size_t begin, std::size_t end,
-                                    std::vector<Capture>* out) const {
+  /// True if [begin, end) parses as a capture list (`&`, `=`, `this`,
+  /// `*this`, `&name`, `name`, init-captures, packs), telling a lambda
+  /// introducer apart from a subscript.
+  [[nodiscard]] bool is_capture_list(std::size_t begin, std::size_t end) const {
     std::size_t i = begin;
     while (i < end) {
-      Capture cap{};
-      if (is_punct(t_[i], "&") &&
+      if ((is_punct(t_[i], "&") || is_punct(t_[i], "=")) &&
           (i + 1 >= end || is_punct(t_[i + 1], ","))) {
-        cap.kind = Capture::kDefaultRef;
-        i += 1;
-      } else if (is_punct(t_[i], "=") &&
-                 (i + 1 >= end || is_punct(t_[i + 1], ","))) {
-        cap.kind = Capture::kDefaultCopy;
-        i += 1;
-      } else if (is_ident(t_[i]) && t_[i].text == "this") {
-        cap.kind = Capture::kThis;
         i += 1;
       } else if (is_punct(t_[i], "*") && i + 1 < end && is(t_[i + 1], "this")) {
-        cap.kind = Capture::kStarThis;
         i += 2;
       } else if (is_punct(t_[i], "&") && i + 1 < end && is_ident(t_[i + 1])) {
-        cap.kind = Capture::kByRef;
-        cap.name = t_[i + 1].text;
         i += 2;
       } else if (is_ident(t_[i])) {
-        cap.kind = Capture::kByValue;
-        cap.name = t_[i].text;
         i += 1;
       } else {
         return false;  // not a capture list (e.g. subscript misdetected)
       }
       if (i < end && is_punct(t_[i], "...")) ++i;  // pack expansion
       if (i < end && is_punct(t_[i], "=")) {       // init-capture
-        cap.has_init = true;
-        std::size_t j = i + 1;
-        if (j < end && is_ident(t_[j]) &&
-            (j + 1 >= end || is_punct(t_[j + 1], ","))) {
-          cap.init_ident = t_[j].text;
-        }
         int depth = 0;  // skip initializer up to top-level comma
         while (i < end) {
           const Tok& tk = t_[i];
@@ -372,7 +302,6 @@ class FileAnalysis {
           ++i;
         }
       }
-      out->push_back(std::move(cap));
       if (i < end) {
         if (!is_punct(t_[i], ",")) return false;
         ++i;
@@ -400,92 +329,12 @@ class FileAnalysis {
 
   // --- rule passes ---------------------------------------------------------
 
-  void apply_purity_rules() {
+  void apply_mutable_rule() {
     for (const Lambda& lam : lambdas_) {
       if (lam.machine_body && lam.is_mutable) {
         diag(DiagId::kConfMutableLambda, lam.intro_line, "machine body");
       } else if (lam.is_mutable && Policy::mutable_scoped(path_)) {
         diag(DiagId::kConfMutableLambda, lam.intro_line, "simulator/driver code");
-      }
-      if (!lam.machine_body) continue;
-      for (const Capture& cap : lam.captures) {
-        switch (cap.kind) {
-          case Capture::kDefaultRef:
-            diag(DiagId::kPurityRefCapture, lam.intro_line, "[&]");
-            break;
-          case Capture::kThis:
-            diag(DiagId::kPurityThisCapture, lam.intro_line, "this");
-            break;
-          case Capture::kByRef: {
-            const std::string& referent =
-                cap.has_init ? cap.init_ident : cap.name;
-            if (referent.empty() || const_names_.count(referent) == 0) {
-              diag(DiagId::kPurityRefCapture, lam.intro_line, "&" + cap.name);
-            }
-            break;
-          }
-          case Capture::kByValue:
-            if (!cap.has_init || !cap.init_ident.empty()) {
-              check_pointer_writes(lam, cap.has_init ? cap.name : cap.name);
-            }
-            break;
-          case Capture::kDefaultCopy:
-          case Capture::kStarThis:
-            break;  // copies; writes stay machine-local
-        }
-      }
-    }
-  }
-
-  /// Flags writes through a by-value captured pointer inside the body:
-  /// `p->x = v`, `*p = v`, `p->mutator(...)`.
-  void check_pointer_writes(const Lambda& lam, const std::string& name) {
-    static const std::unordered_set<std::string_view> mutators = {
-        "push_back", "emplace_back", "insert", "emplace", "clear",
-        "erase",     "resize",       "assign", "pop_back", "reserve",
-    };
-    for (std::size_t i = lam.body_begin; i + 2 < lam.body_end && i < t_.size();
-         ++i) {
-      // *name = ...
-      if (is_punct(t_[i], "*") && is(t_[i + 1], name) &&
-          is_punct(t_[i + 2], "=")) {
-        const bool deref = i == 0 || t_[i - 1].kind == TokKind::kPunct ||
-                           (is_ident(t_[i - 1]) && t_[i - 1].text == "return");
-        if (deref) {
-          diag(DiagId::kPurityPointerWrite, t_[i].line, "*" + name);
-          return;
-        }
-      }
-      if (!is(t_[i], name) || !is_punct(t_[i + 1], "->")) continue;
-      // Walk the member chain after `name->`.
-      std::size_t j = i + 2;
-      while (j < lam.body_end && j < t_.size()) {
-        if (is_ident(t_[j])) {
-          if (mutators.count(t_[j].text) > 0 && j + 1 < t_.size() &&
-              is_punct(t_[j + 1], "(")) {
-            diag(DiagId::kPurityPointerWrite, t_[i].line, name + "->" + t_[j].text);
-            return;
-          }
-          ++j;
-          continue;
-        }
-        if (is_punct(t_[j], ".") || is_punct(t_[j], "->")) {
-          ++j;
-          continue;
-        }
-        if (is_punct(t_[j], "[")) {
-          j = skip_group(t_, j);
-          continue;
-        }
-        break;
-      }
-      if (j < t_.size() && t_[j].kind == TokKind::kPunct &&
-          (t_[j].text == "=" || t_[j].text == "+=" || t_[j].text == "-=" ||
-           t_[j].text == "*=" || t_[j].text == "/=" || t_[j].text == "|=" ||
-           t_[j].text == "&=" || t_[j].text == "^=" || t_[j].text == "++" ||
-           t_[j].text == "--")) {
-        diag(DiagId::kPurityPointerWrite, t_[i].line, name + "->...");
-        return;
       }
     }
   }
@@ -608,7 +457,6 @@ class FileAnalysis {
   Toks t_;
   Diagnostics out_;
   std::vector<Lambda> lambdas_;
-  std::unordered_set<std::string> const_names_;
   std::unordered_set<std::string> unordered_names_;
   std::unordered_set<std::string> unordered_aliases_;
   std::vector<std::pair<unsigned, std::size_t>> pointer_key_decls_;
