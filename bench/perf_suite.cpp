@@ -27,9 +27,11 @@
 //    be byte-identical.
 //  * batch   — core::distance_batch ({ulam,edit}_batch, mode parallel or
 //    throughput) against the same B queries solved one *_distance_mpc call
-//    at a time ({ulam,edit}_seq, mode seq).  Every tier hard-checks the
-//    round shape: a kParallelGuess (or Ulam) batch shares exactly 2 rounds,
-//    a kThroughput batch exactly 2 per escalation pass.
+//    at a time ({ulam,edit}_seq, mode seq), router off.  Every tier
+//    hard-checks the round shape: an Ulam batch shares exactly 2 rounds, a
+//    kParallelGuess batch runs 1 pass of at most 4 (its small rungs' round
+//    pair beside its large rungs' Lemma 8 rounds), and a kThroughput batch
+//    exactly 2 per escalation pass.
 //  * backend — {ulam,edit}_batch_backend_{thread,process}: the same batch
 //    with machine bodies on the thread pool vs forked worker processes;
 //    per-query distances and trace structural hashes must be identical.
@@ -337,10 +339,11 @@ void bench_seq_point(std::vector<Record>& records, bool ulam, std::int64_t n,
   records.push_back(seq);
 }
 
-/// One `distance_batch` execution in `mode`.  Returns false on a
-/// round-shape violation: a kParallelGuess (or Ulam) batch must share
-/// exactly 2 rounds, a kThroughput batch exactly 2 rounds per escalation
-/// pass.
+/// One `distance_batch` execution in `mode`, router off (a routed batch
+/// may retire every query before the ladder).  Returns false on a
+/// round-shape violation: an Ulam batch must share exactly 2 rounds, a
+/// kParallelGuess batch 1 pass of at most 4 rounds, a kThroughput batch
+/// exactly 2 rounds per escalation pass.
 bool bench_batch_point(std::vector<Record>& records, bool ulam,
                        core::BatchMode mode, std::int64_t n, std::size_t b,
                        int reps) {
@@ -354,6 +357,7 @@ bool bench_batch_point(std::vector<Record>& records, bool ulam,
     request.algorithm =
         ulam ? core::BatchAlgorithm::kUlam : core::BatchAlgorithm::kEdit;
     request.mode = mode;
+    request.router = core::RouterPolicy::kOff;
     request.ulam.seed = 13;
     request.recorder = &bench_recorder;
     request.queries = queries;
@@ -363,8 +367,9 @@ bool bench_batch_point(std::vector<Record>& records, bool ulam,
   bat.passes = result.passes;
   records.push_back(bat);
 
-  if (ulam || mode == core::BatchMode::kParallelGuess) {
-    return bat.rounds == 2;
+  if (ulam) return bat.rounds == 2;
+  if (mode == core::BatchMode::kParallelGuess) {
+    return bat.passes == 1 && bat.rounds <= 4;
   }
   return bat.rounds == 2 * bat.passes && bat.passes >= 1;
 }
@@ -661,7 +666,7 @@ int main(int argc, char** argv) {
   bool rounds_ok = true;
   const std::int64_t ulam_n = smoke ? 256 : 2048;
   const std::int64_t edit_n = smoke ? 128 : 1024;
-  // The kParallelGuess mode runs the whole clipped ladder for every query;
+  // The kParallelGuess mode runs the whole ladder for every query;
   // at n=1024 that is ~300x the early-exit work, so it is recorded at a
   // smaller n.
   const std::int64_t edit_parallel_n = smoke ? 128 : 256;
@@ -697,6 +702,7 @@ int main(int argc, char** argv) {
       request.algorithm =
           ulam ? core::BatchAlgorithm::kUlam : core::BatchAlgorithm::kEdit;
       request.mode = core::BatchMode::kThroughput;
+      request.router = core::RouterPolicy::kOff;
       request.ulam.seed = 13;
       request.ulam.backend = backend;
       request.edit.backend = backend;

@@ -7,35 +7,36 @@
 // every query gets its own attributed ExecutionTrace built from the
 // machine-level reports.
 //
-// Edit batches run the guess ladder restricted to the small-distance regime
-// (n^delta <= n^{1-x/5}, Lemma 6), in one of two modes:
+// Edit batches are one run of the guess ladder (edit_mpc::run_guess_ladder,
+// edit_mpc/solver.hpp) over every rung, small (Lemma 6) or large (Lemma 8),
+// in one of two modes:
 //
-//   * kParallelGuess — the paper's semantics made literal: every (query,
-//     guess) pipeline instance runs side by side in 2 shared rounds.  Total
-//     work is Σ over ALL rungs of every query — the right model quantity,
-//     but on a real host most of that work belongs to rungs the sequential
-//     early-exit solver never runs.
-//   * kThroughput   — adaptive guess escalation (the output-sensitivity
-//     idea of Ding et al. 2023 applied to the ladder): every live query
-//     starts at its cheapest rung; one shared round-pair runs the current
-//     rung of every unresolved query; queries whose answer certifies itself
-//     (answer <= (3+eps)·guess + 2, the same monotone accept condition the
-//     sequential solver uses) retire, and only the survivors re-enter the
-//     plan at their next rung.  Expected work drops from Σ(all rungs) to
-//     Σ(rungs up to the accepted one) per query, at the cost of extra —
-//     metered and reported — simulated rounds: the shared trace carries
-//     2 rounds per escalation pass instead of 2 total.  The 3+eps guarantee
-//     is unchanged whp: retirement only happens on the self-certifying
-//     condition, which fires no later than the first rung >= ed(s, t).
+//   * kParallelGuess — the paper's semantics made literal (GuessMode::kAll):
+//     every (query, guess) rung in one pass, the small ones side by side in
+//     one shared round pair, the large ones' four rounds beside it (<= 4
+//     rounds).  Total work is Σ over ALL rungs of every query — the right
+//     model quantity, but on a real host most of it belongs to rungs
+//     escalation never runs.
+//   * kThroughput   — adaptive guess escalation (GuessMode::kEarlyExit):
+//     every live query starts at its cheapest rung; each pass runs the
+//     current rung of every unresolved query; queries whose answer
+//     certifies itself (answer <= (3+eps)·guess + 2) retire, and only the
+//     survivors re-enter at their next rung.  Expected work drops from
+//     Σ(all rungs) to Σ(rungs up to the accepted one) per query, at the
+//     cost of extra — metered and reported — simulated rounds: the shared
+//     trace carries 2 rounds per small-rung pass (4 when a large rung runs).
+//     The 3+eps guarantee is unchanged whp: retirement only happens on the
+//     self-certifying condition, which fires no later than the first rung
+//     >= ed(s, t).
+//
+// `edit_distance_mpc` is the same ladder run on one query without the
+// router, so both entry points answer alike.
 //
 // Ulam has no guess ladder (Theorem 4 is a single two-round pipeline), so
 // both modes execute identically for kUlam.
 //
 // The returned edit distance is always the cost of a realizable
-// transformation (an upper bound on ed); the 3+eps guarantee holds whp when
-// the true distance lies in the small-distance regime — the serving-system
-// sweet spot the batching exists for.  Queries needing the large-distance
-// pipeline should go through `edit_distance_mpc`.
+// transformation (an upper bound on ed), within 3+eps whp.
 #pragma once
 
 #include <cstdint>
@@ -52,16 +53,18 @@ namespace mpcsd::core {
 
 enum class BatchAlgorithm : std::uint8_t {
   kUlam,  ///< Theorem 4 (strings must be repeat-free)
-  kEdit,  ///< Theorem 9, small-distance regime
+  kEdit,  ///< Theorem 9
 };
 
 enum class BatchMode : std::uint8_t {
-  /// All guess rungs of every query side by side in 2 shared rounds (the
-  /// paper-literal semantics; work is worst-case, rounds are minimal).
+  /// All guess rungs of every query side by side in one pass of <= 4 shared
+  /// rounds (the paper-literal semantics; work is worst-case, rounds are
+  /// minimal).
   kParallelGuess,
   /// Adaptive guess escalation: cheapest rung first, retire queries whose
   /// answer certifies itself, re-enter the plan with the survivors.  Work
-  /// is output-sensitive; the shared trace has 2 rounds per pass.
+  /// is output-sensitive; the shared trace has 2 rounds per pass (4 when a
+  /// large rung runs).
   kThroughput,
 };
 
@@ -91,10 +94,9 @@ struct BatchRequest {
   /// MPCSD_ROUTER (unset = off).  See core/router.hpp.
   RouterPolicy router = RouterPolicy::kDefault;
   /// Observability recorder (null = detached).  The shared rounds emit
-  /// round/stage spans through the cluster; the batch driver additionally
-  /// emits one span per escalation pass and, on track `query id + 1`, one
-  /// attributed span per (query, guess rung) built from the machine-level
-  /// reports of the shared round-pair.  This is the only recorder a batch
+  /// round/stage spans through the cluster; the ladder additionally emits
+  /// one `edit:pass` span per escalation pass and, on track `query id + 1`,
+  /// one attributed `edit:rung` span per (query, guess rung).  This is the only recorder a batch
   /// reads: `ulam.recorder` and `edit.recorder` must stay null, and
   /// distance_batch throws std::invalid_argument if either is set.
   obs::Recorder* recorder = nullptr;
@@ -103,26 +105,28 @@ struct BatchRequest {
 struct QueryResult {
   std::int64_t distance = 0;
   /// First guess whose answer certified itself (kEdit; 0 for kUlam, and 0
-  /// when the clipped ladder was exhausted without certification).
+  /// when the ladder was exhausted without certification).
   std::int64_t accepted_guess = 0;
-  /// Guess rungs this query executed: the full clipped ladder in
-  /// kParallelGuess, the escalation prefix in kThroughput (0 for kUlam).
+  /// Guess rungs this query executed: the full ladder in kParallelGuess,
+  /// the escalation prefix in kThroughput (0 for kUlam).
   std::size_t rungs_run = 0;
   /// This query's own per-machine cap, enforced on its machines only.
   std::uint64_t memory_cap_bytes = 0;
   /// This query's share of the shared rounds: labels, machine counts,
   /// work, comm bytes, memory maxima — attributed from machine reports.
-  /// kThroughput traces carry one round-pair per rung the query ran.
+  /// The rungs' own traces (edit_mpc::GuessOutcome::trace), appended one
+  /// after another in kThroughput and merged in parallel in kParallelGuess.
   mpc::ExecutionTrace trace;
 };
 
 struct BatchResult {
   std::vector<QueryResult> queries;
-  /// The shared physical execution: 2 rounds in kParallelGuess (and for
-  /// kUlam), 2 rounds per escalation pass in kThroughput.
+  /// The shared physical execution: 2 rounds for kUlam, <= 4 in
+  /// kParallelGuess, 2 (or 4 with a large rung) per escalation pass in
+  /// kThroughput.
   mpc::ExecutionTrace trace;
   /// Escalation passes executed (1 for kParallelGuess / kUlam batches with
-  /// live queries, 0 for an all-degenerate batch).
+  /// live queries, 0 when no query needed a rung).
   std::size_t passes = 0;
 };
 

@@ -16,13 +16,12 @@ HssBaselineResult hss_edit_distance_mpc(SymView s, SymView t,
   MPCSD_EXPECTS(params.epsilon > 0.0);
 
   HssBaselineResult result;
-  const auto n = static_cast<std::int64_t>(s.size());
-  const auto n_bar = static_cast<std::int64_t>(t.size());
-  if (n == n_bar && std::equal(s.begin(), s.end(), t.begin())) return result;
-  if (n == 0 || n_bar == 0) {
-    result.distance = std::max(n, n_bar);
+  if (const auto d = trivial_distance(s, t)) {
+    result.distance = *d;
     return result;
   }
+  const auto n = static_cast<std::int64_t>(s.size());
+  const auto n_bar = static_cast<std::int64_t>(t.size());
 
   EditMpcParams cap_params;
   cap_params.x = params.x;

@@ -15,42 +15,39 @@ namespace mpcsd::edit_mpc {
 
 namespace {
 
-constexpr mpc::Channel<std::vector<seq::Tuple>> kTuples{0, "tuples"};
-constexpr mpc::Channel<std::int64_t> kAnswer{0, "answer"};
-
-/// Round params of the distances stage: one guess and its geometry.
-struct GuessParams {
+/// Round params entry of the distances stage: one cell's guess, geometry
+/// and first round-1 machine.  A machine's cell is the last one whose first
+/// machine is at or before the machine's id, so tasks carry no cell id.
+struct CellSpec {
   SmallDistanceParams params;
   CandidateGeometry geo;
+  std::uint64_t first_machine = 0;
 
   static constexpr auto fields() {
-    return std::make_tuple(&GuessParams::params, &GuessParams::geo);
+    return std::make_tuple(&CellSpec::params, &CellSpec::geo, &CellSpec::first_machine);
   }
 };
 
-/// Stage 1 (Algorithm 3): block-vs-candidate distances.
-void distances_body(mpc::StageContext<SmallTask>& ctx, const GuessParams& guess) {
+/// Stage 1 (Algorithm 3): block-vs-candidate distances, sent to the
+/// machine's cell mailbox.
+void distances_body(mpc::StageContext<SmallTask>& ctx,
+                    const std::vector<CellSpec>& cells) {
+  const auto after = std::upper_bound(
+      cells.begin(), cells.end(), static_cast<std::uint64_t>(ctx.machine_id()),
+      [](std::uint64_t id, const CellSpec& cell) { return id < cell.first_machine; });
+  const auto c = static_cast<std::uint32_t>(after - cells.begin() - 1);
   std::uint64_t work = 0;
-  const auto tuples = small_task_tuples(ctx.in(), guess.params, guess.geo, &work);
+  const auto tuples = small_task_tuples(ctx.in(), cells[c].params, cells[c].geo, &work);
   ctx.charge_work(work);
   ctx.charge_scratch((ctx.in().block.size() + ctx.in().chunk.size()) *
                      sizeof(Symbol));
-  ctx.send(kTuples, tuples);
+  ctx.send(mpc::Channel<std::vector<seq::Tuple>>(c), tuples);
 }
 
-const mpc::Stage<SmallTask, GuessParams> kDistancesStage{"edit:small:distances",
-                                                         &distances_body};
+const mpc::Stage<SmallTask, std::vector<CellSpec>> kDistancesStage{
+    "edit:small:distances", &distances_body};
 const mpc::Stage<mpc::TupleInbox, mpc::CombineParams> kCombineStage{
     "edit:small:combine", &mpc::combine_body};
-
-mpc::Plan small_plan() {
-  return mpc::Plan{
-      "edit:small",
-      {
-          {"edit:small:distances", "SmallTask (sharded input)", "tuples"},
-          {"edit:small:combine", "Inbox<tuples>", "answer"},
-      }};
-}
 
 /// The kApprox3 unit's settings for a pair censored at `limit`: bound the
 /// unit's internal guess loop — if no guess up to ~limit certifies, the
@@ -220,21 +217,106 @@ std::vector<seq::Tuple> small_task_tuples(const SmallTask& task,
   return tuples;
 }
 
+mpc::Plan small_plan() {
+  return mpc::Plan{
+      "edit:small",
+      {
+          {kDistancesStage.label, "SmallTask (sharded input)", "tuples@cell"},
+          {kCombineStage.label, "Inbox<tuples>@cell", "answer@cell"},
+      },
+      /*repeating=*/true};
+}
+
+std::vector<PipelineResult> run_small_cells(mpc::Driver& driver,
+                                            const std::vector<SmallCell>& cells) {
+  // Per-cell task construction is independent; flatten serially in cell
+  // order so machine ids stay deterministic.
+  std::vector<CellSpec> specs(cells.size());
+  std::vector<std::vector<SmallTask>> builds(cells.size());
+  driver.cluster().pool().parallel_for(
+      cells.size(),
+      [&](std::size_t c) {
+        const SmallCell& cell = cells[c];
+        specs[c].params = cell.params;
+        specs[c].geo = small_geometry(static_cast<std::int64_t>(cell.s.size()),
+                                      static_cast<std::int64_t>(cell.t.size()),
+                                      cell.params);
+        builds[c] = make_small_tasks(cell.s, cell.t, cell.params, specs[c].geo);
+      },
+      /*grain=*/1);
+
+  std::vector<SmallTask> tasks;
+  std::vector<std::uint64_t> task_limits;
+  std::vector<std::uint32_t> task_cell;
+  std::vector<std::uint64_t> caps;
+  std::vector<std::uint32_t> combine_cell;
+  mpc::CombineParams combine_params{{}, seq::GapCost::kSum};
+  for (std::uint32_t c = 0; c < cells.size(); ++c) {
+    MPCSD_EXPECTS(!cells[c].s.empty() && !cells[c].t.empty());
+    specs[c].first_machine = tasks.size();
+    caps.push_back(cells[c].params.memory_cap_bytes);
+    for (SmallTask& task : builds[c]) {
+      tasks.push_back(std::move(task));
+      task_limits.push_back(caps[c]);
+      task_cell.push_back(c);
+    }
+    combine_cell.push_back(c);
+    combine_params.targets.push_back({c, specs[c].geo.n, specs[c].geo.n_bar});
+  }
+
+  // ---- Stage 1 (Algorithm 3): block-vs-candidate distances. ----
+  std::vector<mpc::MachineReport> reports1;
+  mpc::RoundOptions options1;
+  options1.machine_memory_limits = &task_limits;
+  options1.machine_reports = &reports1;
+  const auto mail = driver.run(kDistancesStage, driver.shard_parallel(tasks), specs,
+                               options1);
+
+  // ---- Stage 2 (Algorithm 4): one combine machine per cell (zero-copy
+  // inbox).  Answers return through the mailboxes, tuple counts through the
+  // unmetered stash: bodies may run in worker processes whose host writes
+  // are invisible (mpc/backend.hpp). ----
+  std::vector<ByteChain> combine_inputs;
+  for (std::uint32_t c = 0; c < cells.size(); ++c) {
+    combine_inputs.push_back(mpc::gather_view(mail, c));
+  }
+  std::vector<mpc::MachineReport> reports2;
+  std::vector<Bytes> combine_stash;
+  mpc::RoundOptions options2;
+  options2.machine_memory_limits = &caps;
+  options2.machine_reports = &reports2;
+  options2.machine_stash = &combine_stash;
+  const auto mail2 =
+      driver.run_views(kCombineStage, combine_inputs, combine_params, options2);
+
+  const auto round1 = mpc::attribute_round(kDistancesStage.label, reports1, task_cell, caps);
+  const auto round2 = mpc::attribute_round(kCombineStage.label, reports2, combine_cell, caps);
+  std::vector<PipelineResult> results(cells.size());
+  for (std::uint32_t c = 0; c < cells.size(); ++c) {
+    PipelineResult& result = results[c];
+    result.distance = driver.receive(mail2, mpc::Channel<std::int64_t>(c)).at(0);
+    result.tuple_count =
+        static_cast<std::size_t>(mpc::unstash<std::uint64_t>(combine_stash.at(c)));
+    result.machines_round1 = round1[c].machines;
+    result.trace.add_round(round1[c]);
+    result.trace.add_round(round2[c]);
+  }
+  return results;
+}
+
 PipelineResult run_small_distance(SymView s, SymView t,
                                   const SmallDistanceParams& params) {
   MPCSD_EXPECTS(params.x > 0.0 && params.x < 1.0);
   MPCSD_EXPECTS(params.eps_prime > 0.0);
   MPCSD_EXPECTS(params.delta_guess >= 0);
 
-  PipelineResult result;
   const auto n = static_cast<std::int64_t>(s.size());
   const auto n_bar = static_cast<std::int64_t>(t.size());
   if (n == 0 || n_bar == 0) {
+    PipelineResult result;
     result.distance = std::max(n, n_bar);
     return result;
   }
-
-  const CandidateGeometry geo = small_geometry(n, n_bar, params);
 
   mpc::ClusterConfig config{params};
   config.memory_limit_bytes = params.memory_cap_bytes;
@@ -243,31 +325,10 @@ PipelineResult run_small_distance(SymView s, SymView t,
   obs::Span pipeline_span(params.recorder, "edit:small", "pipeline");
   pipeline_span.arg("guess", static_cast<double>(params.delta_guess));
 
-  const std::vector<Bytes> inputs =
-      driver.shard_parallel(make_small_tasks(s, t, params, geo));
-  result.machines_round1 = inputs.size();
-
-  // ---- Stage 1 (Algorithm 3): block-vs-candidate distances. ----
-  const auto mail = driver.run(kDistancesStage, inputs, GuessParams{params, geo});
-
-  // ---- Stage 2 (Algorithm 4): combine on one machine (zero-copy inbox). ----
-  // The answer returns through the mailbox, the tuple count through the
-  // unmetered stash: bodies may run in worker processes whose host
-  // writes are invisible (mpc/backend.hpp).
-  std::vector<Bytes> combine_stash;
-  mpc::RoundOptions combine_options;
-  combine_options.machine_stash = &combine_stash;
-  const auto mail2 = driver.run_views(
-      kCombineStage, {mpc::gather_view(mail, kTuples.mailbox)},
-      mpc::CombineParams{{{kAnswer.mailbox, n, n_bar}}, seq::GapCost::kSum},
-      combine_options);
+  PipelineResult result = std::move(run_small_cells(driver, {SmallCell{s, t, params}}).front());
   driver.finish();
-
-  const auto answers = driver.receive(mail2, kAnswer);
-  MPCSD_ENSURES(answers.size() == 1);
-  result.distance = answers.front();
-  result.tuple_count =
-      static_cast<std::size_t>(mpc::unstash<std::uint64_t>(combine_stash.at(0)));
+  // The one cell owns every machine: the cluster's own reports, which also
+  // carry the rounds' wall clock.
   result.trace = driver.take_trace();
   MPCSD_ENSURES(result.trace.round_count() == 2);
   return result;

@@ -12,6 +12,12 @@
 //                      HSS [20] baseline uses).
 // Round 2 (Algorithm 4): a single machine combines all tuples with the
 //   delete+insert gap DP.
+//
+// One stage pair, `edit:small:distances` then `edit:small:combine`, serves
+// every caller.  `run_small_cells` runs any number of (pair, guess) cells
+// side by side in one shared round pair — the guess ladder in
+// edit_mpc/solver.hpp runs a pass of it per escalation step — and
+// `run_small_distance` is its one-cell case on a private cluster.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +27,7 @@
 
 #include "edit_mpc/candidates.hpp"
 #include "mpc/cluster.hpp"
+#include "mpc/plan.hpp"
 #include "mpc/stats.hpp"
 #include "seq/approx_edit.hpp"
 #include "seq/combine.hpp"
@@ -96,8 +103,7 @@ std::vector<SmallTask> make_small_tasks(SymView s, SymView t,
 
 /// The round-1 machine computation (Algorithm 3): block-vs-candidate
 /// distances for every (start, end) candidate of the task, censored at the
-/// guess-derived cap.  Shared by the single-query pipeline and the batch
-/// driver; runs a `BlockEvaluator` over the task's starts.
+/// guess-derived cap; runs a `BlockEvaluator` over the task's starts.
 std::vector<seq::Tuple> small_task_tuples(const SmallTask& task,
                                           const SmallDistanceParams& params,
                                           const CandidateGeometry& geo,
@@ -149,9 +155,34 @@ class BlockEvaluator {
   std::size_t fallbacks_ = 0;
 };
 
+/// One Lemma 6 instance of a shared round pair: a non-empty pair and one
+/// guess's model parameters (its execution knobs are unused; the
+/// `mpc::Driver`'s cluster runs the cell).  The views must outlive the call.
+struct SmallCell {
+  SymView s;
+  SymView t;
+  SmallDistanceParams params;
+};
+
+/// The Lemma 6 plan `edit:small`: the distances stage, then the combine
+/// stage.  Repeating, so one driver can run a round pair per pass.
+mpc::Plan small_plan();
+
+/// Runs every cell's pipeline side by side in one round pair on `driver`,
+/// whose plan is `small_plan()`.  Cell c owns a contiguous run of round-1
+/// machines (found from per-cell first-machine offsets in the round params)
+/// and combine machine c; mailbox c carries its tuples and its answer.  Each
+/// machine is held to its cell's `memory_cap_bytes`.  Returns one result per
+/// cell whose trace is the cell's share of the two rounds
+/// (mpc::attribute_round).
+std::vector<PipelineResult> run_small_cells(mpc::Driver& driver,
+                                            const std::vector<SmallCell>& cells);
+
 /// Runs the small-distance pipeline for one guess.  The result is a valid
 /// upper bound on ed(s, t) regardless of the guess; when the guess is
-/// >= ed(s, t) it is within 3+eps (kApprox3) or 1+eps (kExactBanded).
+/// >= ed(s, t) it is within 3+eps (kApprox3) or 1+eps (kExactBanded).  The
+/// one-cell `run_small_cells` on a cluster of its own (`params`' execution
+/// knobs, capped at `memory_cap_bytes`); the trace is that cluster's.
 PipelineResult run_small_distance(SymView s, SymView t,
                                   const SmallDistanceParams& params);
 

@@ -178,7 +178,8 @@ bool split_inputs(const std::byte* data, const RoundCommand& command,
     // Publish: the result arena grows to the largest round and stays mapped.
     const Bytes& payload = out.bytes();
     if (results.ensure(result_fd, payload.size(), /*writable=*/true)) {
-      std::memcpy(results.data, payload.data(), payload.size());
+      // A worker that has claimed no machine yet has no arena mapped.
+      if (!payload.empty()) std::memcpy(results.data, payload.data(), payload.size());
     } else {
       barrier.status = kWorkerPublishFailed;
       barrier.result_bytes = 0;

@@ -58,6 +58,26 @@ std::uint64_t ExecutionTrace::structural_hash() const noexcept {
   return h;
 }
 
+std::vector<RoundReport> attribute_round(const std::string& label,
+                                         const std::vector<MachineReport>& reports,
+                                         const std::vector<std::uint32_t>& owner,
+                                         const std::vector<std::uint64_t>& caps) {
+  std::vector<RoundReport> split(caps.size());
+  for (RoundReport& rr : split) rr.label = label;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const MachineReport& m = reports[i];
+    RoundReport& rr = split.at(owner[i]);
+    ++rr.machines;
+    rr.max_machine_memory = std::max(rr.max_machine_memory, m.memory_footprint());
+    rr.total_comm_bytes += m.output_bytes;
+    rr.total_input_bytes += m.input_bytes;
+    rr.total_work += m.work;
+    rr.max_machine_work = std::max(rr.max_machine_work, m.work);
+    if (m.memory_footprint() > caps[owner[i]]) ++rr.memory_violations;
+  }
+  return split;
+}
+
 void ExecutionTrace::append_sequential(const ExecutionTrace& other) {
   rounds_.insert(rounds_.end(), other.rounds_.begin(), other.rounds_.end());
 }

@@ -96,4 +96,14 @@ class ExecutionTrace {
   std::vector<RoundReport> rounds_;
 };
 
+/// Splits one shared round among the owners of its machines: entry o
+/// aggregates the reports of the machines with owner[i] == o, exactly as
+/// the cluster aggregates a whole round, with violations re-checked against
+/// the owner's own cap caps[o].  Wall-clock fields stay 0: an owner shares
+/// the round's interval with every co-scheduled owner.
+std::vector<RoundReport> attribute_round(const std::string& label,
+                                         const std::vector<MachineReport>& reports,
+                                         const std::vector<std::uint32_t>& owner,
+                                         const std::vector<std::uint64_t>& caps);
+
 }  // namespace mpcsd::mpc

@@ -42,6 +42,21 @@ void Recorder::instant(std::string_view name, std::string_view category,
   emit(std::move(event));
 }
 
+void Recorder::span_since(std::string_view name, std::string_view category,
+                          std::uint64_t ts_us, std::vector<Arg> args,
+                          std::uint64_t track) {
+  if (!enabled()) return;
+  TraceEvent event;
+  event.kind = EventKind::kSpan;
+  event.name.assign(name);
+  event.category.assign(category);
+  event.ts_us = ts_us;
+  event.dur_us = now_us() - ts_us;
+  event.track = track;
+  event.args = std::move(args);
+  emit(std::move(event));
+}
+
 void Recorder::flush() {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& sink : sinks_) sink->flush();

@@ -62,10 +62,14 @@ class Recorder {
             .count());
   }
 
-  /// Dispatches `event` to every sink (no-op when disabled).  Layers that
-  /// attribute shared intervals (the batch driver's per-query spans) build
-  /// the TraceEvent themselves and emit it here.
+  /// Dispatches `event` to every sink (no-op when disabled).
   void emit(TraceEvent event);
+
+  /// Span covering [ts_us, now] on `track`: how a layer attributes a shared
+  /// interval (one span per query or rung of a shared pass, each with its
+  /// own args).
+  void span_since(std::string_view name, std::string_view category,
+                  std::uint64_t ts_us, std::vector<Arg> args, std::uint64_t track);
 
   /// Series sample: `name` takes `value` now.
   void counter(std::string_view name, std::string_view category, double value,

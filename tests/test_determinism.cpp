@@ -237,6 +237,42 @@ TEST(Determinism, BatchTraceHashIndependentOfExecutionBackend) {
   EXPECT_EQ(isolated.trace.structural_hash(), threaded.trace.structural_hash());
 }
 
+TEST(Determinism, ParallelGuessBatchWithLargeRungsIndependentOfBackend) {
+  // Every rung in one pass, the large (Lemma 8) ones included: the shared
+  // and per-query hashes must not depend on the backend or worker count.
+  core::BatchRequest request;
+  request.algorithm = core::BatchAlgorithm::kEdit;
+  request.mode = core::BatchMode::kParallelGuess;
+  const auto s = core::random_string(128, 8, 90);
+  request.queries.push_back(
+      core::BatchQuery{s, core::plant_edits(s, 8, 91, false).text});
+  request.queries.push_back(core::BatchQuery{core::random_string(128, 256, 92),
+                                             core::random_string(128, 256, 93)});
+  auto run = [&](mpc::BackendKind backend, std::size_t workers) {
+    core::BatchRequest r = request;
+    r.edit.workers = workers;
+    r.edit.backend = backend;
+    return core::distance_batch(r);
+  };
+  const auto base = run(mpc::BackendKind::kThread, 1);
+  ASSERT_EQ(base.trace.round_count(), 4u);  // the large rungs ran
+  for (const auto backend :
+       {mpc::BackendKind::kThread, mpc::BackendKind::kProcess}) {
+    for (const std::size_t workers : {1ul, 2ul, 4ul}) {
+      const auto r = run(backend, workers);
+      EXPECT_EQ(r.trace.structural_hash(), base.trace.structural_hash())
+          << mpc::backend_kind_name(backend) << " x " << workers;
+      for (std::size_t q = 0; q < base.queries.size(); ++q) {
+        EXPECT_EQ(r.queries[q].distance, base.queries[q].distance)
+            << mpc::backend_kind_name(backend) << " x " << workers << " query " << q;
+        EXPECT_EQ(r.queries[q].trace.structural_hash(),
+                  base.queries[q].trace.structural_hash())
+            << mpc::backend_kind_name(backend) << " x " << workers << " query " << q;
+      }
+    }
+  }
+}
+
 TEST(Determinism, StructuralHashIgnoresWallClockOnly) {
   // Two identical runs hash identically even though wall-clock fields
   // differ between them; a different input hashes differently.

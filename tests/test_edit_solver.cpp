@@ -2,6 +2,9 @@
 // baseline: sandwich bounds, round budgets, machine-count comparison.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "core/batch.hpp"
 #include "core/workload.hpp"
 #include "edit_mpc/hss_baseline.hpp"
@@ -209,6 +212,102 @@ TEST(EditSolver, AcceptedGuessIsTheFirstSelfCertifyingGuess) {
       }
     }
   }
+}
+
+core::BatchResult one_query_batch(const SymString& s, const SymString& t,
+                                  const EditMpcParams& params, core::BatchMode mode) {
+  core::BatchRequest request;
+  request.algorithm = core::BatchAlgorithm::kEdit;
+  request.mode = mode;
+  request.router = core::RouterPolicy::kOff;
+  request.edit = params;
+  request.queries.push_back(core::BatchQuery{s, t});
+  return core::distance_batch(request);
+}
+
+TEST(EditSolver, ParallelGuessBatchRunsTheLargeRungsLikeKAll) {
+  // Random alphabet-256 pairs: ed is near n, so the ladder's top rungs lie
+  // above n^{1-x/5} (2 large rungs of 9 at n = 160, 1 of 9 at n = 256).
+  for (const std::int64_t n : {160, 256}) {
+    const auto s = core::random_string(n, 256, 1);
+    const auto t = core::random_string(n, 256, 101);
+    EditMpcParams params;
+    params.workers = 2;
+    params.guess_mode = GuessMode::kAll;
+    const auto single = edit_distance_mpc(s, t, params);
+    const auto batch = one_query_batch(s, t, params, core::BatchMode::kParallelGuess);
+    ASSERT_EQ(batch.queries.size(), 1u);
+    const core::QueryResult& q = batch.queries[0];
+    EXPECT_EQ(q.distance, single.distance) << "n=" << n;
+    EXPECT_EQ(q.accepted_guess, single.accepted_guess) << "n=" << n;
+    EXPECT_EQ(q.rungs_run, single.guesses_run) << "n=" << n;
+    EXPECT_EQ(q.trace.structural_hash(), single.trace.structural_hash()) << "n=" << n;
+    EXPECT_TRUE(std::any_of(single.per_guess.begin(), single.per_guess.end(),
+                            [](const GuessOutcome& g) { return g.large_pipeline; }))
+        << "n=" << n;
+    EXPECT_EQ(batch.passes, 1u);
+    EXPECT_LE(batch.trace.round_count(), 4u);
+  }
+}
+
+TEST(EditSolver, EscalationReachesALargeRungWhenNoSmallRungCertifies) {
+  // At x = 0.9 the small regime ends at 300^{0.82} = 107, about a third of
+  // ed ~ n, so no small rung certifies and escalation must climb into the
+  // Lemma 8 rungs to keep the 3+eps guarantee.
+  const std::int64_t n = 300;
+  const auto s = core::random_string(n, 256, 1);
+  const auto t = core::random_string(n, 256, 101);
+  EditMpcParams params;
+  params.workers = 2;
+  params.x = 0.9;
+  params.epsilon = 0.25;
+  const auto batch = one_query_batch(s, t, params, core::BatchMode::kThroughput);
+  ASSERT_EQ(batch.queries.size(), 1u);
+  const core::QueryResult& q = batch.queries[0];
+  const auto exact = seq::edit_distance(SymView(s), SymView(t));
+  EXPECT_GT(q.accepted_guess, small_distance_limit(n, params.x));
+  EXPECT_GE(q.distance, exact);
+  EXPECT_LE(static_cast<double>(q.distance),
+            (3.0 + params.epsilon) * static_cast<double>(exact));
+}
+
+TEST(EditSolver, TraceIsTheMergeOfRunSmallDistanceReplays) {
+  // A benchmark attributes edit_distance_mpc's rounds by replaying each
+  // executed guess through run_small_distance along the splitmix64 seed
+  // chain; that holds only while the merged replays hash like the call's
+  // trace.  These are the golden edit_n192_x025_e10 inputs.
+  const auto s = core::random_string(192, 8, 19);
+  const auto t = core::plant_edits(s, 192 / 12, 20, false).text;
+  EditMpcParams params;
+  params.x = 0.25;
+  params.epsilon = 1.0;
+  params.unit = DistanceUnit::kApprox3;
+  params.seed = 19;
+  params.workers = 1;
+  const auto result = edit_distance_mpc(s, t, params);
+  ASSERT_FALSE(result.per_guess.empty());
+
+  std::uint64_t guess_seed = params.seed;
+  mpc::ExecutionTrace merged;
+  for (const GuessOutcome& g : result.per_guess) {
+    ASSERT_FALSE(g.large_pipeline);
+    guess_seed = splitmix64(guess_seed + static_cast<std::uint64_t>(g.guess));
+    SmallDistanceParams sp;
+    sp.eps_prime = edit_eps_prime(params);
+    sp.x = params.x;
+    sp.delta_guess = g.guess;
+    sp.unit = params.unit;
+    sp.approx = params.approx;
+    sp.seed = guess_seed;
+    sp.workers = params.workers;
+    sp.memory_cap_bytes = result.memory_cap_bytes;
+    const auto replay = run_small_distance(s, t, sp);
+    EXPECT_EQ(replay.distance, g.distance) << "guess " << g.guess;
+    EXPECT_EQ(replay.trace.structural_hash(), g.trace.structural_hash())
+        << "guess " << g.guess;
+    merged.merge_parallel(replay.trace);
+  }
+  EXPECT_EQ(merged.structural_hash(), result.trace.structural_hash());
 }
 
 }  // namespace

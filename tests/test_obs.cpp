@@ -469,7 +469,8 @@ TEST(MeteringNeutrality, EditSolver) {
   EXPECT_EQ(attached.distance, detached.distance);
   EXPECT_EQ(attached.trace.structural_hash(), detached.trace.structural_hash());
   EXPECT_NE(sink->spans().find({"solver", "edit:solve"}), sink->spans().end());
-  EXPECT_NE(sink->spans().find({"solver", "edit:guess"}), sink->spans().end());
+  EXPECT_NE(sink->spans().find({"solver", "edit:pass"}), sink->spans().end());
+  EXPECT_NE(sink->spans().find({"solver", "edit:rung"}), sink->spans().end());
 }
 
 core::BatchRequest make_batch_request(core::BatchMode mode) {
@@ -516,10 +517,8 @@ TEST(MeteringNeutrality, DistanceBatchBothModes) {
                 detached.queries[q].trace.structural_hash());
     }
     // Per-rung attribution spans landed on the query tracks.
-    EXPECT_NE(sink->spans().find({"batch", "batch:edit:pass"}),
-              sink->spans().end());
-    EXPECT_NE(sink->spans().find({"batch", "batch:edit:rung"}),
-              sink->spans().end());
+    EXPECT_NE(sink->spans().find({"solver", "edit:pass"}), sink->spans().end());
+    EXPECT_NE(sink->spans().find({"solver", "edit:rung"}), sink->spans().end());
   }
 }
 
