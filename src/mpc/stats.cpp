@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "common/hash.hpp"
 
@@ -82,6 +83,20 @@ void ExecutionTrace::append_sequential(const ExecutionTrace& other) {
   rounds_.insert(rounds_.end(), other.rounds_.begin(), other.rounds_.end());
 }
 
+namespace {
+
+/// True when `part` is one of the `|`-separated parts of `joined`.
+bool has_part(std::string_view joined, std::string_view part) {
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = joined.find('|', begin);
+    if (joined.substr(begin, end - begin) == part) return true;
+    if (end == std::string_view::npos) return false;
+    begin = end + 1;
+  }
+}
+
+}  // namespace
+
 void ExecutionTrace::merge_parallel(const ExecutionTrace& other) {
   if (other.rounds_.size() > rounds_.size()) {
     rounds_.resize(other.rounds_.size());
@@ -91,7 +106,7 @@ void ExecutionTrace::merge_parallel(const ExecutionTrace& other) {
     const RoundReport& theirs = other.rounds_[i];
     if (mine.label.empty()) {
       mine.label = theirs.label;
-    } else if (!theirs.label.empty() && mine.label != theirs.label) {
+    } else if (!theirs.label.empty() && !has_part(mine.label, theirs.label)) {
       mine.label += "|" + theirs.label;
     }
     mine.machines += theirs.machines;

@@ -82,8 +82,8 @@ class ExecutionTrace {
 
   /// Zips `other`'s rounds with this trace's rounds (side-by-side parallel
   /// execution, e.g. one pipeline per guess of n^delta): machine counts,
-  /// work, and communication add; maxima combine by max.  Traces of unequal
-  /// length pad with empty rounds.
+  /// work, and communication add; maxima combine by max; labels join with
+  /// `|`, each part once.  Traces of unequal length pad with empty rounds.
   void merge_parallel(const ExecutionTrace& other);
 
   /// Human-readable multi-line summary (used by benches and examples).

@@ -133,6 +133,20 @@ TEST(ExecutionTraceEdge, MergeParallelLabelJoinAndViolations) {
   // Violations are counts of offending machines, so they add.
   EXPECT_EQ(lhs.rounds()[0].memory_violations, 3u);
   EXPECT_EQ(lhs.memory_violations(), 3u);
+
+  // A label already joined is not repeated (here the last part, then the
+  // first); a new one still appends.
+  lhs.merge_parallel(rhs);
+  EXPECT_EQ(lhs.rounds()[0].label, "left|right");
+  mpc::ExecutionTrace again;
+  again.add_round(make_round("left", 1, 1, 1, 1, 0));
+  lhs.merge_parallel(again);
+  EXPECT_EQ(lhs.rounds()[0].label, "left|right");
+  mpc::ExecutionTrace next;
+  next.add_round(make_round("next", 1, 1, 1, 1, 0));
+  lhs.merge_parallel(next);
+  EXPECT_EQ(lhs.rounds()[0].label, "left|right|next");
+  EXPECT_EQ(lhs.rounds()[0].machines, 5u);
 }
 
 TEST(ExecutionTraceEdge, StructuralHashIgnoresWallClock) {
