@@ -454,12 +454,15 @@ int main(int argc, char** argv) {
     records.push_back(fast);
   }
 
-  // ---- Combine-inbox routing: concatenate-and-copy vs zero-copy chain. ----
+  // ---- Combine inbox: concatenate-then-decode vs decode in place. ----
   // The emit round runs on the plan layer (typed stage + channel, the same
   // path every library driver uses); the `Codec<std::vector<seq::Tuple>>`
   // wire format is byte-identical to the old hand-rolled `write_tuples`
-  // emission.  The copy measurement materialises the inbox through
-  // `ByteChain::to_bytes` — the retired copying-gather semantics.
+  // emission.  The view row times the combine stages' own decoder
+  // (`seq::read_all_tuples` over the routed fragments, what
+  // `Codec<mpc::TupleInbox>` runs).  The copy row first materialises the
+  // inbox through `ByteChain::to_bytes` — the retired copying-gather
+  // semantics.
   {
     const std::size_t machines = smoke ? 4 : 64;
     const std::size_t tuples_per_machine = smoke ? 16 : 512;

@@ -2,13 +2,16 @@
 // `ByteReader` / `ChainReader` primitives, the `Codec<T>` shapes of the
 // plan layer (PODs, length-prefixed vectors, strings, field-tuple structs,
 // tagged variants, inbox streams), and the combine round's tuple batches
-// (`seq::read_all_tuples`, both overloads).
+// (`seq::read_all_tuples`, both overloads, and the combine stages' input
+// codec `Codec<mpc::TupleInbox>`).
 //
 // Invariants under arbitrary input bytes:
 //   * decode never crashes, never reads out of bounds, never allocates
 //     unboundedly — malformed input is rejected with `ContractViolation`;
 //   * whatever DOES decode round-trips: re-encoding the value and decoding
-//     it again yields an equal value consuming the whole re-encoding.
+//     it again yields an equal value consuming the whole re-encoding;
+//   * the combine stages' input codec accepts exactly what
+//     `seq::read_all_tuples` accepts, with equal tuples.
 //
 // The same bytes are decoded twice — contiguously through `ByteReader` and
 // through a `ChainReader` over input-derived fragment splits — so values
@@ -16,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <variant>
@@ -23,6 +27,7 @@
 
 #include "common/bytes.hpp"
 #include "common/contracts.hpp"
+#include "mpc/combine_round.hpp"
 #include "mpc/plan.hpp"
 #include "seq/combine.hpp"
 
@@ -63,17 +68,28 @@ void decode_and_roundtrip(Reader& r) {
   }
 }
 
-/// Decodes the whole payload as tuple batches; whatever decodes must
-/// re-encode (one batch) and decode to the same tuples.
+/// Decodes the whole payload as tuple batches, through `read_all_tuples`
+/// and through the combine stages' input codec over `chain` (the same
+/// bytes): both accept with equal tuples or both reject.  Whatever decodes
+/// must re-encode (one batch) and decode to the same tuples.
 template <typename Payload>
-void decode_tuple_batches(const Payload& payload) {
+void decode_tuple_batches(const Payload& payload, const ByteChain& chain) {
+  std::optional<std::vector<seq::Tuple>> direct;
+  std::optional<std::vector<seq::Tuple>> staged;
   try {
-    const std::vector<seq::Tuple> tuples = seq::read_all_tuples(payload);
-    ByteWriter w;
-    seq::write_tuples(w, tuples);
-    if (seq::read_all_tuples(w.bytes()) != tuples) std::abort();
+    direct = seq::read_all_tuples(payload);
   } catch (const ContractViolation&) {
   }
+  try {
+    ChainReader r(chain);
+    staged = Codec<mpc::TupleInbox>::decode(r).tuples;
+  } catch (const ContractViolation&) {
+  }
+  if (direct != staged) std::abort();
+  if (!direct) return;
+  ByteWriter w;
+  seq::write_tuples(w, *direct);
+  if (seq::read_all_tuples(w.bytes()) != *direct) std::abort();
 }
 
 template <typename Reader>
@@ -92,11 +108,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const auto* bytes = reinterpret_cast<const std::byte*>(data);
 
-  // Pass 1: one contiguous buffer.
+  // Pass 1: one contiguous buffer (the combine codec sees it as a process
+  // worker's one-part arena input).
   {
     ByteReader r(bytes, size);
     decode_all_shapes(r);
-    decode_tuple_batches(Bytes(bytes, bytes + size));
+    ByteChain whole;
+    whole.add(ByteSpan(bytes, size));
+    decode_tuple_batches(Bytes(bytes, bytes + size), whole);
   }
 
   // Pass 2: the same bytes as a fragmented inbox chain.  Split points come
@@ -114,7 +133,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     ChainReader r(chain);
     decode_all_shapes(r);
-    decode_tuple_batches(chain);
+    decode_tuple_batches(chain, chain);
 
     // An inbox stream over the fragments: decode messages until the chain
     // is exhausted or a malformed tail is rejected.

@@ -190,12 +190,21 @@ class ChainReader {
 
   template <typename T>
   std::vector<T> get_vector() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = get<std::uint64_t>();
-    MPCSD_EXPECTS(n <= remaining_ / sizeof(T));
-    std::vector<T> out(n);
-    if (n > 0) read_raw(reinterpret_cast<std::byte*>(out.data()), n * sizeof(T));
+    std::vector<T> out;
+    append_to(out, get<std::uint64_t>());
     return out;
+  }
+
+  /// Appends the next `n` values to `out` with one copy per fragment they
+  /// span.  `n` comes off the wire: it is checked against the bytes left
+  /// before `out` grows.
+  template <typename T>
+  void append_to(std::vector<T>& out, std::uint64_t n) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    MPCSD_EXPECTS(n <= remaining_ / sizeof(T));
+    const std::size_t old = out.size();
+    out.resize(old + n);
+    if (n > 0) read_raw(reinterpret_cast<std::byte*>(out.data() + old), n * sizeof(T));
   }
 
   std::string get_string() {

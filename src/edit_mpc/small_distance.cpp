@@ -272,20 +272,18 @@ std::vector<PipelineResult> run_small_cells(mpc::Driver& driver,
   const auto mail = driver.run(kDistancesStage, driver.shard_parallel(tasks), specs,
                                options1);
 
-  // ---- Stage 2 (Algorithm 4): one combine machine per cell (zero-copy
-  // inbox).  Answers return through the mailboxes, tuple counts through the
-  // unmetered stash: bodies may run in worker processes whose host writes
-  // are invisible (mpc/backend.hpp). ----
+  // ---- Stage 2 (Algorithm 4): one combine machine per cell.  Its inbox
+  // is a view of the routed mail; the machine copies the tuples once, into
+  // one array.  Answers return through the mailboxes: bodies may run in
+  // worker processes whose host writes are invisible (mpc/backend.hpp). ----
   std::vector<ByteChain> combine_inputs;
   for (std::uint32_t c = 0; c < cells.size(); ++c) {
     combine_inputs.push_back(mpc::gather_view(mail, c));
   }
   std::vector<mpc::MachineReport> reports2;
-  std::vector<Bytes> combine_stash;
   mpc::RoundOptions options2;
   options2.machine_memory_limits = &caps;
   options2.machine_reports = &reports2;
-  options2.machine_stash = &combine_stash;
   const auto mail2 =
       driver.run_views(kCombineStage, combine_inputs, combine_params, options2);
 
@@ -295,9 +293,6 @@ std::vector<PipelineResult> run_small_cells(mpc::Driver& driver,
   for (std::uint32_t c = 0; c < cells.size(); ++c) {
     PipelineResult& result = results[c];
     result.distance = driver.receive(mail2, mpc::Channel<std::int64_t>(c)).at(0);
-    result.tuple_count =
-        static_cast<std::size_t>(mpc::unstash<std::uint64_t>(combine_stash.at(c)));
-    result.machines_round1 = round1[c].machines;
     result.trace.add_round(round1[c]);
     result.trace.add_round(round2[c]);
   }

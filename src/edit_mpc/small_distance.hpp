@@ -68,8 +68,6 @@ struct SmallDistanceParams : mpc::ExecOptions {
 
 struct PipelineResult {
   std::int64_t distance = 0;   ///< cost of a realizable transformation
-  std::size_t tuple_count = 0;
-  std::size_t machines_round1 = 0;
   mpc::ExecutionTrace trace;
 };
 

@@ -357,29 +357,25 @@ void write_tuples(ByteWriter& writer, std::span<const Tuple> tuples) {
   for (const Tuple& t : tuples) writer.put(t);
 }
 
-std::vector<Tuple> read_all_tuples(const Bytes& payload) {
+std::vector<Tuple> read_all_tuples(ChainReader& reader) {
   std::vector<Tuple> out;
-  ByteReader reader(payload);
-  while (!reader.exhausted()) {
-    const auto count = reader.get<std::uint64_t>();
-    MPCSD_EXPECTS(count <= reader.remaining() / sizeof(Tuple));
-    out.reserve(out.size() + count);
-    for (std::uint64_t i = 0; i < count; ++i) out.push_back(reader.get<Tuple>());
-  }
+  // Every tuple takes sizeof(Tuple) of the bytes left, so this bound never
+  // reallocates; batches never straddle sender payloads, so each batch is
+  // one bulk copy.
+  out.reserve(reader.remaining() / sizeof(Tuple));
+  while (!reader.exhausted()) reader.append_to(out, reader.get<std::uint64_t>());
   return out;
 }
 
 std::vector<Tuple> read_all_tuples(const ByteChain& payload) {
-  std::vector<Tuple> out;
-  // Batches never straddle sender payloads, so nearly every read stays on
-  // the reader's single-fragment fast path.
-  out.reserve(payload.total_bytes() / sizeof(Tuple) + 1);
   ChainReader reader(payload);
-  while (!reader.exhausted()) {
-    const auto count = reader.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < count; ++i) out.push_back(reader.get<Tuple>());
-  }
-  return out;
+  return read_all_tuples(reader);
+}
+
+std::vector<Tuple> read_all_tuples(const Bytes& payload) {
+  ByteChain chain;
+  chain.add(ByteSpan(payload));
+  return read_all_tuples(chain);
 }
 
 std::int64_t combine_tuples(std::vector<Tuple> tuples, std::int64_t n,

@@ -126,11 +126,18 @@ std::int64_t combine_tuples_naive(std::vector<Tuple> tuples, std::int64_t n,
 /// Serialises a length-prefixed batch of tuples onto a message.
 void write_tuples(ByteWriter& writer, std::span<const Tuple> tuples);
 
-/// Reads every tuple batch from a concatenated mailbox payload.
-std::vector<Tuple> read_all_tuples(const Bytes& payload);
+/// Reads every tuple batch left in `reader` into one array, in batch
+/// order: the array is reserved from the bytes left and each batch is one
+/// bulk copy.  The combine stages' input codec (mpc/combine_round.hpp) and
+/// both overloads below are this decoder.  A batch count past the bytes
+/// left throws `ContractViolation` before the array grows.
+std::vector<Tuple> read_all_tuples(ChainReader& reader);
 
-/// Zero-copy variant: reads every tuple batch straight out of a mailbox
-/// view (one fragment per sender payload) without concatenating.
+/// Reads every tuple batch of a mailbox view (one fragment per sender
+/// payload) in place, without concatenating the fragments first.
 std::vector<Tuple> read_all_tuples(const ByteChain& payload);
+
+/// Reads every tuple batch of one contiguous payload.
+std::vector<Tuple> read_all_tuples(const Bytes& payload);
 
 }  // namespace mpcsd::seq

@@ -162,8 +162,9 @@ UlamMpcResult ulam_distance_mpc(SymView s, SymView t, const UlamMpcParams& param
   }
 
   // ---- Stage 2: Algorithm 2 on one machine. ----
-  // The combine machine reads the round-1 tuple batches in place
-  // (zero-copy); its metered input is still the full mailbox byte count.
+  // The combine machine's inbox is a view of the routed round-1 mail; it
+  // copies the tuple batches once, into one array.  Its metered input is
+  // the full mailbox byte count.
   std::vector<Bytes> stage2_stash;
   mpc::RoundOptions stage2_options;
   stage2_options.machine_stash = &stage2_stash;

@@ -153,7 +153,7 @@ TEST(EditSmall, BatchingReducesMachinesVsBaselineLayout) {
   single.batch_starts = false;
   const auto rb = run_small_distance(s, t, batched);
   const auto rs = run_small_distance(s, t, single);
-  EXPECT_LT(rb.machines_round1, rs.machines_round1);
+  EXPECT_LT(rb.trace.rounds()[0].machines, rs.trace.rounds()[0].machines);
   EXPECT_EQ(rb.distance, rs.distance);  // same tuples, same combine
 }
 
@@ -177,7 +177,7 @@ TEST(EditSmall, DeterministicGivenSeed) {
   const auto r1 = run_small_distance(s, t, params);
   const auto r2 = run_small_distance(s, t, params);
   EXPECT_EQ(r1.distance, r2.distance);
-  EXPECT_EQ(r1.tuple_count, r2.tuple_count);
+  EXPECT_EQ(r1.trace.structural_hash(), r2.trace.structural_hash());
 }
 
 TEST(EditSmall, EvaluatorMatchesUnitDistanceAcrossBlockLengths) {

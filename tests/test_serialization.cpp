@@ -1,5 +1,6 @@
 // Message formats: tuple batches, RepTuples, and the round-2 combine
-// consuming raw mailbox payloads.
+// consuming raw mailbox payloads through its one decoder
+// (`seq::read_all_tuples`, which `Codec<mpc::TupleInbox>` runs).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,10 +10,29 @@
 #include "common/bytes.hpp"
 #include "common/contracts.hpp"
 #include "edit_mpc/graph_tau.hpp"
+#include "mpc/combine_round.hpp"
 #include "seq/combine.hpp"
 
 namespace mpcsd {
 namespace {
+
+/// What a combine machine's body receives from `chain`.
+std::vector<seq::Tuple> combine_stage_input(const ByteChain& chain) {
+  ChainReader r(chain);
+  std::vector<seq::Tuple> tuples = mpc::Codec<mpc::TupleInbox>::decode(r).tuples;
+  EXPECT_TRUE(r.exhausted());
+  return tuples;
+}
+
+/// The combine stage's former decode: one vector per sender message, then
+/// a flatten in sender order.
+std::vector<seq::Tuple> per_message_then_flatten(const ByteChain& chain) {
+  ChainReader r(chain);
+  const auto inbox = mpc::Codec<mpc::Inbox<std::vector<seq::Tuple>>>::decode(r);
+  std::vector<seq::Tuple> flat;
+  for (const auto& batch : inbox.messages) flat.insert(flat.end(), batch.begin(), batch.end());
+  return flat;
+}
 
 TEST(TupleIo, RoundTripSingleBatch) {
   std::vector<seq::Tuple> tuples{
@@ -41,6 +61,20 @@ TEST(TupleIo, ConcatenatedBatches) {
 
 TEST(TupleIo, EmptyPayload) {
   EXPECT_TRUE(seq::read_all_tuples(Bytes{}).empty());
+  // An empty inbox (no sender wrote) and an inbox of empty batches.
+  const ByteChain none;
+  EXPECT_TRUE(seq::read_all_tuples(none).empty());
+  EXPECT_TRUE(combine_stage_input(none).empty());
+  ByteWriter w1;
+  seq::write_tuples(w1, std::vector<seq::Tuple>{});
+  ByteWriter w2;
+  seq::write_tuples(w2, std::vector<seq::Tuple>{});
+  ByteChain empties;
+  empties.add(ByteSpan(w1.bytes()));
+  empties.add(ByteSpan(w2.bytes()));
+  EXPECT_TRUE(seq::read_all_tuples(empties).empty());
+  EXPECT_TRUE(combine_stage_input(empties).empty());
+  EXPECT_TRUE(per_message_then_flatten(empties).empty());
 }
 
 TEST(RepTuple, PodRoundTrip) {
@@ -141,6 +175,17 @@ TEST(Robustness, AdversarialTupleCountThrows) {
     EXPECT_THROW((void)seq::combine_tuples(seq::read_all_tuples(buf), 10, 12),
                  ContractViolation)
         << count;
+    EXPECT_THROW((void)combine_stage_input(chain), ContractViolation) << count;
+
+    // The same count in a later sender's batch, after a well-formed one:
+    // the check is against the bytes left, not the inbox's total.
+    ByteWriter first;
+    seq::write_tuples(first, std::vector<seq::Tuple>{{0, 5, 0, 5, 1}, {5, 9, 5, 9, 0}});
+    ByteChain routed;
+    routed.add(ByteSpan(first.bytes()));
+    routed.add(ByteSpan(buf));
+    EXPECT_THROW((void)seq::read_all_tuples(routed), ContractViolation) << count;
+    EXPECT_THROW((void)combine_stage_input(routed), ContractViolation) << count;
   }
 }
 
@@ -217,11 +262,31 @@ TEST(TupleIo, ChainOfBatchesMatchesConcat) {
   const Bytes b1 = std::move(w1).take();
   const Bytes b2 = std::move(w2).take();
   const Bytes b3 = std::move(w3).take();
+  // Routed mail: one part per sender.
   ByteChain chain;
   chain.add(ByteSpan(b1));
   chain.add(ByteSpan(b2));
   chain.add(ByteSpan(b3));
-  EXPECT_EQ(seq::read_all_tuples(chain), seq::read_all_tuples(concat({b1, b2, b3})));
+  const Bytes whole = concat({b1, b2, b3});
+  const std::vector<seq::Tuple> expected{{0, 5, 0, 5, 1}, {5, 9, 5, 9, 2}, {2, 4, 2, 4, 0}};
+  EXPECT_EQ(seq::read_all_tuples(chain), expected);
+  EXPECT_EQ(seq::read_all_tuples(whole), expected);
+  EXPECT_EQ(combine_stage_input(chain), expected);
+  EXPECT_EQ(per_message_then_flatten(chain), expected);
+
+  // A process worker's arena input: the same bytes as one part.
+  ByteChain arena;
+  arena.add(ByteSpan(whole));
+  EXPECT_EQ(combine_stage_input(arena), expected);
+
+  // Fragments that split batches and tuples (neither routing shape makes
+  // them, the reader must still take them).
+  for (std::size_t split = 1; split < whole.size(); split += 7) {
+    ByteChain two;
+    two.add(ByteSpan(whole.data(), split));
+    two.add(ByteSpan(whole.data() + split, whole.size() - split));
+    EXPECT_EQ(combine_stage_input(two), expected) << split;
+  }
 }
 
 }  // namespace
