@@ -629,20 +629,14 @@ LargeDistanceResult run_large_distance(SymView s, SymView t,
   // ------------------------------------------------------------------
   ByteChain all_tuples = mpc::gather_view(mail2, kTuples.mailbox);
   all_tuples.add(mpc::gather_view(mail3, kTuples.mailbox));
-  std::vector<Bytes> combine_stash;
-  mpc::RoundOptions combine_options;
-  combine_options.machine_stash = &combine_stash;
   const auto mail4 = driver.run_views(
       kCombineStage, {all_tuples},
-      mpc::CombineParams{{{kAnswer.mailbox, n, n_bar}}, seq::GapCost::kSum},
-      combine_options);
+      mpc::CombineParams{{{kAnswer.mailbox, n, n_bar}}, seq::GapCost::kSum});
   driver.finish();
 
   const auto answers = driver.receive(mail4, kAnswer);
   MPCSD_ENSURES(answers.size() == 1);
   result.distance = answers.front();
-  result.tuple_count =
-      static_cast<std::size_t>(mpc::unstash<std::uint64_t>(combine_stash.at(0)));
   result.trace = driver.take_trace();
   MPCSD_ENSURES(result.trace.round_count() == 4);
   return result;

@@ -45,7 +45,6 @@ struct LargeDistanceParams : mpc::ExecOptions {
 
 struct LargeDistanceResult {
   std::int64_t distance = 0;
-  std::size_t tuple_count = 0;       ///< tuples reaching the combine round
   std::size_t representative_count = 0;
   std::size_t sampled_blocks = 0;
   std::size_t extension_requests = 0;

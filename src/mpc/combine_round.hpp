@@ -56,9 +56,8 @@ struct CombineParams {
 };
 
 /// The combine stage body: runs `seq::combine_tuples` on the inbox's tuples
-/// (moved out of the context), charges the round's work and scratch, sends
-/// the combined distance to the machine's target mailbox and stashes the
-/// number of tuples combined.
+/// (moved out of the context), charges the round's work and scratch and
+/// sends the combined distance to the machine's target mailbox.
 inline void combine_body(StageContext<TupleInbox>& ctx,
                          const CombineParams& params) {
   const CombineTarget& target = params.targets.at(ctx.machine_id());
@@ -72,7 +71,6 @@ inline void combine_body(StageContext<TupleInbox>& ctx,
   ctx.charge_work(work);
   ctx.charge_scratch(count * sizeof(seq::Tuple) * 2);
   ctx.send(Channel<std::int64_t>(target.mailbox), answer);
-  ctx.stash(count);
 }
 
 }  // namespace mpcsd::mpc

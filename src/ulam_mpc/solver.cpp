@@ -48,8 +48,7 @@ void candidates_body(mpc::StageContext<BlockTask>& ctx, const CandidateParams& c
 
 const mpc::Stage<BlockTask, CandidateParams> kCandidatesStage{
     "ulam:candidates", &candidates_body};
-/// Stage 2 (Algorithm 2 on one machine): the answer rides the mailbox, the
-/// tuple count the stash.
+/// Stage 2 (Algorithm 2 on one machine): the answer rides the mailbox.
 const mpc::Stage<mpc::TupleInbox, mpc::CombineParams> kCombineStage{
     "ulam:combine", &mpc::combine_body};
 
@@ -165,20 +164,14 @@ UlamMpcResult ulam_distance_mpc(SymView s, SymView t, const UlamMpcParams& param
   // The combine machine's inbox is a view of the routed round-1 mail; it
   // copies the tuple batches once, into one array.  Its metered input is
   // the full mailbox byte count.
-  std::vector<Bytes> stage2_stash;
-  mpc::RoundOptions stage2_options;
-  stage2_options.machine_stash = &stage2_stash;
   const auto mail2 = driver.run_views(
       kCombineStage, {mpc::gather_view(mail, kTuples.mailbox)},
-      mpc::CombineParams{{{kAnswer.mailbox, n, n_bar}}, params.combine_gap},
-      stage2_options);
+      mpc::CombineParams{{{kAnswer.mailbox, n, n_bar}}, params.combine_gap});
   driver.finish();
 
   const auto answers = driver.receive(mail2, kAnswer);
   MPCSD_ENSURES(answers.size() == 1);
   result.distance = answers.front();
-  result.tuple_count =
-      static_cast<std::size_t>(mpc::unstash<std::uint64_t>(stage2_stash.at(0)));
   result.trace = driver.take_trace();
   MPCSD_ENSURES(result.trace.round_count() ==
                 (params.in_model_position_map ? 4u : 2u));

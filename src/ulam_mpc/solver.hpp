@@ -42,7 +42,6 @@ struct UlamMpcResult {
   std::int64_t distance = 0;
   std::int64_t block_size = 0;
   std::size_t block_count = 0;
-  std::size_t tuple_count = 0;
   std::uint64_t memory_cap_bytes = 0;
   mpc::ExecutionTrace trace;
   CandidateStats stats;              ///< aggregated over all round-1 machines

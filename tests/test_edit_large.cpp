@@ -76,7 +76,7 @@ TEST(EditLarge, DeterministicGivenSeed) {
   const auto r1 = run_large_distance(s, t, params);
   const auto r2 = run_large_distance(s, t, params);
   EXPECT_EQ(r1.distance, r2.distance);
-  EXPECT_EQ(r1.tuple_count, r2.tuple_count);
+  EXPECT_EQ(r1.trace.structural_hash(), r2.trace.structural_hash());
   EXPECT_EQ(r1.extension_requests, r2.extension_requests);
 }
 
@@ -86,7 +86,10 @@ TEST(EditLarge, RepresentativesAndExtensionsActuallyFire) {
   auto params = base_params(600);
   const auto result = run_large_distance(s, t, params);
   EXPECT_GT(result.representative_count, 0u);
-  EXPECT_GT(result.tuple_count, 0u);
+  // Tuples reach the combine round.
+  const mpc::RoundReport& combine = result.trace.rounds().back();
+  EXPECT_EQ(combine.label, "edit:large:combine");
+  EXPECT_GT(combine.total_input_bytes, 0u);
 }
 
 TEST(EditLarge, IdenticalStrings) {

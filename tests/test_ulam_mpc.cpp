@@ -101,7 +101,7 @@ TEST(UlamMpc, DeterministicGivenSeed) {
   const auto r1 = ulam_distance_mpc(w.s, w.t, params);
   const auto r2 = ulam_distance_mpc(w.s, w.t, params);
   EXPECT_EQ(r1.distance, r2.distance);
-  EXPECT_EQ(r1.tuple_count, r2.tuple_count);
+  EXPECT_EQ(r1.trace.structural_hash(), r2.trace.structural_hash());
 }
 
 TEST(UlamMpc, MemoryCapRespected) {
