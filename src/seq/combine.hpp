@@ -100,6 +100,13 @@ class MaxCombineSolver {
   std::int64_t solve(std::span<const Tuple> tuples, std::int64_t n,
                      std::int64_t n_bar, std::uint64_t* work = nullptr);
 
+  /// The last `solve`'s DP value of every tuple, by index: the cheapest
+  /// chain that ends with that tuple (start gap, the gaps between its
+  /// tuples and their distances), before the end gap.  A tuple's value
+  /// depends only on the tuples that may precede it, so it holds for any
+  /// subset of the input that keeps them.
+  [[nodiscard]] std::span<const std::int64_t> dp() const noexcept { return dp_; }
+
  private:
   void solve_range(std::size_t lo, std::size_t hi);
   void solve_leaf(std::size_t lo, std::size_t hi);

@@ -31,10 +31,19 @@
 //     the clipped runs are exactly the window's maximal runs;
 //   * the chain DP over maximal runs equals the DP over their points (an
 //     exchange argument: some optimal chain uses maximal runs in full).
+// The grid loops try many ends per start, so the DP runs once per (start,
+// cap) *row*: the band's runs clipped at sp only, solved to the end of s̄.
+// A run's DP value depends only on the runs that may precede it, and those
+// end before it begins, so it is the same in every window [sp, ep) that
+// holds the run's first point.  A window's distance is then the empty
+// chain max(B, ep - sp) or, over the row's runs that start before ep,
+//   dp + max(B - p_end, ep - q_end)
+// with the run cut at ep: the one run crossing ep can only end a chain,
+// and pays dp + max(B - p_cut, 0).  That takes O(runs) per window, and the
+// charges are summed as the per-window clip and DP would charge them.
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "seq/combine.hpp"
@@ -64,8 +73,8 @@ struct CandidateStats {
 
 /// Per-block evaluation context: the block's match points against s̄ in
 /// p-order, their q values in q-order, the block's maximal diagonal runs,
-/// and a dedup set so that every candidate window is evaluated exactly once
-/// across all guess levels.
+/// the current (start, cap) row, and a dedup set so that every candidate
+/// window is evaluated exactly once across all guess levels.
 class BlockEvaluator {
  public:
   /// `positions` as for `build_block_candidates`; `stats` may be null.
@@ -87,6 +96,26 @@ class BlockEvaluator {
                 std::vector<Tuple>& out);
 
  private:
+  /// The windows already evaluated, as keys below 2^64 - 1 (which marks an
+  /// empty slot): open addressing with linear probing in a power-of-two
+  /// table kept at most half full.
+  class WindowSet {
+   public:
+    /// Adds `key`; false when it is already present.
+    bool insert(std::uint64_t key);
+
+   private:
+    void grow();
+
+    std::vector<std::uint64_t> slots_;
+    std::size_t size_ = 0;
+    unsigned shift_ = 64;  // slot = (key * golden ratio) >> shift_
+  };
+
+  /// Makes (sp, cap) the current row: the band's runs clipped at sp and
+  /// their chain-DP values in `combine_`.
+  void build_row(std::int64_t sp, std::int64_t cap);
+
   std::int64_t block_begin_;
   std::int64_t block_len_;
   std::int64_t n_bar_;
@@ -96,9 +125,13 @@ class BlockEvaluator {
   /// Maximal diagonal runs as zero-distance tuples [p, p+len) x [q, q+len),
   /// sorted by p.
   std::vector<Tuple> runs_;
-  std::vector<Tuple> clipped_;  // per-candidate scratch
+  /// The current row's runs in row-local q (q - sp), sorted by p; `combine_`
+  /// holds their DP values.
+  std::vector<Tuple> row_;
+  std::int64_t row_sp_ = -1;
+  std::int64_t row_cap_ = -1;
   seq::MaxCombineSolver combine_;
-  std::unordered_set<std::uint64_t> seen_;
+  WindowSet seen_;
   std::uint64_t work_ = 0;
 };
 
