@@ -94,8 +94,9 @@ std::int64_t ulam_from_match_points(const std::vector<MatchPoint>& pts,
 /// diagonal band |p - q| <= cap (any alignment of cost <= cap stays inside
 /// it), so the cost scales with the band population, not with |pts|.
 /// No library code calls it: Algorithm 1's per-candidate engine
-/// (`ulam_mpc::BlockEvaluator`) clips the block's diagonal runs instead,
-/// and tests keep this point-level engine as its oracle.
+/// (`ulam_mpc::BlockEvaluator`) clips the block's diagonal runs and runs
+/// one chain DP per window start instead, and the tests and
+/// `fuzz_ulam_eval_diff` keep this point-level engine as its oracle.
 std::optional<std::int64_t> bounded_ulam_from_match_points(
     const std::vector<MatchPoint>& pts, std::int64_t na, std::int64_t nb,
     std::int64_t cap, std::uint64_t* work = nullptr);
