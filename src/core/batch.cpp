@@ -1,218 +1,40 @@
 #include "core/batch.hpp"
 
-#include <algorithm>
-#include <unordered_map>
+#include <stdexcept>
 
-#include "common/contracts.hpp"
-#include "common/grid.hpp"
 #include "common/thread_pool.hpp"
-#include "mpc/combine_round.hpp"
-#include "mpc/plan.hpp"
-#include "seq/combine.hpp"
-#include "seq/lis.hpp"
-#include "ulam_mpc/candidates.hpp"
 
 namespace mpcsd::core {
 
 namespace {
 
-struct QueryMeta {
-  std::int64_t n = 0;
-  std::int64_t n_bar = 0;
-  std::uint64_t cap = 0;
-  bool degenerate = false;  ///< answered driver-side, owns no machines
-};
-
 // ---------------------------------------------------------------------
-// Ulam batch: every query's block machines share round 1, every query's
-// combine machine shares round 2.  Mailbox = query id.  There is no guess
-// ladder, so BatchMode does not change the execution.
+// Ulam batch: one run of the Theorem 4 pipeline (ulam_mpc::run_ulam_pipeline)
+// over every query; mailbox = query index.  There is no guess ladder, so
+// BatchMode does not change the execution.
 // ---------------------------------------------------------------------
-
-/// Round-1 machine input: one block of one query.
-struct UlamBatchTask {
-  std::uint32_t query = 0;
-  std::int64_t begin = 0;
-  std::vector<std::int64_t> positions;
-
-  static constexpr auto fields() {
-    return std::make_tuple(&UlamBatchTask::query, &UlamBatchTask::begin,
-                           &UlamBatchTask::positions);
-  }
-};
-
-/// Round 1: Algorithm 1 on one block of one query; params hold each
-/// query's candidate parameters, by query id.
-void ulam_candidates_body(mpc::StageContext<UlamBatchTask>& ctx,
-                          const std::vector<ulam_mpc::CandidateParams>& queries) {
-  const ulam_mpc::CandidateParams& cp = queries[ctx.in().query];
-  ulam_mpc::CandidateStats st;
-  const auto tuples = ulam_mpc::build_block_candidates(
-      ctx.in().begin, ctx.in().positions, cp, ctx.rng(), &st);
-  ctx.charge_work(st.work);
-  ctx.charge_scratch(ctx.in().positions.size() * 32);
-  ctx.send(mpc::Channel<std::vector<seq::Tuple>>(ctx.in().query), tuples);
-}
-
-const mpc::Stage<UlamBatchTask, std::vector<ulam_mpc::CandidateParams>>
-    kUlamCandidatesStage{"batch:ulam:candidates", &ulam_candidates_body};
-const mpc::Stage<mpc::TupleInbox, mpc::CombineParams> kUlamCombineStage{
-    "batch:ulam:combine", &mpc::combine_body};
 
 BatchResult run_ulam_batch(const BatchRequest& request) {
-  const auto& params = request.ulam;
+  ulam_mpc::UlamMpcParams params = request.ulam;
+  params.recorder = request.recorder;
+  std::vector<ulam_mpc::UlamQuery> queries;
+  queries.reserve(request.queries.size());
+  for (const BatchQuery& query : request.queries) {
+    queries.push_back(ulam_mpc::UlamQuery{SymView(query.s), SymView(query.t)});
+  }
+
+  ulam_mpc::UlamPipelineResult run = ulam_mpc::run_ulam_pipeline(queries, params);
   BatchResult result;
   result.queries.resize(request.queries.size());
-
-  // Per-machine limits carry the caps; the cluster-wide one stays unlimited.
-  mpc::ClusterConfig config{params};
-  config.seed = params.seed;
-  config.recorder = request.recorder;
-  mpc::Driver driver(
-      mpc::Plan{"batch:ulam",
-                {
-                    {"batch:ulam:candidates", "UlamBatchTask (sharded input)",
-                     "tuples@query"},
-                    {"batch:ulam:combine", "Inbox<tuples>@query", "answer@query"},
-                }},
-      config);
-  const std::uint64_t pass_ts =
-      (request.recorder != nullptr && request.recorder->enabled())
-          ? request.recorder->now_us()
-          : 0;
-  obs::Span pass_span(request.recorder, "batch:ulam:pass", "batch");
-  pass_span.arg("queries", static_cast<double>(request.queries.size()));
-
-  // Per-query input construction (position map + block tasks) runs on the
-  // round worker pool: queries are independent, and the serial flatten
-  // below keeps the machine order deterministic.
-  std::vector<QueryMeta> meta(request.queries.size());
-  std::vector<std::vector<UlamBatchTask>> builds(request.queries.size());
-  driver.cluster().pool().parallel_for(
-      request.queries.size(),
-      [&](std::size_t qi) {
-        const auto q = static_cast<std::uint32_t>(qi);
-        const BatchQuery& query = request.queries[q];
-        MPCSD_EXPECTS(seq::is_repeat_free(SymView(query.s)));
-        MPCSD_EXPECTS(seq::is_repeat_free(SymView(query.t)));
-        QueryMeta& m = meta[q];
-        m.n = static_cast<std::int64_t>(query.s.size());
-        m.n_bar = static_cast<std::int64_t>(query.t.size());
-        if (m.n == 0) {
-          m.degenerate = true;
-          result.queries[q].distance = m.n_bar;
-          return;
-        }
-        m.cap = ulam_mpc::ulam_memory_cap_bytes(m.n, params);
-        result.queries[q].memory_cap_bytes = m.cap;
-
-        std::unordered_map<Symbol, std::int64_t> pos_in_t;
-        pos_in_t.reserve(query.t.size() * 2);
-        for (std::size_t j = 0; j < query.t.size(); ++j) {
-          pos_in_t.emplace(query.t[j], static_cast<std::int64_t>(j));
-        }
-        const std::int64_t block =
-            std::max<std::int64_t>(1, ipow_ceil(m.n, 1.0 - params.x));
-        for (std::int64_t begin = 0; begin < m.n; begin += block) {
-          const std::int64_t end = std::min(m.n, begin + block);
-          UlamBatchTask task;
-          task.query = q;
-          task.begin = begin;
-          task.positions.reserve(static_cast<std::size_t>(end - begin));
-          for (std::int64_t i = begin; i < end; ++i) {
-            const auto it = pos_in_t.find(query.s[static_cast<std::size_t>(i)]);
-            task.positions.push_back(it == pos_in_t.end() ? -1 : it->second);
-          }
-          builds[q].push_back(std::move(task));
-        }
-      },
-      /*grain=*/1);
-
-  std::vector<UlamBatchTask> tasks;
-  std::vector<std::uint64_t> task_limits;
-  std::vector<std::uint32_t> task_owner;
-  for (std::uint32_t q = 0; q < builds.size(); ++q) {
-    for (UlamBatchTask& task : builds[q]) {
-      tasks.push_back(std::move(task));
-      task_limits.push_back(meta[q].cap);
-      task_owner.push_back(q);
-    }
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    ulam_mpc::UlamMpcResult& r = run.queries[q];
+    QueryResult& qr = result.queries[q];
+    qr.distance = r.distance;
+    qr.memory_cap_bytes = r.memory_cap_bytes;
+    qr.trace = std::move(r.trace);
   }
-
-  std::vector<ulam_mpc::CandidateParams> query_params(meta.size());
-  for (std::size_t q = 0; q < meta.size(); ++q) {
-    query_params[q].eps_prime = params.epsilon / 2.0;
-    query_params[q].theta_constant = params.theta_constant;
-    query_params[q].n = meta[q].n;
-    query_params[q].n_bar = meta[q].n_bar;
-  }
-  std::vector<mpc::MachineReport> reports1;
-  mpc::RoundOptions options1;
-  options1.machine_memory_limits = &task_limits;
-  options1.machine_reports = &reports1;
-  const auto mail = driver.run(kUlamCandidatesStage, driver.shard_parallel(tasks),
-                               query_params, options1);
-
-  // One combine machine per live query.
-  std::vector<std::uint32_t> combine_query;
-  std::vector<ByteChain> combine_inputs;
-  std::vector<std::uint64_t> combine_limits;
-  mpc::CombineParams combine_params;
-  combine_params.gap = params.combine_gap;
-  for (std::uint32_t q = 0; q < meta.size(); ++q) {
-    if (meta[q].degenerate) continue;
-    combine_query.push_back(q);
-    combine_inputs.push_back(mpc::gather_view(mail, q));
-    combine_limits.push_back(meta[q].cap);
-    combine_params.targets.push_back({q, meta[q].n, meta[q].n_bar});
-  }
-
-  std::vector<mpc::MachineReport> reports2;
-  mpc::RoundOptions options2;
-  options2.machine_memory_limits = &combine_limits;
-  options2.machine_reports = &reports2;
-  const auto mail2 = driver.run_views(kUlamCombineStage, combine_inputs,
-                                      combine_params, options2);
-  driver.finish();
-
-  // Answers come back out of the routed mail (mailbox = query id), not out
-  // of shared host memory: combine bodies may have run in worker processes.
-  std::vector<std::int64_t> answers(meta.size(), 0);
-  for (const std::uint32_t q : combine_query) {
-    answers[q] = driver.receive(mail2, mpc::Channel<std::int64_t>(q)).at(0);
-  }
-
-  // Per-query trace attribution from the machine reports.
-  obs::Recorder* rec = request.recorder;
-  const bool tracing = rec != nullptr && rec->enabled();
-  std::vector<std::uint64_t> caps(meta.size());
-  for (std::uint32_t q = 0; q < meta.size(); ++q) caps[q] = meta[q].cap;
-  auto round1 = mpc::attribute_round(kUlamCandidatesStage.label, reports1,
-                                     task_owner, caps);
-  auto round2 = mpc::attribute_round(kUlamCombineStage.label, reports2,
-                                     combine_query, caps);
-  for (std::uint32_t q = 0; q < meta.size(); ++q) {
-    if (meta[q].degenerate) continue;
-    result.queries[q].distance = answers[q];
-    mpc::RoundReport& r1 = round1[q];
-    mpc::RoundReport& r2 = round2[q];
-    if (tracing) {
-      // The query's share of the shared round pair, on its own track.
-      rec->span_since(
-          "batch:ulam:query", "batch", pass_ts,
-          {{"query", static_cast<double>(q)},
-           {"machines", static_cast<double>(r1.machines + r2.machines)},
-           {"work", static_cast<double>(r1.total_work + r2.total_work)},
-           {"comm_bytes",
-            static_cast<double>(r1.total_comm_bytes + r2.total_comm_bytes)}},
-          q + 1);
-    }
-    result.queries[q].trace.add_round(std::move(r1));
-    result.queries[q].trace.add_round(std::move(r2));
-  }
-  result.trace = driver.take_trace();
-  result.passes = driver.passes();
-  MPCSD_ENSURES(result.trace.round_count() == 2);
+  result.trace = std::move(run.trace);
+  result.passes = run.passes;
   return result;
 }
 

@@ -32,7 +32,9 @@
 // `edit_distance_mpc` is the same ladder run on one query without the
 // router, so both entry points answer alike.
 //
-// Ulam has no guess ladder (Theorem 4 is a single two-round pipeline), so
+// Ulam batches are one run of the Theorem 4 pipeline
+// (ulam_mpc::run_ulam_pipeline, ulam_mpc/solver.hpp), of which
+// `ulam_distance_mpc` is the one-query run.  Ulam has no guess ladder, so
 // both modes execute identically for kUlam.
 //
 // The returned edit distance is always the cost of a realizable
@@ -78,7 +80,9 @@ struct BatchRequest {
   BatchMode mode = BatchMode::kParallelGuess;
   std::vector<BatchQuery> queries;
   /// Solver settings for kUlam batches (x, epsilon, seed, memory_slack,
-  /// combine_gap) and the batch's mpc::ExecOptions except the recorder.
+  /// combine_gap, in_model_position_map — each live query's join runs on
+  /// the shared cluster before the candidates round) and the batch's
+  /// mpc::ExecOptions except the recorder.
   ulam_mpc::UlamMpcParams ulam;
   /// Solver settings for kEdit batches (x, epsilon, unit, seed, ...) and
   /// the batch's mpc::ExecOptions except the recorder.
@@ -121,7 +125,8 @@ struct QueryResult {
 
 struct BatchResult {
   std::vector<QueryResult> queries;
-  /// The shared physical execution: 2 rounds for kUlam, <= 4 in
+  /// The shared physical execution: 2 rounds for kUlam (plus 2 per live
+  /// query with the in-model position map, 0 with no live query), <= 4 in
   /// kParallelGuess, 2 (or 4 with a large rung) per escalation pass in
   /// kThroughput.
   mpc::ExecutionTrace trace;

@@ -19,18 +19,16 @@ namespace {
 constexpr std::uint64_t kReplayPermutationSeed = 0x5eedULL;
 
 /// Fingerprint of one machine's observable effect: every emitted envelope
-/// (destination + payload bytes, in emission order), the stash bytes, and
-/// the metering report minus input bytes (which are fixed by construction).
+/// (destination + payload bytes, in emission order) and the metering
+/// report minus input bytes (which are fixed by construction).
 std::uint64_t fingerprint(const std::vector<Envelope>& outbox,
-                          const Bytes& stash, const MachineReport& report) {
+                          const MachineReport& report) {
   std::uint64_t h = kFnvOffset;
   for (const Envelope& env : outbox) {
     h = hash_mix(h, env.dest);
     h = hash_mix(h, env.payload.size());
     h = hash_bytes(env.payload.data(), env.payload.size(), h);
   }
-  h = hash_mix(h, stash.size());
-  h = hash_bytes(stash.data(), stash.size(), h);
   h = hash_mix(h, report.output_bytes);
   h = hash_mix(h, report.scratch_bytes);
   h = hash_mix(h, report.work);
@@ -75,7 +73,7 @@ void Cluster::audit_replay(const std::string& label, std::size_t round,
 
   std::vector<std::uint64_t> main_print(machines);
   for (std::size_t i = 0; i < machines; ++i) {
-    main_print[i] = fingerprint(outboxes_[i], stashes_[i], reports_[i]);
+    main_print[i] = fingerprint(outboxes_[i], reports_[i]);
   }
 
   // Permuted execution order, deterministic per (seed, round).
@@ -90,13 +88,12 @@ void Cluster::audit_replay(const std::string& label, std::size_t round,
   const std::size_t replay_workers = pool_->worker_count() > 1 ? 1 : 2;
 
   std::vector<std::vector<Envelope>> replay_out(machines);
-  std::vector<Bytes> replay_stash(machines);
   std::vector<MachineReport> replay_reports(machines);
   std::vector<std::string> replay_errors(machines);
   const auto run_one = [&](std::size_t slot) {
     const std::size_t i = perm[slot];
     MachineContext ctx(i, &inputs[i], derive_stream(config_.seed, round, i),
-                       &replay_out[i], &replay_stash[i]);
+                       &replay_out[i]);
     ctx.report_.input_bytes = inputs[i].total_bytes();
     try {
       body.call(body.fn, ctx, params);
@@ -119,7 +116,7 @@ void Cluster::audit_replay(const std::string& label, std::size_t round,
           "machine body threw only under replay: " + replay_errors[i]});
     }
     const std::uint64_t replayed =
-        fingerprint(replay_out[i], replay_stash[i], replay_reports[i]);
+        fingerprint(replay_out[i], replay_reports[i]);
     if (replayed != main_print[i]) {
       throw AuditError(AuditViolation{
           AuditViolationKind::kScheduleDependence, label, round, i,

@@ -18,7 +18,7 @@
 //     actual traffic.
 //   * Dual-schedule replay: every round is re-executed on the host with a
 //     permuted machine order on a different worker count, and each
-//     machine's outbox bytes + stash + metering report must be identical to
+//     machine's outbox bytes + metering report must be identical to
 //     the first execution.  Any dependence on schedule — shared mutable
 //     state, cross-machine reads, order-sensitive side effects — shows up
 //     as a fingerprint mismatch on the offending machine.

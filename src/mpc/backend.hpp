@@ -28,9 +28,9 @@
 //
 // The determinism contract every backend must satisfy: given the same
 // (inputs, body, seed, round), the per-machine outboxes (envelope order,
-// destinations, payload bytes), reports, and stash bytes are identical —
-// `ExecutionTrace::structural_hash()` and all metering cannot depend on the
-// backend or on worker counts.
+// destinations, payload bytes) and reports are identical —
+// `ExecutionTrace::structural_hash()` and all metering cannot depend on
+// the backend or on worker counts.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +77,8 @@ struct BackendResolution {
                                                 const char* env) noexcept;
 
 /// Everything one round's machine bodies need, passed by pointer into the
-/// cluster's round-scoped arenas: the backend fills `outboxes`, `reports`,
-/// and `stashes` for machines [0, machines); orchestration (metering,
+/// cluster's round-scoped arenas: the backend fills `outboxes` and
+/// `reports` for machines [0, machines); orchestration (metering,
 /// routing, audit) stays in the cluster.  The body is a registered
 /// capture-free function (mpc/body.hpp): what it reads besides its inbox
 /// is `params`, decoded once per round in each executing process.
@@ -95,7 +95,6 @@ struct RoundWork {
   ByteSpan params;
   std::vector<std::vector<Envelope>>* outboxes = nullptr;
   std::vector<MachineReport>* reports = nullptr;
-  std::vector<Bytes>* stashes = nullptr;
 };
 
 class ExecutionBackend {

@@ -12,10 +12,9 @@ void ThreadBackend::execute(const RoundWork& work) {
       work.machines,
       [&](std::size_t i) {
         (*work.outboxes)[i].clear();
-        (*work.stashes)[i].clear();
         MachineContext ctx(i, &(*work.inputs)[i],
                            derive_stream(work.seed, work.round, i),
-                           &(*work.outboxes)[i], &(*work.stashes)[i]);
+                           &(*work.outboxes)[i]);
         ctx.report_.input_bytes = (*work.inputs)[i].total_bytes();
         body.call(body.fn, ctx, params.get());
         (*work.reports)[i] = ctx.report_;

@@ -1,6 +1,6 @@
 // The shared-address-space execution backend: machine bodies of one round
 // run concurrently on the cluster's thread pool, writing straight into the
-// cluster's outbox/report/stash arenas.  This is the seed execution path
+// cluster's outbox/report arenas.  This is the seed execution path
 // extracted verbatim from `Cluster::run_round_views`; the golden traces pin
 // it byte-identical.
 #pragma once

@@ -43,10 +43,6 @@ void MachineContext::emit(std::uint32_t dest, Bytes payload) {
   outbox_->push_back(Envelope{dest, std::move(payload)});
 }
 
-void MachineContext::stash_append(Bytes bytes) {
-  stash_->insert(stash_->end(), bytes.begin(), bytes.end());
-}
-
 std::span<const Envelope> Mail::at(std::uint32_t dest) const noexcept {
   const auto lo = std::lower_bound(
       msgs_.begin(), msgs_.end(), dest,
@@ -244,7 +240,6 @@ Mail Cluster::run_body(const std::string& label,
   // Arena slots: report entries reset, outbox slots keep their capacity.
   reports_.assign(machines, MachineReport{});
   if (outboxes_.size() < machines) outboxes_.resize(machines);
-  if (stashes_.size() < machines) stashes_.resize(machines);
 
   RoundWork work;
   work.round = round;
@@ -259,7 +254,6 @@ Mail Cluster::run_body(const std::string& label,
   work.params = params;
   work.outboxes = &outboxes_;
   work.reports = &reports_;
-  work.stashes = &stashes_;
   Stopwatch wall;
   backend_->execute(work);
   const double wall_seconds = wall.seconds();
@@ -300,11 +294,6 @@ Mail Cluster::run_body(const std::string& label,
   trace_.add_round(rr);
   if (options.machine_reports != nullptr) {
     *options.machine_reports = reports_;
-  }
-  if (options.machine_stash != nullptr) {
-    options.machine_stash->assign(stashes_.begin(),
-                                  stashes_.begin() +
-                                      static_cast<std::ptrdiff_t>(machines));
   }
 
   // Deterministic routing: envelopes move (payloads are never copied)
@@ -363,12 +352,10 @@ std::size_t Cluster::arena_footprint_bytes() const noexcept {
                       radix_counts_.capacity() * sizeof(std::uint32_t) +
                       outboxes_.capacity() * sizeof(std::vector<Envelope>) +
                       reports_.capacity() * sizeof(MachineReport) +
-                      stashes_.capacity() * sizeof(Bytes) +
                       input_chains_.capacity() * sizeof(ByteChain);
   for (const std::vector<Envelope>& box : outboxes_) {
     total += box.capacity() * sizeof(Envelope);
   }
-  for (const Bytes& stash : stashes_) total += stash.capacity();
   for (const ByteChain& chain : input_chains_) {
     total += chain.parts().capacity() * sizeof(ByteSpan);
   }
@@ -395,8 +382,6 @@ void Cluster::maybe_decay_arenas(std::size_t machines, std::size_t envelopes) {
   // the next round's first allocations.
   outboxes_.clear();
   outboxes_.shrink_to_fit();
-  stashes_.clear();
-  stashes_.shrink_to_fit();
   route_scratch_.clear();
   route_scratch_.shrink_to_fit();
   radix_counts_.clear();

@@ -126,16 +126,6 @@ class MachineContext {
   /// Deterministic private random stream for this (round, machine).
   [[nodiscard]] Pcg32& rng() noexcept { return rng_; }
 
-  /// Appends bytes to this machine's *stash* — an unmetered per-machine
-  /// diagnostics side channel returned to the driver through
-  /// `RoundOptions::machine_stash`.  Unlike `emit`, stashed bytes are not
-  /// communication: they never route, never count against memory or comm
-  /// metering, and exist so drivers can read back per-machine results
-  /// (answers, counters): a body cannot write host state, it captures
-  /// none and may run in a worker process.  Stash content must be
-  /// deterministic; the audit replay fingerprints it.
-  void stash_append(Bytes bytes);
-
  private:
   friend class Cluster;
   friend class ThreadBackend;
@@ -146,8 +136,8 @@ class MachineContext {
       std::atomic<std::uint64_t>& next, const std::vector<ByteChain>& inputs,
       ByteWriter& out);
   MachineContext(std::size_t id, const ByteChain* input, Pcg32 rng,
-                 std::vector<Envelope>* outbox, Bytes* stash)
-      : id_(id), input_(input), rng_(rng), outbox_(outbox), stash_(stash) {}
+                 std::vector<Envelope>* outbox)
+      : id_(id), input_(input), rng_(rng), outbox_(outbox) {}
 
   std::size_t id_;
   const ByteChain* input_;
@@ -156,8 +146,6 @@ class MachineContext {
   /// Borrowed slot in the cluster's per-machine outbox arena; its capacity
   /// survives across rounds so steady-state rounds emit without allocating.
   std::vector<Envelope>* outbox_;
-  /// Borrowed slot in the per-machine stash arena (see `stash_append`).
-  Bytes* stash_;
 };
 
 /// Per-round execution overrides, used by the batch driver: queries of
@@ -170,9 +158,6 @@ struct RoundOptions {
   /// When non-null, receives every machine's report after the round (in
   /// machine-id order), for per-query aggregation.
   std::vector<MachineReport>* machine_reports = nullptr;
-  /// When non-null, receives every machine's stash bytes after the round
-  /// (in machine-id order); see `MachineContext::stash_append`.
-  std::vector<Bytes>* machine_stash = nullptr;
   /// Host-side glue seconds spent preparing this round (sharding, routing,
   /// request packing); stamped into the RoundReport at creation.  The plan
   /// Driver fills this from its glue clock — forward, at submission, not by
@@ -242,8 +227,8 @@ class Cluster {
   }
 
   /// Bytes currently pinned by the round-scoped arenas (outbox slots, sort
-  /// scratch, radix histograms, input chains, stash slots).  Observable so
-  /// tests can pin the high-water-mark decay; not part of machine metering.
+  /// scratch, radix histograms, input chains).  Observable so tests can pin
+  /// the high-water-mark decay; not part of machine metering.
   [[nodiscard]] std::size_t arena_footprint_bytes() const noexcept;
 
   /// Rounds and replays audited so far (zero unless `config.audit.enabled`;
@@ -293,7 +278,6 @@ class Cluster {
   // after sustained low usage.
   std::vector<std::vector<Envelope>> outboxes_;
   std::vector<MachineReport> reports_;
-  std::vector<Bytes> stashes_;
   std::vector<Envelope> route_scratch_;
   std::vector<std::uint32_t> radix_counts_;
   std::vector<ByteChain> input_chains_;

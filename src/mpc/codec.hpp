@@ -1,6 +1,6 @@
 // Wire codecs: the byte format of every typed value that crosses a
-// machine boundary — stage inputs, channel messages, stashed results, and
-// the round params a capture-free body receives (mpc/body.hpp).
+// machine boundary — stage inputs, channel messages, and the round params
+// a capture-free body receives (mpc/body.hpp).
 //
 // Trivially copyable types and vectors of them reuse the exact ByteWriter /
 // ChainReader encodings the hand-rolled seed drivers used, so the plan

@@ -89,18 +89,6 @@ class StageContext {
     machine_.emit(ch.mailbox, std::move(w).take());
   }
 
-  /// Encodes `value` onto the machine's unmetered diagnostics stash (see
-  /// `MachineContext::stash_append`): the driver reads it back per machine
-  /// through `RoundOptions::machine_stash` + `unstash`.  For results that
-  /// are host-side bookkeeping rather than machine-to-machine traffic —
-  /// mailbox channels stay the only metered communication.
-  template <typename T>
-  void stash(const T& value) {
-    ByteWriter w;
-    Codec<T>::encode(w, value);
-    machine_.stash_append(std::move(w).take());
-  }
-
   [[nodiscard]] MachineContext& machine() noexcept { return machine_; }
 
  private:
@@ -112,16 +100,6 @@ class StageContext {
   MachineContext& machine_;
   In input_;
 };
-
-/// Decodes one value a stage body stashed via `StageContext::stash` from a
-/// machine's `RoundOptions::machine_stash` slot.  Successive stashed values
-/// decode with successive calls on one reader; this helper covers the
-/// common one-value-per-machine case.
-template <typename T>
-[[nodiscard]] T unstash(const Bytes& stash) {
-  ByteReader r(stash);
-  return Codec<T>::decode(r);
-}
 
 /// One labelled round: a capture-free machine body over decoded `In`
 /// messages and the round's params `P`.  A `Stage` declared at namespace

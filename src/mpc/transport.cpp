@@ -105,10 +105,8 @@ BarrierRecord decode_barrier(ByteReader& r) {
 }
 
 void encode_machine_result(ByteWriter& w, const MachineReport& report,
-                           const Bytes& stash,
                            const std::vector<Envelope>& outbox) {
   w.put(report);
-  w.put_vector(stash);
   w.put<std::uint64_t>(outbox.size());
   for (const Envelope& env : outbox) {
     w.put<std::uint32_t>(env.dest);
@@ -116,10 +114,9 @@ void encode_machine_result(ByteWriter& w, const MachineReport& report,
   }
 }
 
-void decode_machine_result(ByteReader& r, MachineReport* report, Bytes* stash,
+void decode_machine_result(ByteReader& r, MachineReport* report,
                            std::vector<Envelope>* outbox) {
   *report = r.get<MachineReport>();
-  *stash = r.get_vector<std::byte>();
   outbox->clear();
   const auto count = r.get<std::uint64_t>();
   // Cap the speculative reserve: a corrupt count cannot force a huge
@@ -182,13 +179,12 @@ BarrierRecord run_claimed_machines(const BodyEntry& body,
       out.put<std::uint64_t>(last);
       for (std::size_t i = first; i < last; ++i) {
         std::vector<Envelope> outbox;
-        Bytes stash;
         MachineContext ctx(i, &inputs[i],
                            derive_stream(command.seed, command.round, i),
-                           &outbox, &stash);
+                           &outbox);
         ctx.report_.input_bytes = inputs[i].total_bytes();
         body.call(body.fn, ctx, params.get());
-        encode_machine_result(out, ctx.report_, stash, outbox);
+        encode_machine_result(out, ctx.report_, outbox);
       }
     }
   } catch (const std::exception& e) {
@@ -222,8 +218,7 @@ std::size_t decode_claimed_results(ByteReader& r, const RoundWork& work,
                          " decoded twice in one round");
       }
       filled[i] = 1;
-      decode_machine_result(r, &(*work.reports)[i], &(*work.stashes)[i],
-                            &(*work.outboxes)[i]);
+      decode_machine_result(r, &(*work.reports)[i], &(*work.outboxes)[i]);
     }
     decoded += last - first;
   }

@@ -16,9 +16,8 @@
 //   * `Envelope`            one routed message (the unit of communication
 //                           metering) — moved here from cluster.hpp, since
 //                           it *is* the transport's data unit;
-//   * machine-result record the (report, stash, outbox) triple one machine
-//                           produced, in the exact byte layout the process
-//                           backend's arenas pinned in PR 7;
+//   * machine-result record the (report, outbox) pair one machine
+//                           produced;
 //   * `RoundCommand`        one round for one worker process: body id,
 //                           round, seed, machines, inputs, params;
 //   * `BarrierRecord`       the end-of-round worker status (the former
@@ -178,17 +177,16 @@ void encode_barrier(ByteWriter& w, const BarrierRecord& record);
 /// ContractViolation as everywhere else).
 [[nodiscard]] BarrierRecord decode_barrier(ByteReader& r);
 
-/// Appends one machine-result record — report, stash, then the outbox as
-/// a count plus (dest, payload) pairs.  This is the PR 7 arena layout,
-/// byte for byte; docs/BACKENDS.md documents it as the wire contract.
+/// Appends one machine-result record — the report, then the outbox as a
+/// count plus (dest, payload) pairs; docs/BACKENDS.md documents it as the
+/// wire contract.
 void encode_machine_result(ByteWriter& w, const MachineReport& report,
-                           const Bytes& stash,
                            const std::vector<Envelope>& outbox);
 
 /// Decodes one machine-result record into the given slots (outbox is
 /// cleared first; its capacity is kept).  Truncated input raises
 /// ContractViolation from the reader.
-void decode_machine_result(ByteReader& r, MachineReport* report, Bytes* stash,
+void decode_machine_result(ByteReader& r, MachineReport* report,
                            std::vector<Envelope>* outbox);
 
 /// One round for one worker process: which body, which round and seed,

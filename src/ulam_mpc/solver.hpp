@@ -6,11 +6,19 @@
 // Round 2 — a single machine receives all Õ_eps(n^x) tuples and runs the
 //   combine DP (Algorithm 2).
 //
+// One pipeline, `run_ulam_pipeline`, runs B queries at once: every query's
+// block machines share round 1 (`batch:ulam:candidates`) and every query's
+// combine machine shares round 2 (`batch:ulam:combine`), with mailbox =
+// query index and each machine held to its own query's cap.
+// `ulam_distance_mpc` is the one-query run; core::distance_batch is the
+// B-query run.
+//
 // The returned distance is the cost of a realizable transformation (always
 // >= ulam(s, s̄)) and is <= (1+eps)·ulam(s, s̄) with high probability.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "mpc/cluster.hpp"
 #include "mpc/stats.hpp"
@@ -28,9 +36,10 @@ struct UlamMpcParams : mpc::ExecOptions {
   std::uint64_t seed = 7;
   double memory_slack = 8.0;   ///< constant inside the Õ_eps(n^{1-x}) cap
   /// Build the character-position map with an in-model MPC hash join (two
-  /// extra rounds) instead of driver-side routing.  The paper's two-round
-  /// count assumes the input is already distributed; this flag makes that
-  /// assumption itself run through the simulator.
+  /// extra rounds per query, run one query after another before round 1)
+  /// instead of driver-side routing.  The paper's two-round count assumes
+  /// the input is already distributed; this flag makes that assumption
+  /// itself run through the simulator.
   bool in_model_position_map = false;
   /// Gap charging of the combine DP.  Algorithm 2 uses kMax (substitute the
   /// paired stretch); kSum is the Algorithm 4 variant, exposed for the
@@ -43,11 +52,34 @@ struct UlamMpcResult {
   std::int64_t block_size = 0;
   std::size_t block_count = 0;
   std::uint64_t memory_cap_bytes = 0;
+  /// From `ulam_distance_mpc`: the whole execution.  Per query of a
+  /// pipeline run: the query's join rounds and its share of the shared
+  /// round pair, attributed from machine reports.
   mpc::ExecutionTrace trace;
-  CandidateStats stats;              ///< aggregated over all round-1 machines
 };
 
-/// Approximates ulam(s, t).  Preconditions: both strings repeat-free.
+/// One query of a pipeline run.  The views must outlive the call.
+struct UlamQuery {
+  SymView s;
+  SymView t;
+};
+
+struct UlamPipelineResult {
+  std::vector<UlamMpcResult> queries;  ///< parallel to the input queries
+  /// The shared execution: each query's join rounds (in-model position
+  /// map), then the candidates and combine rounds.
+  mpc::ExecutionTrace trace;
+  std::size_t passes = 0;              ///< 0 when no query had a block
+};
+
+/// Runs Theorem 4 on every query in one shared round pair.  A query with
+/// empty s is answered |t| without machines; when no query has a block,
+/// no round runs.  Preconditions: every string repeat-free.
+UlamPipelineResult run_ulam_pipeline(const std::vector<UlamQuery>& queries,
+                                     const UlamMpcParams& params);
+
+/// Approximates ulam(s, t): the one-query pipeline run.  Preconditions:
+/// both strings repeat-free.
 UlamMpcResult ulam_distance_mpc(SymView s, SymView t,
                                 const UlamMpcParams& params = {});
 

@@ -1,9 +1,8 @@
 // The pluggable execution-backend layer: kind parsing / resolution policy,
-// thread/process byte equivalence on raw cluster rounds, the unmetered
-// stash side channel, the process pool's lifecycle (one fork per worker
-// per cluster, refork for a body registered later, a fresh pool after a
-// failed round), worker-failure propagation through the shared-memory
-// arenas, and worker reaping.
+// thread/process byte equivalence on raw cluster rounds, the process pool's
+// lifecycle (one fork per worker per cluster, refork for a body registered
+// later, a fresh pool after a failed round), worker-failure propagation
+// through the shared-memory arenas, and worker reaping.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -96,7 +95,7 @@ TEST(Backend, BackendsReportTheirNameAndTransport) {
 
 TEST(Backend, ProcessRoundByteIdenticalToThreadRound) {
   // Same round plan on both backends: routed mail (order, destinations,
-  // payload bytes), stash bytes, and the metered trace hash must match.
+  // payload bytes) and the metered trace hash must match.
   auto run = [](BackendKind backend, std::size_t workers) {
     ClusterConfig cfg;
     cfg.workers = workers;
@@ -104,9 +103,6 @@ TEST(Backend, ProcessRoundByteIdenticalToThreadRound) {
     Cluster cluster(cfg);
     std::vector<Bytes> inputs;
     for (std::uint64_t i = 0; i < 64; ++i) inputs.push_back(payload_of(i));
-    std::vector<Bytes> stash;
-    RoundOptions options;
-    options.machine_stash = &stash;
     const Mail mail = cluster.run_round(
         "scatter", inputs,
         [](MachineContext& ctx) {
@@ -119,11 +115,7 @@ TEST(Backend, ProcessRoundByteIdenticalToThreadRound) {
             ctx.emit(static_cast<std::uint32_t>((v + k) % 16),
                      std::move(w).take());
           }
-          ByteWriter s;
-          s.put(v * 31);
-          ctx.stash_append(std::move(s).take());
-        },
-        options);
+        });
     Bytes flat;
     for (const Envelope& e : mail.all()) {
       ByteWriter w;
@@ -132,44 +124,16 @@ TEST(Backend, ProcessRoundByteIdenticalToThreadRound) {
       const Bytes head = std::move(w).take();
       flat.insert(flat.end(), head.begin(), head.end());
     }
-    return std::make_tuple(std::move(flat), std::move(stash),
-                           cluster.trace().structural_hash());
+    return std::make_pair(std::move(flat), cluster.trace().structural_hash());
   };
   const auto base = run(BackendKind::kThread, 1);
   for (const auto backend : {BackendKind::kThread, BackendKind::kProcess}) {
     for (const std::size_t workers : {1ul, 3ul, 8ul}) {
       const auto got = run(backend, workers);
-      EXPECT_EQ(std::get<0>(got), std::get<0>(base))
+      EXPECT_EQ(got.first, base.first)
           << backend_kind_name(backend) << " x " << workers;
-      EXPECT_EQ(std::get<1>(got), std::get<1>(base))
+      EXPECT_EQ(got.second, base.second)
           << backend_kind_name(backend) << " x " << workers;
-      EXPECT_EQ(std::get<2>(got), std::get<2>(base))
-          << backend_kind_name(backend) << " x " << workers;
-    }
-  }
-}
-
-TEST(Backend, StashRoundTripThroughPlanDriver) {
-  for (const auto backend : {BackendKind::kThread, BackendKind::kProcess}) {
-    ClusterConfig cfg;
-    cfg.workers = 2;
-    cfg.backend = backend;
-    Driver driver(Plan{"stash-demo", {{"stage:stash", "-", "-"}}}, cfg);
-    const Stage<std::uint64_t> stage{
-        "stage:stash", [](StageContext<std::uint64_t>& ctx) {
-          ctx.stash(ctx.in() * 3 + 1);
-          ctx.stash(std::string("m") + std::to_string(ctx.machine_id()));
-        }};
-    std::vector<Bytes> stash;
-    RoundOptions options;
-    options.machine_stash = &stash;
-    driver.run(stage, Driver::shard<std::uint64_t>({10, 20}), options);
-    driver.finish();
-    ASSERT_EQ(stash.size(), 2u) << backend_kind_name(backend);
-    for (std::size_t m = 0; m < 2; ++m) {
-      ByteReader r(stash[m]);
-      EXPECT_EQ(Codec<std::uint64_t>::decode(r), (m + 1) * 10 * 3 + 1);
-      EXPECT_EQ(Codec<std::string>::decode(r), "m" + std::to_string(m));
     }
   }
 }

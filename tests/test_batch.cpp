@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/api.hpp"
@@ -52,11 +53,35 @@ core::BatchRequest edit_request(std::size_t batch, std::int64_t n,
 
 TEST(Batch, UlamBatchUsesSameRoundsAsSingleQuery) {
   // The headline batching win: B queries share the two simulated rounds.
-  const auto single = core::distance_batch(ulam_request(1, 256, 7));
+  const auto request = ulam_request(1, 256, 7);
+  const auto single = core::distance_batch(request);
   const auto batch = core::distance_batch(ulam_request(16, 256, 7));
   EXPECT_EQ(single.trace.round_count(), 2u);
   EXPECT_EQ(batch.trace.round_count(), 2u);
   EXPECT_EQ(batch.queries.size(), 16u);
+
+  // One pipeline: the single-query API is the one-query batch run, so it
+  // answers alike and runs the same rounds.
+  const auto direct = ulam_mpc::ulam_distance_mpc(
+      request.queries[0].s, request.queries[0].t, request.ulam);
+  EXPECT_EQ(direct.distance, single.queries[0].distance);
+  EXPECT_EQ(direct.trace.structural_hash(), single.trace.structural_hash());
+}
+
+TEST(Batch, UlamInModelPositionMapHonoured) {
+  // The in-model join builds the same position map as driver-side routing,
+  // so the answer is unchanged; its two rounds run before the plan stages.
+  auto request = ulam_request(1, 256, 11);
+  const auto driver_side = core::distance_batch(request);
+  request.ulam.in_model_position_map = true;
+  const auto in_model = core::distance_batch(request);
+  EXPECT_EQ(in_model.queries[0].distance, driver_side.queries[0].distance);
+  std::vector<std::string> labels;
+  for (const auto& r : in_model.trace.rounds()) labels.push_back(r.label);
+  EXPECT_EQ(labels, (std::vector<std::string>{"join:partition", "join:match",
+                                              "batch:ulam:candidates",
+                                              "batch:ulam:combine"}));
+  EXPECT_EQ(in_model.passes, 1u);
 }
 
 TEST(Batch, UlamDistancesWithinGuarantee) {
@@ -136,6 +161,14 @@ TEST(Batch, UlamDegenerateQueries) {
   EXPECT_EQ(result.queries[0].distance, 0);
   EXPECT_EQ(result.queries[1].distance, 32);
   EXPECT_GT(result.queries[2].distance, 0);
+
+  // With no live query the pipeline runs no rounds at all.
+  request.queries.pop_back();
+  const auto degenerate = core::distance_batch(request);
+  EXPECT_EQ(degenerate.queries[0].distance, 0);
+  EXPECT_EQ(degenerate.queries[1].distance, 32);
+  EXPECT_EQ(degenerate.trace.round_count(), 0u);
+  EXPECT_EQ(degenerate.passes, 0u);
 }
 
 TEST(Batch, EditBatchOnePassAtMostFourRoundsAndGuarantee) {

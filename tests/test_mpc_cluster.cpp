@@ -83,14 +83,10 @@ TEST(Cluster, MachineRngIsDeterministicPerMachine) {
     Cluster cluster(ClusterConfig{{.workers = workers},
                                   /*memory_limit_bytes=*/UINT64_MAX, /*seed=*/42});
     std::vector<Bytes> inputs(8);
-    std::vector<Bytes> values;
-    RoundOptions options;
-    options.machine_stash = &values;
-    cluster.run_round(
-        "rng", inputs,
-        [](MachineContext& ctx) { ctx.stash_append(payload_of(ctx.rng().next())); },
-        options);
-    return values;
+    const auto mail = cluster.run_round("rng", inputs, [](MachineContext& ctx) {
+      ctx.emit(0, payload_of(ctx.rng().next()));
+    });
+    return gather(mail, 0);
   };
   EXPECT_EQ(sample(1), sample(4));  // independent of scheduling
 }

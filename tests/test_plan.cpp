@@ -121,11 +121,12 @@ Plan two_stage_plan() {
   return Plan{"test",
               {
                   {"stage:a", "Ping", "ints"},
-                  {"stage:b", "Inbox<int>", "-"},
+                  {"stage:b", "Inbox<int>", "echo"},
               }};
 }
 
 constexpr Channel<std::int64_t> kInts{0, "ints"};
+constexpr Channel<std::vector<std::int64_t>> kEcho{1, "echo"};
 
 TEST(PlanDriver, RunsDeclaredStagesAndMetersGlue) {
   Driver driver(two_stage_plan(), ClusterConfig{});
@@ -136,22 +137,18 @@ TEST(PlanDriver, RunsDeclaredStagesAndMetersGlue) {
       driver.run(a, Driver::shard<Ping>({Ping{10}, Ping{20}, Ping{30}}));
   EXPECT_EQ(driver.receive(mail, kInts), (std::vector<std::int64_t>{20, 40, 60}));
 
-  // The inbox contents come back through the stash channel rather than a
-  // captured host variable, so the test holds under every backend (forked
-  // workers cannot write host memory).
+  // The inbox contents come back as mail rather than through a captured
+  // host variable, so the test holds under every backend (forked workers
+  // cannot write host memory).
   const Stage<Inbox<std::int64_t>> b{
       "stage:b", [](StageContext<Inbox<std::int64_t>>& ctx) {
-        ctx.stash(ctx.in().messages);
+        ctx.send(kEcho, ctx.in().messages);
       }};
-  std::vector<Bytes> stash;
-  RoundOptions b_options;
-  b_options.machine_stash = &stash;
-  driver.run_views(b, {gather_view(mail, kInts.mailbox)}, b_options);
+  const auto echo = driver.run_views(b, {gather_view(mail, kInts.mailbox)});
   driver.finish();
 
-  ASSERT_EQ(stash.size(), 1u);
-  EXPECT_EQ(unstash<std::vector<std::int64_t>>(stash[0]),
-            (std::vector<std::int64_t>{20, 40, 60}));
+  EXPECT_EQ(driver.receive(echo, kEcho),
+            (std::vector<std::vector<std::int64_t>>{{20, 40, 60}}));
   ASSERT_EQ(driver.trace().round_count(), 2u);
   EXPECT_EQ(driver.trace().rounds()[0].label, "stage:a");
   EXPECT_EQ(driver.trace().rounds()[1].label, "stage:b");

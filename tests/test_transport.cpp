@@ -136,24 +136,21 @@ TEST(Records, MachineResultRoundTrips) {
   report.output_bytes = 200;
   report.scratch_bytes = 300;
   report.work = 400;
-  Bytes stash{std::byte{1}, std::byte{2}, std::byte{3}};
   std::vector<Envelope> outbox;
   for (std::uint32_t i = 0; i < 5; ++i) {
     outbox.push_back(Envelope{i * 7, Bytes(i, std::byte{0xAB})});
   }
   ByteWriter w;
-  encode_machine_result(w, report, stash, outbox);
+  encode_machine_result(w, report, outbox);
 
   MachineReport report2;
-  Bytes stash2;
   std::vector<Envelope> outbox2;
   ByteReader r(w.bytes().data(), w.bytes().size());
-  decode_machine_result(r, &report2, &stash2, &outbox2);
+  decode_machine_result(r, &report2, &outbox2);
   EXPECT_EQ(report2.input_bytes, report.input_bytes);
   EXPECT_EQ(report2.output_bytes, report.output_bytes);
   EXPECT_EQ(report2.scratch_bytes, report.scratch_bytes);
   EXPECT_EQ(report2.work, report.work);
-  EXPECT_EQ(stash2, stash);
   ASSERT_EQ(outbox2.size(), outbox.size());
   for (std::size_t i = 0; i < outbox.size(); ++i) {
     EXPECT_EQ(outbox2[i].dest, outbox[i].dest) << i;
@@ -166,15 +163,12 @@ TEST(Records, MachineResultRejectsTruncationWithoutHugeAllocation) {
   MachineReport report;
   ByteWriter w;
   w.put(report);
-  w.put_vector(Bytes{});
   w.put<std::uint64_t>(std::uint64_t{1} << 60);  // absurd envelope count
   Bytes raw(w.bytes().begin(), w.bytes().end());
   MachineReport report2;
-  Bytes stash2;
   std::vector<Envelope> outbox2;
   ByteReader r(raw.data(), raw.size());
-  EXPECT_THROW(decode_machine_result(r, &report2, &stash2, &outbox2),
-               ContractViolation);
+  EXPECT_THROW(decode_machine_result(r, &report2, &outbox2), ContractViolation);
 }
 
 TEST(FrameStream, RoundTripsOverAPipeAndMeters) {
