@@ -2,7 +2,8 @@
 // costs underlying the Table 1 work columns, plus the DESIGN.md ablations
 // (dense vs sparse Ulam, naive vs fast combine, exact vs 3+eps unit), the
 // two Ulam machine bodies (one block's candidates, the block-partitioned
-// combine) and the edit combine round (the kSum sweep).
+// combine, also on one query's real candidate tuples) and the edit combine
+// round (the kSum sweep).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -159,6 +160,28 @@ void BM_CombineNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_CombineNaive)->Range(256, 4096)->Complexity(benchmark::oNSquared);
 
+/// The Ulam block size B = ceil(n^{2/3}), the default x = 1/3.
+std::int64_t ulam_block(std::int64_t n) {
+  return static_cast<std::int64_t>(std::ceil(std::pow(static_cast<double>(n), 2.0 / 3.0)));
+}
+
+/// Position in t of each symbol of s[begin, begin + block) (-1 when t
+/// lacks it): the position-map feed of one Ulam block machine.
+std::vector<std::int64_t> block_positions(const SymString& s, const SymString& t,
+                                          std::int64_t begin, std::int64_t block) {
+  std::unordered_map<Symbol, std::int64_t> where;
+  for (std::size_t j = 0; j < t.size(); ++j) {
+    where.emplace(t[j], static_cast<std::int64_t>(j));
+  }
+  const auto n = static_cast<std::int64_t>(s.size());
+  std::vector<std::int64_t> positions;
+  for (std::int64_t p = begin; p < std::min(n, begin + block); ++p) {
+    const auto it = where.find(s[static_cast<std::size_t>(p)]);
+    positions.push_back(it == where.end() ? -1 : it->second);
+  }
+  return positions;
+}
+
 // Round 1 of the Ulam algorithm for one block: Algorithm 1's candidate
 // windows, each evaluated exactly.  Block size B = ceil(n^{2/3}), the
 // default x = 1/3; the block is the middle one of s.
@@ -174,18 +197,9 @@ void BM_UlamBlockCandidates(benchmark::State& state, std::int64_t n,
   } else {
     t = core::plant_edits(s, n / 16, 2, true).text;  // the ulam_batch shape
   }
-  const auto block = static_cast<std::int64_t>(
-      std::ceil(std::pow(static_cast<double>(n), 2.0 / 3.0)));
+  const std::int64_t block = ulam_block(n);
   const std::int64_t begin = (n / 2 / block) * block;
-  std::unordered_map<Symbol, std::int64_t> where;
-  for (std::size_t j = 0; j < t.size(); ++j) {
-    where.emplace(t[j], static_cast<std::int64_t>(j));
-  }
-  std::vector<std::int64_t> positions;
-  for (std::int64_t p = begin; p < std::min(n, begin + block); ++p) {
-    const auto it = where.find(s[static_cast<std::size_t>(p)]);
-    positions.push_back(it == where.end() ? -1 : it->second);
-  }
+  const auto positions = block_positions(s, t, begin, block);
   ulam_mpc::CandidateParams params;
   params.n = n;
   params.n_bar = static_cast<std::int64_t>(t.size());
@@ -239,9 +253,9 @@ BENCHMARK_CAPTURE(BM_EditBlockCandidates, dna_n2048, 2048, true)
 
 // Round 2 of the Ulam algorithm: the kMax combine over block-partitioned
 // tuples, as the round-1 machines send them (many windows per block, every
-// window near the block's diagonal).  Tuples of one block never chain, so
-// this is the input the combine's subtree skip is for; BM_CombineFast's
-// random blocks almost never trigger it.
+// window near the block's diagonal).  A hundred distinct block boundaries
+// over n = n_bar = 10000 keep it on the sweep along s; BM_CombineFast's
+// random intervals have thousands of boundaries and take the CDQ.
 void BM_CombineBlocks(benchmark::State& state) {
   const auto count = state.range(0);
   const std::int64_t n = 10000;
@@ -268,6 +282,34 @@ void BM_CombineBlocks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CombineBlocks)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+// Round 2 of the Ulam algorithm on the tuples it really gets: every block's
+// Algorithm 1 candidates for one planted n = 1024 permutation (the
+// ulam_batch shape: n/16 planted moves, blocks of ceil(n^(2/3)) = 102, so
+// 11 blocks and about 54 k tuples), combined as one combine machine does.
+void BM_CombineUlamInbox(benchmark::State& state) {
+  const std::int64_t n = 1024;
+  const auto s = core::random_permutation(n, 1);
+  const auto t = core::plant_edits(s, n / 16, 2, true).text;
+  ulam_mpc::CandidateParams params;
+  params.n = n;
+  params.n_bar = static_cast<std::int64_t>(t.size());
+  const std::int64_t block = ulam_block(n);
+  std::vector<seq::Tuple> tuples;
+  for (std::int64_t begin = 0; begin < n; begin += block) {
+    Pcg32 rng = derive_stream(3, static_cast<std::uint64_t>(begin));
+    const auto out = ulam_mpc::build_block_candidates(
+        begin, block_positions(s, t, begin, block), params, rng);
+    tuples.insert(tuples.end(), out.begin(), out.end());
+  }
+  seq::CombineOptions options;
+  options.gap = seq::GapCost::kMax;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seq::combine_tuples(tuples, n, params.n_bar, options));
+  }
+  state.counters["tuples"] = static_cast<double>(tuples.size());
+}
+BENCHMARK(BM_CombineUlamInbox)->Unit(benchmark::kMillisecond);
 
 // Round 2 of the edit algorithm: the kSum combine (Algorithm 4's sweep)
 // over block-partitioned tuples shaped like round 1's output — per block,

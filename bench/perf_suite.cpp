@@ -1,8 +1,13 @@
 // Machine-readable performance regression suite.  One run writes one JSON
 // file:
 //
-//   {"tier": "gated"|"smoke", "host": {"isa": ..., "workers": ...},
+//   {"tier": "gated"|"smoke",
+//    "host": {"isa": ..., "workers": ..., "nproc": ..., "commit": ...},
 //    "records": [...], "gates": [...]}
+//
+// `nproc` is the host's hardware thread count and `commit` the source
+// checkout's HEAD as `git describe --always --dirty` names it (a "-dirty"
+// suffix marks a run of uncommitted changes; "unknown" without git).
 //
 // Every measured point is one record with the same fields: suite, bench,
 // mode, n, batch, reps, wall_stat ("min" or "median" of `reps` runs),
@@ -55,6 +60,7 @@
 // --out without a value, is a usage error (exit 2); an output that cannot
 // be written or a failed check exits 1.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -63,6 +69,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -197,6 +204,24 @@ void write_key(std::ostream& out, const Key& k) {
       << "\", \"n\": " << k.n << ", \"batch\": " << k.batch << "}";
 }
 
+/// The source checkout's HEAD, "-dirty" when the tree has uncommitted
+/// changes, or "unknown" when git cannot say.
+std::string source_commit() {
+  const std::string command = std::string("git -C '") + MPCSD_PERF_SUITE_SOURCE_DIR +
+                              "' describe --always --dirty --abbrev=40 --exclude='*'"
+                              " 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "unknown";
+  std::string out;
+  std::array<char, 128> buffer{};
+  while (std::fgets(buffer.data(), static_cast<int>(buffer.size()), pipe) != nullptr) {
+    out += buffer.data();
+  }
+  const bool ok = pclose(pipe) == 0;
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return ok && !out.empty() ? out : "unknown";
+}
+
 /// Returns false when the file cannot be written.
 [[nodiscard]] bool write_report(const std::string& path, bool smoke,
                                 std::size_t workers,
@@ -205,7 +230,9 @@ void write_key(std::ostream& out, const Key& k) {
   std::ofstream out(path);
   out << "{\"tier\": \"" << (smoke ? "smoke" : "gated") << "\",\n"
       << " \"host\": {\"isa\": \"" << isa_name(detected_isa())
-      << "\", \"workers\": " << workers << "},\n \"records\": [\n";
+      << "\", \"workers\": " << workers
+      << ", \"nproc\": " << std::thread::hardware_concurrency() << ", \"commit\": \""
+      << source_commit() << "\"},\n \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     out << "  {\"suite\": \"" << r.suite << "\", \"bench\": \"" << r.bench

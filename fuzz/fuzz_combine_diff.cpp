@@ -7,7 +7,10 @@
 //
 // The fast solvers radix-sort (position, index) words with one 8-bit digit
 // per byte of the key span, so the decoded spread walks the key span from
-// one digit to four and the origin moves the keys far from 0.
+// one digit to four and the origin moves the keys far from 0.  With flag
+// bit 2 the input is narrow instead (n and n_bar at most 64, a few blocks,
+// up to 255 tuples), the shape for which the kMax combine takes its sweep
+// along s rather than the CDQ.
 //
 // Input layout (little-endian):
 //   bytes 0-3   n - 1        (mod 2^31, so n in 1..2^31)
@@ -17,7 +20,10 @@
 //   byte  13    tuple count  (0..255)
 //   byte  14    flags: bit 0 block-aligned tuples (many share a block_begin),
 //                      bit 1 pass the input in block_begin order (the
-//                      combine then skips its own sort)
+//                      combine then skips its own sort),
+//                      bit 2 narrow: n - 1 and n_bar are taken mod 64 and
+//                      65, blocks lie in [origin, n), and byte 12 is the
+//                      block count - 1 (mod 8) instead of the spread
 //   byte  15+   entropy: seeds the stream that draws every tuple.
 #include <algorithm>
 #include <cstddef>
@@ -40,13 +46,15 @@ std::uint32_t u32_at(const std::uint8_t* data, std::size_t i) {
          (static_cast<std::uint32_t>(data[i + 3]) << 24U);
 }
 
-/// Tuples in a band of width `spread` from `origin`, each window near its
-/// block's diagonal so that chains form at every scale.
+/// Tuples in a band of width `spread` from `origin`, cut into `blocks`
+/// blocks, each window near its block's diagonal so that chains form at
+/// every scale.
 std::vector<seq::Tuple> make_tuples(std::int64_t n, std::int64_t n_bar,
                                     std::int64_t origin, std::int64_t spread,
-                                    std::size_t count, bool aligned, Pcg32& rng) {
+                                    std::int64_t blocks, std::size_t count,
+                                    bool aligned, Pcg32& rng) {
   const std::int64_t top = std::min(n, origin + spread);  // blocks in [origin, top)
-  const std::int64_t width = std::max<std::int64_t>(1, (top - origin) / 16);
+  const std::int64_t width = std::max<std::int64_t>(1, (top - origin) / blocks);
   const std::int64_t jitter = std::max<std::int64_t>(1, width / 4);
   std::vector<seq::Tuple> tuples;
   for (std::size_t i = 0; i < count; ++i) {
@@ -76,16 +84,19 @@ std::vector<seq::Tuple> make_tuples(std::int64_t n, std::int64_t n_bar,
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 15) return 0;
-  const std::int64_t n = 1 + static_cast<std::int64_t>(u32_at(data, 0) % (1U << 31U));
-  const std::int64_t n_bar = u32_at(data, 4) % (1U << 31U);
-  const std::int64_t origin = u32_at(data, 8) % n;
-  const std::int64_t spread = std::int64_t{1} << (data[12] % 32U);
-  const std::size_t count = data[13];
   const bool aligned = (data[14] & 1U) != 0;
   const bool by_begin = (data[14] & 2U) != 0;
+  const bool narrow = (data[14] & 4U) != 0;
+  const std::uint32_t n_mod = narrow ? 64U : 1U << 31U;
+  const std::int64_t n = 1 + static_cast<std::int64_t>(u32_at(data, 0) % n_mod);
+  const std::int64_t n_bar = u32_at(data, 4) % (narrow ? 65U : 1U << 31U);
+  const std::int64_t origin = u32_at(data, 8) % n;
+  const std::int64_t spread = narrow ? n : std::int64_t{1} << (data[12] % 32U);
+  const std::int64_t blocks = narrow ? 1 + data[12] % 8 : 16;
+  const std::size_t count = data[13];
 
   Pcg32 rng(hash_bytes(data + 15, size - 15, hash_mix(kFnvOffset, size)), 91);
-  auto tuples = make_tuples(n, n_bar, origin, spread, count, aligned, rng);
+  auto tuples = make_tuples(n, n_bar, origin, spread, blocks, count, aligned, rng);
   const auto block_order = [](const seq::Tuple& a, const seq::Tuple& b) {
     return a.block_begin < b.block_begin;
   };

@@ -159,6 +159,156 @@ void solve_sum_fast(const std::vector<Tuple>& tuples, std::vector<std::int64_t>&
 /// below it the quadratic scan beats the per-cross sorts.
 constexpr std::size_t kQuadraticLeaf = 64;
 
+/// The distinct block boundaries of block_begin-sorted tuples: the values
+/// among their block_begins and `ends`' keys (their block_ends, sorted).
+std::size_t distinct_boundaries(std::span<const Tuple> tuples,
+                                std::span<const std::uint64_t> ends) {
+  std::size_t count = 0;
+  std::int64_t last = -1;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < tuples.size() || j < ends.size()) {
+    const bool begin_next = j == ends.size() ||
+                            (i < tuples.size() && tuples[i].block_begin <= packed_key(ends[j]));
+    const std::int64_t p = begin_next ? tuples[i++].block_begin : packed_key(ends[j++]);
+    if (p != last) ++count;
+    last = p;
+  }
+  return count;
+}
+
+/// Whether the sweep's dense arrays, 3·(n + n_bar + 1) words, fit in the
+/// scratch of 2·T tuples the combine round charges for T = m tuples.
+bool sweep_fits(std::int64_t n, std::int64_t n_bar, std::size_t m) {
+  const auto span = static_cast<std::uint64_t>(n) + static_cast<std::uint64_t>(n_bar);
+  return 3 * (span + 1) * sizeof(std::int64_t) <= 2 * m * sizeof(Tuple);
+}
+
+/// Whether the sweep, O(T + E·(n + n_bar)) for E distinct block
+/// boundaries, costs no more than the CDQ's T·⌈log2 T⌉²:
+/// E·(n + n_bar + 2) <= T·⌈log2 T⌉².
+bool sweep_pays(std::int64_t n, std::int64_t n_bar, std::size_t m,
+                std::size_t boundaries) {
+  const auto span = static_cast<std::uint64_t>(n) + static_cast<std::uint64_t>(n_bar);
+  const auto log_m = static_cast<std::uint64_t>(std::bit_width(m - 1));
+  return boundaries <= m * log_m * log_m / (span + 2);
+}
+
+/// f(g) <- min f[max(0, g - delta), g] in place, in O(|f|): van Herk /
+/// Gil-Werman over blocks of delta + 1 cells.  A window spans the tail of
+/// one block (`tail`: each cell's min up to its block's end) and the head
+/// of the next (a running min from the block's start); a window that
+/// starts before 0 is the head alone.
+void dilate(std::vector<std::int64_t>& f, std::vector<std::int64_t>& tail,
+            std::int64_t delta) {
+  const std::size_t size = f.size();
+  if (delta <= 0) return;
+  const auto shift = static_cast<std::size_t>(delta);
+  const std::size_t width = shift + 1;
+  for (std::size_t start = 0; start < size; start += width) {
+    std::size_t g = std::min(start + width, size) - 1;
+    tail[g] = f[g];
+    while (g-- > start) tail[g] = std::min(f[g], tail[g + 1]);
+  }
+  std::int64_t head = kInf;
+  std::size_t offset = 0;  // g - (its block's start)
+  for (std::size_t g = 0; g < size; ++g) {
+    head = offset == 0 ? f[g] : std::min(head, f[g]);
+    f[g] = g >= shift ? std::min(tail[g - shift], head) : head;
+    offset = offset + 1 == width ? 0 : offset + 1;
+  }
+}
+
+/// The kMax DP as one sweep along s: tuple b is inserted at p = r' and
+/// tuple a queried at p = l, after the inserts at the same p, so every b
+/// with r' <= l is in and its D[b] is final (its own query ran at l' < r').
+/// The max gap splits on the diagonal as in the CDQ:
+///   case A (diag_b <= diag_a, cost l - r', needs kappa' <= gamma): a dense
+///     array f over s̄'s positions.  At sweep position p, b serves exactly
+///     the gammas in [kappa', kappa' + p - r'] (the case-A condition), so
+///     f(gamma) = min D[b] - r' over those b, and advancing the sweep by
+///     delta dilates f: one O(n_bar) window min.
+///   case B (diag_b > diag_a, cost gamma - kappa', needs r' <= l, which the
+///     sweep already gives): a dense array over diag + n_bar holding
+///     D[b] - kappa', kept as a suffix min that is refolded once per query
+///     position after fresh inserts.
+/// `ends` holds (block_end, index) words sorted by block_end.
+void solve_max_sweep(std::span<const Tuple> tuples, std::span<const std::uint64_t> ends,
+                     std::int64_t n, std::int64_t n_bar, std::vector<std::int64_t>& dp) {
+  const std::size_t m = tuples.size();
+  const auto columns = static_cast<std::size_t>(n_bar) + 1;
+  std::vector<std::int64_t> f(columns, kInf);
+  std::vector<std::int64_t> tail(columns);
+  std::vector<std::int64_t> diag(static_cast<std::size_t>(n) + columns, kInf);
+  std::size_t folded = 0;  // diag[i] is a suffix min for every i >= folded
+  std::size_t ins = 0;
+  std::size_t q = 0;
+  std::int64_t at = 0;  // the sweep position f is dilated to
+  while (q < m) {
+    const std::int64_t l = tuples[q].block_begin;
+    const std::int64_t p = ins < m ? std::min(l, packed_key(ends[ins])) : l;
+    dilate(f, tail, p - at);
+    at = p;
+    for (; ins < m && packed_key(ends[ins]) == p; ++ins) {
+      const std::size_t b = packed_index(ends[ins]);
+      const Tuple& tb = tuples[b];
+      auto& cell = f[static_cast<std::size_t>(tb.window_end)];
+      cell = std::min(cell, dp[b] - tb.block_end);
+      const auto d = static_cast<std::size_t>(tb.block_end - tb.window_end + n_bar);
+      diag[d] = std::min(diag[d], dp[b] - tb.window_end);
+      folded = std::max(folded, d + 1);
+    }
+    if (l != p) continue;
+    for (; folded > 1; --folded) {
+      diag[folded - 2] = std::min(diag[folded - 2], diag[folded - 1]);
+    }
+    folded = 0;
+    for (; q < m && tuples[q].block_begin == p; ++q) {
+      const Tuple& ta = tuples[q];
+      std::int64_t best = dp[q];
+      const std::int64_t by_a = f[static_cast<std::size_t>(ta.window_begin)];
+      if (by_a < kInf) best = std::min(best, ta.block_begin + by_a + ta.distance);
+      const std::int64_t by_b =
+          diag[static_cast<std::size_t>(ta.block_begin - ta.window_begin + n_bar) + 1];
+      if (by_b < kInf) best = std::min(best, ta.window_begin + by_b + ta.distance);
+      dp[q] = best;
+    }
+  }
+}
+
+/// `combine_tuples`' kMax path on block_begin-sorted tuples: the sweep when
+/// it fits and pays, else the CDQ.  Both charge `max_combine_work(T)`.
+std::int64_t solve_max(std::span<const Tuple> tuples, std::int64_t n,
+                       std::int64_t n_bar, std::uint64_t* work) {
+  const std::size_t m = tuples.size();
+  expect_packable(n, n_bar, m);
+  validate(tuples, n, n_bar);
+  std::size_t begins = 0;  // distinct block_begins: at most the boundaries
+  for (std::size_t a = 0; a < m; ++a) {
+    begins += a == 0 || tuples[a].block_begin != tuples[a - 1].block_begin ? 1 : 0;
+  }
+  if (m < 2 || !sweep_fits(n, n_bar, m) || !sweep_pays(n, n_bar, m, begins)) {
+    return MaxCombineSolver{}.solve(tuples, n, n_bar, work);
+  }
+  std::vector<std::uint64_t> ends;  // the sweep's insertion order
+  ends.reserve(m);
+  for (std::size_t i = 0; i < m; ++i) ends.push_back(pack(tuples[i].block_end, i));
+  if (!std::is_sorted(ends.begin(), ends.end())) {  // already so for block partitions
+    std::vector<std::uint64_t> scratch;
+    radix_sort_packed(ends, scratch);
+  }
+  if (!sweep_pays(n, n_bar, m, distinct_boundaries(tuples, ends))) {
+    return MaxCombineSolver{}.solve(tuples, n, n_bar, work);
+  }
+  std::vector<std::int64_t> dp(m);  // the start gaps, as the CDQ seeds them
+  for (std::size_t a = 0; a < m; ++a) {
+    dp[a] = std::max(tuples[a].block_begin, tuples[a].window_begin) + tuples[a].distance;
+  }
+  solve_max_sweep(tuples, ends, n, n_bar, dp);
+  if (work != nullptr) *work += max_combine_work(m);
+  return finish(tuples, dp, GapCost::kMax, n, n_bar);
+}
+
 }  // namespace
 
 std::uint64_t max_combine_work(std::uint64_t m) {
@@ -392,9 +542,7 @@ std::int64_t combine_tuples(std::vector<Tuple> tuples, std::int64_t n,
       })) {
     sort_tuples(tuples);
   }
-  if (options.gap == GapCost::kMax) {
-    return MaxCombineSolver{}.solve(tuples, n, n_bar, work);  // validates
-  }
+  if (options.gap == GapCost::kMax) return solve_max(tuples, n, n_bar, work);
   const std::size_t m = tuples.size();
   expect_packable(n, n_bar, m);
   validate(tuples, n, n_bar);

@@ -20,14 +20,29 @@
 // Both a naive O(T²) reference and fast solvers are provided:
 //   * kSum: event-ordered Fenwick sweep, O(T log T);
 //   * kMax: the same diagonal split as the sparse Ulam DP (the max cost
-//     splits on r_b - kappa_b vs l_a - gamma_a) via divide-and-conquer,
-//     O(T log² T) — the "suitable data structure" the paper alludes to in
-//     Section 5.2.3.  Segments split at the block boundary nearest their
-//     midpoint; a segment in which no tuple can precede another (every
-//     block_end lies past the last block_begin, e.g. all tuples of one
-//     block) is skipped whole, and short segments run the quadratic rule
-//     directly.  The metered work does not depend on these shortcuts: it
-//     is always `max_combine_work(T)`.
+//     splits on r_b - kappa_b vs l_a - gamma_a), solved one of two exact
+//     ways:
+//     - the CDQ (`MaxCombineSolver`): divide-and-conquer over block order,
+//       O(T log² T) — the "suitable data structure" the paper alludes to in
+//       Section 5.2.3.  Segments split at the block boundary nearest their
+//       midpoint; a segment in which no tuple can precede another (every
+//       block_end lies past the last block_begin, e.g. all tuples of one
+//       block) is skipped whole, and short segments run the quadratic rule
+//       directly.
+//     - the sweep along s: tuple b is inserted at r_b, tuple a queried at
+//       l_a.  The diag_b <= diag_a side (cost l_a - r_b, needs kappa_b <=
+//       gamma_a) is one dense array over s̄'s positions that every sweep
+//       step *dilates* by its length (b serves gamma in [kappa_b, kappa_b +
+//       p - r_b] at position p); the diag_b > diag_a side (cost gamma_a -
+//       kappa_b) is a suffix min over a dense diagonal array, refolded once
+//       per distinct l.  O(T + E·(n + n_bar)) for E distinct block
+//       boundaries: Algorithm 2's inbox has only n^x blocks.
+//     `combine_tuples` takes the sweep when E·(n + n_bar + 2) <=
+//     T·⌈log2 T⌉² and its arrays, 3·(n + n_bar + 1) words, fit in the two
+//     copies of the tuples the combine round charges as scratch; otherwise
+//     (and in `MaxCombineSolver`, which Ulam candidate rows call directly)
+//     the CDQ runs.  The metered work does not depend on the solver or its
+//     shortcuts: it is always `max_combine_work(T)`.
 // Every sort inside the fast solvers (the kSum sweep's kappa ranks and
 // insertion order, each kMax cross's diag ranks, inserts and queries) is
 // one stable LSD radix sort of (position, tuple index) pairs packed into a
@@ -83,14 +98,14 @@ std::int64_t combine_tuples(std::vector<Tuple> tuples, std::int64_t n,
                             std::int64_t n_bar, const CombineOptions& options = {},
                             std::uint64_t* work = nullptr);
 
-/// Work the fast kMax solver charges for T = m tuples: the model's
+/// Work either fast kMax solver charges for T = m tuples: the model's
 /// halving divide-and-conquer pays 10·len for the cross over every segment
 /// of len >= 2 tuples, which sums to 10·(m·(k+2) − 2^(k+1)) with
 /// k = ⌊log2 m⌋ (0 for m <= 1).
 std::uint64_t max_combine_work(std::uint64_t m);
 
-/// The fast kMax solver with scratch that survives between calls, for
-/// callers that solve many small instances (one per Ulam candidate window).
+/// The CDQ kMax solver with scratch that survives between calls, for
+/// callers that solve many small instances (one per Ulam candidate row).
 /// `tuples` must be valid for (n, n_bar) and sorted by block_begin, with
 /// n + n_bar and the tuple count below 2^32 (all checked); the result equals
 /// `combine_tuples` with `GapCost::kMax` on the same tuples, and

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <ostream>
+#include <set>
+#include <unordered_map>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -12,6 +16,7 @@
 #include "seq/combine.hpp"
 #include "seq/edit_distance.hpp"
 #include "seq/types.hpp"
+#include "ulam_mpc/candidates.hpp"
 
 namespace mpcsd::seq {
 namespace {
@@ -78,6 +83,75 @@ std::vector<Tuple> block_partitioned_tuples(const Universe& u, std::size_t count
     t.window_end = std::clamp<std::int64_t>(t.window_begin + block + rng.uniform(-2, 2),
                                             t.window_begin, u.n_bar);
     t.distance = rng.uniform(0, 6);
+    tuples.push_back(t);
+  }
+  return tuples;
+}
+
+/// The dispatch rule of `combine_tuples` with kMax gaps: the sweep runs
+/// when T >= 2, its 3·(n + n_bar + 1) words fit in 2·T tuples, and
+/// E·(n + n_bar + 2) <= T·⌈log2 T⌉² for E distinct block boundaries;
+/// otherwise the CDQ runs.
+bool takes_sweep(const std::vector<Tuple>& tuples, std::int64_t n, std::int64_t n_bar) {
+  const auto m = static_cast<std::uint64_t>(tuples.size());
+  const auto span = static_cast<std::uint64_t>(n + n_bar);
+  if (m < 2 || 3 * (span + 1) * sizeof(std::int64_t) > 2 * m * sizeof(Tuple)) {
+    return false;
+  }
+  std::set<std::int64_t> boundaries;
+  for (const Tuple& t : tuples) {
+    boundaries.insert(t.block_begin);
+    boundaries.insert(t.block_end);
+  }
+  const auto log_m = static_cast<std::uint64_t>(std::bit_width(m - 1));
+  return boundaries.size() * (span + 2) <= m * log_m * log_m;
+}
+
+/// The kMax combine of `tuples` equals the naive reference and a fresh
+/// MaxCombineSolver's answer, and both fast paths charge
+/// max_combine_work(T).
+void expect_max_paths_agree(std::vector<Tuple> tuples, std::int64_t n,
+                            std::int64_t n_bar) {
+  const auto want =
+      combine_tuples_naive(tuples, n, n_bar, {GapCost::kMax, false, false});
+  std::uint64_t work = 0;
+  ASSERT_EQ(combine_tuples(tuples, n, n_bar, {GapCost::kMax, true, false}, &work), want);
+  EXPECT_EQ(work, max_combine_work(tuples.size()));
+  std::stable_sort(tuples.begin(), tuples.end(), block_begin_less);
+  std::uint64_t solver_work = 0;
+  ASSERT_EQ(MaxCombineSolver{}.solve(tuples, n, n_bar, &solver_work), want);
+  EXPECT_EQ(solver_work, work);
+}
+
+/// Round-1 tuples with the corner cases the sweep's dense arrays meet:
+/// blocks of `block` cells (the last one shorter unless it divides n),
+/// empty windows, windows pinned to 0 or to n_bar, zero distances, and
+/// tuples no cheap chain reaches (a window at 0 behind a late block, a
+/// distance above n + n_bar).
+std::vector<Tuple> sweep_corner_tuples(std::int64_t n, std::int64_t n_bar,
+                                       std::int64_t block, std::size_t count,
+                                       std::uint64_t seed) {
+  Pcg32 rng = derive_stream(seed, 0x73);
+  std::vector<Tuple> tuples;
+  for (std::size_t i = 0; i < count; ++i) {
+    Tuple t;
+    t.block_begin = block * rng.uniform(0, (n - 1) / block);
+    t.block_end = std::min(n, t.block_begin + block);
+    const std::int64_t diagonal = t.block_begin * n_bar / n;
+    t.window_begin = std::clamp<std::int64_t>(diagonal + rng.uniform(-4, 4), 0, n_bar);
+    t.window_end = std::clamp<std::int64_t>(
+        t.window_begin + (t.block_end - t.block_begin) + rng.uniform(-4, 4),
+        t.window_begin, n_bar);
+    t.distance = rng.uniform(0, 8);
+    switch (rng.uniform(0, 9)) {
+      case 0: t.window_end = t.window_begin; break;
+      case 1: t.window_begin = 0; break;
+      case 2: t.window_end = n_bar; break;
+      case 3: t.window_begin = t.window_end = n_bar; break;
+      case 4: t.distance = 0; break;
+      case 5: t.distance = 3 * (n + n_bar); break;
+      default: break;
+    }
     tuples.push_back(t);
   }
   return tuples;
@@ -217,6 +291,77 @@ TEST(Combine, ReusedSolverAcrossWideAndNarrowInstances) {
         ASSERT_EQ(reused.solve(tuples, u.n, u.n_bar), want)
             << "seed=" << seed << " n=" << u.n << " count=" << count;
       }
+    }
+  }
+}
+
+TEST(Combine, SweepMatchesNaiveOnBlockPartitions) {
+  // n != n_bar both ways, blocks that divide n and blocks that leave a
+  // short last one (down to one cell), and windows touching both ends
+  // of s̄.
+  struct Shape {
+    std::int64_t n, n_bar, block;
+  };
+  for (const Shape& shape : {Shape{60, 45, 6}, Shape{45, 70, 7}, Shape{61, 61, 6},
+                             Shape{100, 1, 9}, Shape{2, 80, 1}, Shape{1, 0, 1}}) {
+    for (std::uint64_t seed = 0; seed < 30; ++seed) {
+      const auto tuples = sweep_corner_tuples(shape.n, shape.n_bar, shape.block, 250, seed);
+      ASSERT_TRUE(takes_sweep(tuples, shape.n, shape.n_bar)) << "n=" << shape.n;
+      SCOPED_TRACE(::testing::Message() << "n=" << shape.n << " n_bar=" << shape.n_bar
+                                        << " block=" << shape.block << " seed=" << seed);
+      expect_max_paths_agree(tuples, shape.n, shape.n_bar);
+    }
+  }
+}
+
+TEST(Combine, SweepMatchesNaiveOnUlamCandidates) {
+  // Algorithm 1's own output on planted permutations: every block's
+  // candidates, blocks of ceil(n^(2/3)) with a short last one, as the Ulam
+  // combine machine receives them.
+  for (const std::int64_t n : {128, 300}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto s = core::random_permutation(n, seed);
+      const auto t = core::plant_edits(s, n / 16, seed + 10, true).text;
+      std::unordered_map<Symbol, std::int64_t> where;
+      for (std::size_t j = 0; j < t.size(); ++j) {
+        where.emplace(t[j], static_cast<std::int64_t>(j));
+      }
+      ulam_mpc::CandidateParams params;
+      params.n = n;
+      params.n_bar = static_cast<std::int64_t>(t.size());
+      const auto block = static_cast<std::int64_t>(
+          std::ceil(std::pow(static_cast<double>(n), 2.0 / 3.0)));
+      ASSERT_NE(n % block, 0);
+      std::vector<Tuple> tuples;
+      for (std::int64_t begin = 0; begin < n; begin += block) {
+        std::vector<std::int64_t> positions;
+        for (std::int64_t p = begin; p < std::min(n, begin + block); ++p) {
+          const auto it = where.find(s[static_cast<std::size_t>(p)]);
+          positions.push_back(it == where.end() ? -1 : it->second);
+        }
+        Pcg32 rng = derive_stream(seed, static_cast<std::uint64_t>(begin));
+        const auto out = ulam_mpc::build_block_candidates(begin, positions, params, rng);
+        tuples.insert(tuples.end(), out.begin(), out.end());
+      }
+      ASSERT_TRUE(takes_sweep(tuples, n, params.n_bar)) << "n=" << n;
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " seed=" << seed
+                                        << " tuples=" << tuples.size());
+      expect_max_paths_agree(tuples, n, params.n_bar);
+    }
+  }
+}
+
+TEST(Combine, WideCoordinatesStayOnTheCdq) {
+  // Few tuples over wide coordinates: the sweep's dense arrays would
+  // dwarf the input, so the CDQ must answer, and exactly.
+  const Universe wide{1 << 20, (1 << 20) + 17, 0};
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    for (const bool blocks : {false, true}) {
+      const auto tuples = blocks ? block_partitioned_tuples(wide, 300, seed)
+                                 : random_tuples(wide, 300, seed);
+      ASSERT_FALSE(takes_sweep(tuples, wide.n, wide.n_bar));
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " blocks=" << blocks);
+      expect_max_paths_agree(tuples, wide.n, wide.n_bar);
     }
   }
 }
