@@ -2,8 +2,9 @@
 // costs underlying the Table 1 work columns, plus the DESIGN.md ablations
 // (dense vs sparse Ulam, naive vs fast combine, exact vs 3+eps unit), the
 // two Ulam machine bodies (one block's candidates, the block-partitioned
-// combine, also on one query's real candidate tuples) and the edit combine
-// round (the kSum sweep).
+// combine, also on one query's real candidate tuples) and the two edit
+// machine bodies (one task's candidates; the kSum combine, also on one
+// rung's real candidate tuples).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -341,6 +342,36 @@ void BM_CombineSum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CombineSum)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+// Round 2 of the edit algorithm on the tuples it really gets: every task's
+// Algorithm 3 candidates for one edit_single-shaped rung (DNA, n = 2048,
+// n/16 planted edits, the solver's x and eps' at guess 32: about 15 k
+// tuples over 7 blocks of 304), combined as one combine machine does.  Its
+// few block boundaries put it on the dense kSum sweep; BM_CombineSum's
+// hundred boundaries over n = 10000 keep that one on the Fenwick.
+void BM_CombineEditInbox(benchmark::State& state) {
+  const std::int64_t n = 2048;
+  const auto s = core::random_dna(n, 1);
+  const auto t = core::plant_edits(s, n / 16, 2, false, 4).text;
+  edit_mpc::SmallDistanceParams params;
+  params.eps_prime = 0.15;
+  params.x = 0.25;
+  params.delta_guess = state.range(0);
+  const auto n_bar = static_cast<std::int64_t>(t.size());
+  const auto geo = edit_mpc::small_geometry(n, n_bar, params);
+  std::vector<seq::Tuple> tuples;
+  for (const auto& task : edit_mpc::make_small_tasks(s, t, params, geo)) {
+    const auto out = edit_mpc::small_task_tuples(task, params, geo, nullptr);
+    tuples.insert(tuples.end(), out.begin(), out.end());
+  }
+  seq::CombineOptions options;
+  options.gap = seq::GapCost::kSum;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seq::combine_tuples(tuples, n, n_bar, options));
+  }
+  state.counters["tuples"] = static_cast<double>(tuples.size());
+}
+BENCHMARK(BM_CombineEditInbox)->Arg(32)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -10,7 +10,10 @@
 // one digit to four and the origin moves the keys far from 0.  With flag
 // bit 2 the input is narrow instead (n and n_bar at most 64, a few blocks,
 // up to 255 tuples), the shape for which the kMax combine takes its sweep
-// along s rather than the CDQ.
+// along s rather than the CDQ and the kSum combine its dense sweep rather
+// than the Fenwick (once the tuples outnumber the blocks enough to pay:
+// seed_narrow_sweep_blocks, seed_narrow_sweep_few_blocks and the two
+// seed_narrow_dense_sum_* seeds do).
 //
 // Input layout (little-endian):
 //   bytes 0-3   n - 1        (mod 2^31, so n in 1..2^31)

@@ -6,10 +6,13 @@
 // carries and cross-word shifts live; alphabets span 2..1000.
 //
 // The prefix pass (seq::MyersPrefixPass) is checked against the bounded
-// kernel too: one pass of the pattern over the text must answer every
-// prefix length L exactly as `edit_distance_myers_bounded(shorter, longer,
-// bound)` does — distance and word meter, so the abort column (L >= |a|)
-// or row (L < |a|) as well.
+// kernel too, under every lane kernel the host can run: one pass of the
+// pattern over up to eight lanes of the text must answer every prefix
+// length L of every lane exactly as `edit_distance_myers_bounded(shorter,
+// longer, bound)` does on that lane's text — distance and word meter, so
+// the abort column (L >= |a|) or row (L < |a|) as well.  Lane 0 is the
+// whole text; the other lanes' count, offsets and reaches are drawn from
+// the stream after both strings, so they never change (a, b, bound).
 //
 // Input layout (little-endian):
 //   bytes 0-1  pattern length - 1   (mod 640, so 1..640 crosses words 1..10)
@@ -83,20 +86,45 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   force_isa(entry);
 
-  std::vector<std::int64_t> keep;
+  // The lanes, drawn after both strings so every input keeps its (a, b,
+  // bound): lane 0 is all of b, the others start anywhere in b and reach
+  // anywhere up to its end, so shorter lanes run past the end of b on the
+  // zero row while the longest lane finishes.
+  const std::size_t lanes = 1 + rng.next() % seq::MyersPrefixPass::kMaxLanes;
+  std::vector<seq::MyersPrefixPass::Lane> lane(lanes);
+  lane[0] = {0, static_cast<std::int64_t>(lb)};
+  for (std::size_t l = 1; l < lanes; ++l) {
+    const auto offset = static_cast<std::int64_t>(rng.next() % (lb + 1));
+    lane[l] = {offset, static_cast<std::int64_t>(rng.next() % (lb + 1 - offset))};
+  }
+  std::vector<std::int64_t> keep;  // every column a lane may read below |a|
   for (std::int64_t len = 1; len < static_cast<std::int64_t>(std::min(la, lb + 1)); ++len) {
     keep.push_back(len);
   }
-  seq::MyersPrefixPass pass(a);
-  pass.run(b, keep);
-  for (std::size_t len = 0; len <= lb; ++len) {
-    const SymView prefix = SymView(b).first(len);
-    std::uint64_t words = 0;
-    const auto want = len >= la
-                          ? seq::edit_distance_myers_bounded(a, prefix, bound, &words)
-                          : seq::edit_distance_myers_bounded(prefix, a, bound, &words);
-    const auto got = pass.bounded(static_cast<std::int64_t>(len), bound);
-    if (got.distance != want || got.words != words) std::abort();
+  std::vector<std::vector<seq::MyersPrefixPass::Answer>> want(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::int64_t len = 0; len <= lane[l].reach; ++len) {
+      const SymView prefix = SymView(b).subspan(static_cast<std::size_t>(lane[l].offset),
+                                                static_cast<std::size_t>(len));
+      std::uint64_t words = 0;
+      const auto d = len >= static_cast<std::int64_t>(la)
+                         ? seq::edit_distance_myers_bounded(a, prefix, bound, &words)
+                         : seq::edit_distance_myers_bounded(prefix, a, bound, &words);
+      want[l].push_back({d, words});
+    }
   }
+  seq::MyersPrefixPass pass(a);
+  for (const Isa level : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (force_isa(level) != level) continue;  // host lacks the level
+    pass.run(b, lane, keep);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::int64_t len = 0; len <= lane[l].reach; ++len) {
+        const auto got = pass.bounded(l, len, bound);
+        const auto& w = want[l][static_cast<std::size_t>(len)];
+        if (got.distance != w.distance || got.words != w.words) std::abort();
+      }
+    }
+  }
+  force_isa(entry);
   return 0;
 }

@@ -146,41 +146,51 @@ BlockEvaluator::BlockEvaluator(const SmallTask& task,
                ? 2 * params.delta_guess + 2
                : 4 * params.delta_guess + 8) {}
 
-void BlockEvaluator::evaluate_start(std::int64_t sp, std::vector<seq::Tuple>& out,
-                                    std::uint64_t* work) {
+void BlockEvaluator::evaluate_starts(std::span<const std::int64_t> starts,
+                                     std::vector<seq::Tuple>& out, std::uint64_t* work) {
+  MPCSD_EXPECTS(!starts.empty() && starts.size() <= seq::MyersPrefixPass::kMaxLanes);
   const SymView block(task_.block);
   const SymView chunk(task_.chunk);
   const auto m = static_cast<std::int64_t>(task_.block.size());
-  const std::int64_t offset = sp - task_.chunk_begin;
 
-  // Classify every candidate by the path its unit call would take; the
-  // pass reads need s̄[sp, sp + reach) and the deltas of windows < m.
+  // Classify every candidate by the path its unit call would take; a
+  // start with pass reads gets the next lane, over s̄[sp, sp + reach), and
+  // the pass keeps the deltas of every such window < m.
   candidates_.clear();
+  lanes_.clear();
   keep_.clear();
-  std::int64_t reach = 0;
-  for (const std::int64_t ep : candidate_ends(sp, m, geo_)) {
-    Candidate c;
-    c.end = ep;
-    c.window = subview(chunk, {offset, ep - task_.chunk_begin});
-    const auto len = static_cast<std::int64_t>(c.window.size());
-    c.limit = std::min(cap_, m + len);
-    if (params_.unit == DistanceUnit::kApprox3 && len > 0 &&
-        std::abs(m - len) <= c.limit) {
-      const auto lim = seq::censored_exact_cap(
-          m, len, censored_approx(params_.approx, c.limit));
-      if (lim.has_value() &&
-          seq::edit_distance_banded_fast_kernel(block, c.window, *lim) ==
-              seq::EditKernel::kMyersBounded) {
-        c.lim = *lim;
-        reach = std::max(reach, len);
-        if (len < m && (keep_.empty() || keep_.back() != len)) keep_.push_back(len);
+  for (const std::int64_t sp : starts) {
+    const std::int64_t offset = sp - task_.chunk_begin;
+    std::int64_t reach = 0;
+    for (const std::int64_t ep : candidate_ends(sp, m, geo_)) {
+      Candidate c;
+      c.start = sp;
+      c.end = ep;
+      c.window = subview(chunk, {offset, ep - task_.chunk_begin});
+      const auto len = static_cast<std::int64_t>(c.window.size());
+      c.limit = std::min(cap_, m + len);
+      if (params_.unit == DistanceUnit::kApprox3 && len > 0 &&
+          std::abs(m - len) <= c.limit) {
+        const auto lim = seq::censored_exact_cap(
+            m, len, censored_approx(params_.approx, c.limit));
+        if (lim.has_value() &&
+            seq::edit_distance_banded_fast_kernel(block, c.window, *lim) ==
+                seq::EditKernel::kMyersBounded) {
+          c.lim = *lim;
+          c.lane = lanes_.size();
+          reach = std::max(reach, len);
+          if (len < m) keep_.push_back(len);
+        }
       }
+      candidates_.push_back(c);
     }
-    candidates_.push_back(c);
+    if (reach > 0) lanes_.push_back({offset, reach});
   }
-  if (reach > 0) {
+  if (!lanes_.empty()) {
+    std::sort(keep_.begin(), keep_.end());
+    keep_.erase(std::unique(keep_.begin(), keep_.end()), keep_.end());
     if (!pass_.has_value()) pass_.emplace(block);
-    pass_->run(subview(chunk, {offset, offset + reach}), keep_);
+    pass_->run(chunk, lanes_, keep_);
   }
 
   for (const Candidate& c : candidates_) {
@@ -192,7 +202,7 @@ void BlockEvaluator::evaluate_start(std::int64_t sp, std::vector<seq::Tuple>& ou
       // unit_distance -> approx_edit_distance -> edit_distance_banded_fast
       // -> myers_banded_charged, with the shorter side as the pattern.
       const auto len = static_cast<std::int64_t>(c.window.size());
-      const auto answer = pass_->bounded(len, c.lim);
+      const auto answer = pass_->bounded(c.lane, len, c.lim);
       if (work != nullptr) {
         *work += seq::myers_bounded_cells(
             static_cast<std::size_t>(std::min(m, len)), answer.words, c.lim);
@@ -202,7 +212,7 @@ void BlockEvaluator::evaluate_start(std::int64_t sp, std::vector<seq::Tuple>& ou
       }
     }
     if (e.has_value()) {
-      out.push_back(seq::Tuple{task_.block_begin, task_.block_begin + m, sp, c.end, *e});
+      out.push_back(seq::Tuple{task_.block_begin, task_.block_begin + m, c.start, c.end, *e});
     }
   }
 }
@@ -213,7 +223,12 @@ std::vector<seq::Tuple> small_task_tuples(const SmallTask& task,
                                           std::uint64_t* work) {
   BlockEvaluator evaluator(task, params, geo);
   std::vector<seq::Tuple> tuples;
-  for (const std::int64_t sp : task.starts) evaluator.evaluate_start(sp, tuples, work);
+  const std::span<const std::int64_t> starts(task.starts);
+  for (std::size_t i = 0; i < starts.size(); i += seq::MyersPrefixPass::kMaxLanes) {
+    evaluator.evaluate_starts(
+        starts.subspan(i, std::min(seq::MyersPrefixPass::kMaxLanes, starts.size() - i)),
+        tuples, work);
+  }
   return tuples;
 }
 

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -109,38 +110,47 @@ std::vector<seq::Tuple> small_task_tuples(const SmallTask& task,
 
 /// Per-task evaluation context of `small_task_tuples`: every candidate's
 /// tuple and charge come out exactly as per-candidate `unit_distance` gives
-/// them, from one Myers pass per start.
+/// them, from one lane of a Myers pass per start.
 ///
 /// A kApprox3 candidate whose unit call would be one bounded full-width
 /// Myers run — the censored exact branch (`seq::censored_exact_cap`) with
-/// a kMyersBounded band — reads its distance and abort point off the
-/// start's pass of the block over s̄[sp, sp + L_max), L_max the longest
-/// such window (`seq::MyersPrefixPass`; the block's masks are built once
-/// per task), and is charged the same band cells
+/// a kMyersBounded band — reads its distance and abort point off its
+/// start's lane: the block over s̄[sp, sp + L_max), L_max the longest such
+/// window of the start (`seq::MyersPrefixPass`; the block's masks are
+/// built once per task).  It is charged the same band cells
 /// (`seq::myers_bounded_cells`).  Every other candidate calls
 /// `unit_distance` unchanged: the kExactBanded unit, a side above
 /// `approx.exact_cutoff` (the window cover), tiny or unprofitable bands,
 /// and the length-gap and empty-window early outs.
+///
+/// Starts are evaluated in groups of at most `MyersPrefixPass::kMaxLanes`
+/// (`small_task_tuples` takes the task's starts eight at a time on every
+/// ISA): one pass runs a lane per start that has a pass read, and the
+/// tuples come out in start order, ends ascending, as one start at a time
+/// gives them.
 class BlockEvaluator {
  public:
   /// Borrows all three for its lifetime.
   BlockEvaluator(const SmallTask& task, const SmallDistanceParams& params,
                  const CandidateGeometry& geo);
 
-  /// Appends the tuples of start `sp`'s candidates, ends ascending, and
-  /// charges their work.
-  void evaluate_start(std::int64_t sp, std::vector<seq::Tuple>& out,
-                      std::uint64_t* work);
+  /// Appends the tuples of `starts`' candidates (1 to kMaxLanes starts of
+  /// the task), in start order with ends ascending, and charges their
+  /// work.
+  void evaluate_starts(std::span<const std::int64_t> starts,
+                       std::vector<seq::Tuple>& out, std::uint64_t* work);
 
   /// Candidates resolved through `unit_distance` so far.
   [[nodiscard]] std::size_t fallbacks() const noexcept { return fallbacks_; }
 
  private:
   struct Candidate {
+    std::int64_t start = 0;
     std::int64_t end = 0;
     SymView window;
     std::int64_t limit = 0;  ///< unit_distance's censoring limit
     std::int64_t lim = -1;   ///< band cap of the pass read; -1 = fallback
+    std::size_t lane = 0;    ///< the start's lane of the pass read
   };
 
   const SmallTask& task_;
@@ -148,8 +158,11 @@ class BlockEvaluator {
   const CandidateGeometry& geo_;
   std::int64_t cap_;
   std::optional<seq::MyersPrefixPass> pass_;  // built on first use
-  std::vector<Candidate> candidates_;         // per-start scratch
-  std::vector<std::int64_t> keep_;            // per-start scratch
+  // Per-group scratch: the starts' candidates in start order, the lanes
+  // and the union of their kept columns.
+  std::vector<Candidate> candidates_;
+  std::vector<seq::MyersPrefixPass::Lane> lanes_;
+  std::vector<std::int64_t> keep_;
   std::size_t fallbacks_ = 0;
 };
 

@@ -111,8 +111,7 @@ void radix_sort_packed(std::vector<std::uint64_t>& words,
 /// Fast kSum solver: one Fenwick sweep in (insert by r, query by l) order.
 /// Transition cost (l-r') + (gamma-kappa') decomposes as
 /// (l+gamma) + (D[b] - r' - kappa'), needing r' <= l and kappa' <= gamma.
-void solve_sum_fast(const std::vector<Tuple>& tuples, std::vector<std::int64_t>& dp,
-                    std::uint64_t* work) {
+void solve_sum_fast(const std::vector<Tuple>& tuples, std::vector<std::int64_t>& dp) {
   const std::size_t m = tuples.size();
   std::vector<std::uint64_t> words;
   std::vector<std::uint64_t> scratch;
@@ -152,7 +151,75 @@ void solve_sum_fast(const std::vector<Tuple>& tuples, std::vector<std::int64_t>&
       }
     }
   }
-  if (work != nullptr) *work += m * 6;
+}
+
+/// Whether the dense kSum sweep's arrays, (n_bar + 1) + (n + 2) + T words,
+/// fit in the scratch of 2·T tuples the combine round charges for T = m
+/// tuples.
+bool sum_sweep_fits(std::int64_t n, std::int64_t n_bar, std::size_t m) {
+  const auto words = static_cast<std::uint64_t>(n_bar) + 1 +
+                     static_cast<std::uint64_t>(n) + 2 + m;
+  return words * sizeof(std::int64_t) <= 2 * m * sizeof(Tuple);
+}
+
+/// Whether the dense kSum sweep, O(T + n + E·n_bar) for E distinct
+/// block_begins, costs no more than the Fenwick's T·⌈log2 T⌉:
+/// E·(n_bar + 1) + n <= T·⌈log2 T⌉.
+bool sum_sweep_pays(std::int64_t n, std::int64_t n_bar, std::size_t m,
+                    std::size_t begins) {
+  const auto log_m = static_cast<std::uint64_t>(std::bit_width(m - 1));
+  return begins * (static_cast<std::uint64_t>(n_bar) + 1) + static_cast<std::uint64_t>(n) <=
+         m * log_m;
+}
+
+/// The kSum DP as one sweep along s over a dense array: tuple b is
+/// inserted once the sweep reaches r', at kappa' with D[b] - r' - kappa',
+/// and tuple a reads best[gamma], the min over kappa' <= gamma, at l, so
+/// every b with r' <= l is in and final (its own read ran at l' < r').
+/// The inserts come in block_end order from one counting sort; `best` is
+/// kept a prefix min by refolding it once per distinct l that follows an
+/// insert, from the lowest kappa' inserted until it stops changing past
+/// the highest.
+void solve_sum_dense(std::span<const Tuple> tuples, std::int64_t n, std::int64_t n_bar,
+                     std::vector<std::int64_t>& dp) {
+  const std::size_t m = tuples.size();
+  std::vector<std::uint32_t> order(m);  // tuple indices by block_end
+  {
+    std::vector<std::uint32_t> next(static_cast<std::size_t>(n) + 2, 0);
+    for (const Tuple& t : tuples) ++next[static_cast<std::size_t>(t.block_end) + 1];
+    for (std::size_t r = 1; r < next.size(); ++r) next[r] += next[r - 1];
+    for (std::size_t i = 0; i < m; ++i) {
+      order[next[static_cast<std::size_t>(tuples[i].block_end)]++] =
+          static_cast<std::uint32_t>(i);
+    }
+  }
+  const auto columns = static_cast<std::size_t>(n_bar) + 1;
+  std::vector<std::int64_t> best(columns, kInf);
+  std::size_t ins = 0;
+  for (std::size_t a = 0; a < m; ++a) {  // tuples sorted by block_begin
+    const Tuple& ta = tuples[a];
+    if (a == 0 || ta.block_begin != tuples[a - 1].block_begin) {
+      std::size_t lo = columns;
+      std::size_t hi = 0;
+      for (; ins < m && tuples[order[ins]].block_end <= ta.block_begin; ++ins) {
+        const Tuple& tb = tuples[order[ins]];
+        const auto kappa = static_cast<std::size_t>(tb.window_end);
+        best[kappa] = std::min(best[kappa], dp[order[ins]] - tb.block_end - tb.window_end);
+        lo = std::min(lo, kappa);
+        hi = std::max(hi, kappa);
+      }
+      // Past hi, an unchanged cell at or below its refolded left neighbour
+      // ends the refold: every later cell was already at or below it.
+      for (std::size_t g = lo + 1; g < columns; ++g) {
+        if (g > hi && best[g] <= best[g - 1]) break;
+        best[g] = std::min(best[g], best[g - 1]);
+      }
+    }
+    const std::int64_t by = best[static_cast<std::size_t>(ta.window_begin)];
+    if (by < kInf) {
+      dp[a] = std::min(dp[a], ta.block_begin + ta.window_begin + by + ta.distance);
+    }
+  }
 }
 
 /// Segments this short run the O(len²) update rule instead of splitting:
@@ -551,7 +618,16 @@ std::int64_t combine_tuples(std::vector<Tuple> tuples, std::int64_t n,
     dp[a] = gap(options.gap, tuples[a].block_begin, tuples[a].window_begin) +
             tuples[a].distance;
   }
-  solve_sum_fast(tuples, dp, work);
+  std::size_t begins = 0;  // distinct block_begins: the dense sweep's refolds
+  for (std::size_t a = 0; a < m; ++a) {
+    begins += a == 0 || tuples[a].block_begin != tuples[a - 1].block_begin ? 1 : 0;
+  }
+  if (m >= 2 && sum_sweep_fits(n, n_bar, m) && sum_sweep_pays(n, n_bar, m, begins)) {
+    solve_sum_dense(tuples, n, n_bar, dp);
+  } else {
+    solve_sum_fast(tuples, dp);
+  }
+  if (work != nullptr) *work += m * 6;
   return finish(tuples, dp, options.gap, n, n_bar);
 }
 

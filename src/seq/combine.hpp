@@ -18,7 +18,21 @@
 //     (Algorithm 4, edit distance).
 //
 // Both a naive O(T²) reference and fast solvers are provided:
-//   * kSum: event-ordered Fenwick sweep, O(T log T);
+//   * kSum: the cost splits as (l_a + gamma_a) + (D[b] - r_b - kappa_b), so
+//     a sweep along s inserts tuple b at r_b and queries tuple a at l_a for
+//     the min over kappa_b <= gamma_a, solved one of two exact ways:
+//     - the Fenwick: a min-Fenwick over the ranked kappas, O(T log T) plus
+//       two radix sorts (the kappa ranks, the insertion order);
+//     - the dense sweep: the tuples bucketed by block_end with one counting
+//       sort, O(T + n), and one dense min array over kappa in [0, n_bar]
+//       whose prefix min is refolded once per distinct block_begin that
+//       follows an insert, so each query is one read.  O(T + n + E·n_bar)
+//       for E distinct block_begins: Algorithm 4's inbox has only n^x
+//       blocks.
+//     `combine_tuples` takes the dense sweep when E·(n_bar + 1) + n <=
+//     T·⌈log2 T⌉ and its arrays, (n_bar + 1) + (n + 2) + T words, fit in
+//     the two copies of the tuples the combine round charges as scratch;
+//     otherwise the Fenwick runs.  Both charge 6·T.
 //   * kMax: the same diagonal split as the sparse Ulam DP (the max cost
 //     splits on r_b - kappa_b vs l_a - gamma_a), solved one of two exact
 //     ways:
@@ -43,7 +57,7 @@
 //     (and in `MaxCombineSolver`, which Ulam candidate rows call directly)
 //     the CDQ runs.  The metered work does not depend on the solver or its
 //     shortcuts: it is always `max_combine_work(T)`.
-// Every sort inside the fast solvers (the kSum sweep's kappa ranks and
+// Every sort inside the fast solvers (the kSum Fenwick's kappa ranks and
 // insertion order, each kMax cross's diag ranks, inserts and queries) is
 // one stable LSD radix sort of (position, tuple index) pairs packed into a
 // 64-bit word: 8-bit digits over the span max_key - min_key, so at most

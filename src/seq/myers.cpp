@@ -168,6 +168,52 @@ MyersRunFn pick_kernel(std::size_t blocks) {
   return &scalar_run;
 }
 
+/// Scalar lane kernel: the lanes of a prefix pass one after another, each
+/// the blocked loop of `scalar_run` with no bound.
+void scalar_lanes(const MyersMasks& masks, const detail::LanePass& pass) {
+  constexpr std::size_t kLanes = detail::kPassLanes;
+  const std::size_t blocks = masks.blocks;
+  const std::uint64_t last_bit = 1ULL << ((masks.m - 1) & 63);
+  std::vector<std::uint64_t> pv(blocks);
+  std::vector<std::uint64_t> mv(blocks);
+  for (std::size_t l = 0; l < pass.lanes; ++l) {
+    std::fill(pv.begin(), pv.end(), ~0ULL);
+    std::fill(mv.begin(), mv.end(), 0);
+    std::int64_t score = masks.m;
+    std::size_t next_keep = 0;
+    for (std::size_t j = 0; j < pass.columns; ++j) {
+      const std::uint64_t* eqv = masks.eq.data() + pass.rows[j * kLanes + l];
+      int hin = 1;  // top boundary row: d[0][j] = j
+      for (std::size_t k = 0; k < blocks; ++k) {
+        const std::uint64_t top = (k + 1 == blocks) ? last_bit : (1ULL << 63U);
+        hin = block_step(eqv[k], pv[k], mv[k], hin, top);
+      }
+      score += hin;
+      pass.scores[(j + 1) * kLanes + l] = score;
+      if (next_keep < pass.keep_count &&
+          pass.keep[next_keep] == static_cast<std::int64_t>(j + 1)) {
+        std::uint64_t* out = pass.kept + next_keep * 2 * blocks * kLanes + l;
+        for (std::size_t k = 0; k < blocks; ++k) {
+          out[k * kLanes] = pv[k];
+          out[(blocks + k) * kLanes] = mv[k];
+        }
+        ++next_keep;
+      }
+    }
+  }
+}
+
+/// Lane kernel selection: the widest compiled and host-supported level,
+/// on `active_isa()` alone.
+detail::MyersLanesFn pick_lanes() {
+  static const detail::MyersLanesFn avx512 = detail::myers_lanes_avx512();
+  static const detail::MyersLanesFn avx2 = detail::myers_lanes_avx2();
+  const Isa isa = active_isa();
+  if (isa >= Isa::kAvx512 && avx512 != nullptr) return avx512;
+  if (isa >= Isa::kAvx2 && avx2 != nullptr) return avx2;
+  return &scalar_lanes;
+}
+
 /// Thread-local Peq table cache.  The guess ladder, the batch escalation
 /// loop, and the window oracles all re-run kernels against one pattern with
 /// varying texts/bounds; rebuilding the O(|a|) mask table per call showed
@@ -223,53 +269,79 @@ MyersPrefixPass::MyersPrefixPass(SymView pattern) {
 
 MyersPrefixPass::~MyersPrefixPass() = default;
 
-void MyersPrefixPass::run(SymView text, const std::vector<std::int64_t>& keep) {
+void MyersPrefixPass::run(SymView chunk, std::span<const Lane> lanes,
+                          std::span<const std::int64_t> keep) {
+  constexpr std::size_t kLanes = detail::kPassLanes;
+  static_assert(kLanes == kMaxLanes);
   const MyersMasks& masks = *masks_;
-  const std::size_t blocks = masks.blocks;
-  const std::uint64_t last_bit = 1ULL << ((masks.m - 1) & 63);
-  pv_.assign(blocks, ~0ULL);
-  mv_.assign(blocks, 0);
-  scores_.assign(1, masks.m);  // D[m][0] = m
-  keep_ = keep;
-  kept_.clear();
-  std::size_t next_keep = 0;
-  std::int64_t score = masks.m;
-  for (std::size_t j = 0; j < text.size(); ++j) {
-    const std::uint64_t* eqv = masks.row(text[j]);
-    int hin = 1;  // top boundary row: d[0][j] = j
-    for (std::size_t k = 0; k < blocks; ++k) {
-      const std::uint64_t top = (k + 1 == blocks) ? last_bit : (1ULL << 63U);
-      hin = block_step(eqv[k], pv_[k], mv_[k], hin, top);
-    }
-    score += hin;
-    scores_.push_back(score);
-    if (next_keep < keep_.size() &&
-        keep_[next_keep] == static_cast<std::int64_t>(j + 1)) {
-      kept_.insert(kept_.end(), pv_.begin(), pv_.end());
-      kept_.insert(kept_.end(), mv_.begin(), mv_.end());
-      ++next_keep;
+  MPCSD_EXPECTS(!lanes.empty() && lanes.size() <= kLanes);
+  const auto chunk_len = static_cast<std::int64_t>(chunk.size());
+  std::int64_t columns = 0;
+  std::int64_t lo = chunk_len;  // the lanes read chunk[lo, hi)
+  std::int64_t last = 0;        // the largest offset
+  for (const Lane& lane : lanes) {
+    MPCSD_EXPECTS(lane.offset >= 0 && lane.reach >= 0 &&
+                  lane.offset + lane.reach <= chunk_len);
+    columns = std::max(columns, lane.reach);
+    lo = std::min(lo, lane.offset);
+    last = std::max(last, lane.offset);
+  }
+  const std::int64_t hi = std::min(chunk_len, last + columns);
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    MPCSD_EXPECTS(keep[i] >= 1 && keep[i] < masks.m && keep[i] <= columns &&
+                  (i == 0 || keep[i - 1] < keep[i]));
+  }
+  lanes_.assign(lanes.begin(), lanes.end());
+  keep_.assign(keep.begin(), keep.end());
+
+  // Each symbol's mask row is looked up once for the whole group and
+  // handed to every lane whose columns cover its chunk position.
+  const auto cols = static_cast<std::size_t>(columns);
+  rows_.assign(cols * kLanes, masks.ids.size() * masks.stride);  // the zero row
+  for (std::int64_t p = lo; p < hi; ++p) {
+    const auto row = static_cast<std::uint64_t>(
+        masks.row(chunk[static_cast<std::size_t>(p)]) - masks.eq.data());
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      const std::int64_t j = p - lanes[l].offset;
+      if (j >= 0 && j < columns) rows_[static_cast<std::size_t>(j) * kLanes + l] = row;
     }
   }
-  MPCSD_EXPECTS(next_keep == keep_.size());
+
+  scores_.assign((cols + 1) * kLanes, masks.m);
+  kept_.assign(keep_.size() * 2 * masks.blocks * kLanes, 0);
+  detail::LanePass pass;
+  pass.lanes = lanes.size();
+  pass.columns = cols;
+  pass.rows = rows_.data();
+  pass.keep = keep_.data();
+  pass.keep_count = keep_.size();
+  pass.scores = scores_.data();
+  pass.kept = kept_.data();
+  pick_lanes()(masks, pass);
 }
 
-MyersPrefixPass::Answer MyersPrefixPass::bounded(std::int64_t len,
+MyersPrefixPass::Answer MyersPrefixPass::bounded(std::size_t lane, std::int64_t len,
                                                  std::int64_t k) const {
+  constexpr std::size_t kLanes = detail::kPassLanes;
   const std::int64_t m = masks_->m;
   const std::size_t blocks = masks_->blocks;
-  MPCSD_EXPECTS(len >= 0 && len < static_cast<std::int64_t>(scores_.size()));
+  MPCSD_EXPECTS(lane < lanes_.size());
+  MPCSD_EXPECTS(len >= 0 && len <= lanes_[lane].reach);
+  const auto score = [this, lane](std::int64_t c) {
+    return scores_[static_cast<std::size_t>(c) * kLanes + lane];
+  };
   // edit_distance_myers_bounded's early outs, in its order.
   if (k < 0 || std::abs(len - m) > k) return {};
   if (len == 0) return {m, 0};
 
   if (len >= m) {
     // The pass's pattern over text[0, len): binary search for the first
-    // column c in [1, len] with scores_[c] + c > k + len (len + 1: none).
+    // column c in [1, len] with score(c) + c > k + len (len + 1: none).
     std::int64_t lo = 1;
     std::int64_t hi = len + 1;
     while (lo < hi) {
       const std::int64_t mid = lo + (hi - lo) / 2;
-      if (scores_[static_cast<std::size_t>(mid)] + mid > k + len) {
+      if (score(mid) + mid > k + len) {
         hi = mid;
       } else {
         lo = mid + 1;
@@ -277,15 +349,16 @@ MyersPrefixPass::Answer MyersPrefixPass::bounded(std::int64_t len,
     }
     const std::uint64_t words = static_cast<std::uint64_t>(std::min(lo, len)) * blocks;
     if (lo <= len) return {std::nullopt, words};
-    return {scores_[static_cast<std::size_t>(len)], words};
+    return {score(len), words};
   }
 
   // text[0, len) is the pattern, ceil(len / 64) words per row of ours.
   const auto it = std::lower_bound(keep_.begin(), keep_.end(), len);
   MPCSD_EXPECTS(it != keep_.end() && *it == len);
   const std::uint64_t* pv =
-      kept_.data() + 2 * blocks * static_cast<std::size_t>(it - keep_.begin());
-  const std::uint64_t* mv = pv + blocks;
+      kept_.data() + 2 * blocks * kLanes * static_cast<std::size_t>(it - keep_.begin()) +
+      lane;
+  const std::uint64_t* mv = pv + blocks * kLanes;
   const auto len_blocks = static_cast<std::uint64_t>((len + 63) / 64);
   // D[i][len] + i is monotone, so a word whose last row stays within the
   // bound holds no abort row and only its popcount delta is needed.
@@ -294,8 +367,8 @@ MyersPrefixPass::Answer MyersPrefixPass::bounded(std::int64_t len,
     const std::int64_t row0 = 64 * static_cast<std::int64_t>(w);
     const std::int64_t bits = std::min<std::int64_t>(64, m - row0);
     const std::uint64_t mask = bits == 64 ? ~0ULL : (1ULL << bits) - 1;
-    const std::uint64_t p = pv[w] & mask;
-    const std::uint64_t q = mv[w] & mask;
+    const std::uint64_t p = pv[w * kLanes] & mask;
+    const std::uint64_t q = mv[w * kLanes] & mask;
     const std::int64_t end = d + std::popcount(p) - std::popcount(q);
     if (end + row0 + bits <= k + m) {
       d = end;
@@ -309,7 +382,7 @@ MyersPrefixPass::Answer MyersPrefixPass::bounded(std::int64_t len,
       }
     }
   }
-  MPCSD_ENSURES(d == scores_[static_cast<std::size_t>(len)]);
+  MPCSD_ENSURES(d == score(len));
   return {d, static_cast<std::uint64_t>(m) * len_blocks};
 }
 

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/cpu.hpp"
@@ -79,16 +80,27 @@ namespace detail {
 struct MyersMasks;
 }  // namespace detail
 
-/// Every prefix of one text against one pattern from a single pass.
+/// Every prefix of up to eight texts against one pattern from a single
+/// pass: the texts are windows of one chunk that start at different
+/// offsets (the candidate starts of one edit task).
 ///
-/// `run(text, keep)` runs the full-width blocked recurrence of the pattern
-/// (masks built once, at construction) over all of `text` with no bound,
-/// records the score D[m][c] of every column c (m = |pattern|), and keeps
-/// the vertical deltas (Pv, Mv) of each column c in `keep` (c < m).
-/// `bounded(len, k)` then returns, without running a kernel, exactly what
-/// `edit_distance_myers_bounded(shorter, longer, k, &words)` returns for
-/// the pattern against text[0, len), the shorter side being the pattern
-/// (on a tie, the pass's pattern) — the distance and the word meter:
+/// `run(chunk, lanes, keep)` runs the full-width blocked recurrence of the
+/// pattern (masks built once, at construction) in `lanes.size()` lanes side
+/// by side, with no bound: lane l is the pattern over
+/// chunk[offset_l, offset_l + len), len the largest reach of any lane.  A
+/// lane records the score D[m][c] of every column c (m = |pattern|) and
+/// keeps the vertical deltas (Pv, Mv) of each column in `keep` (c < m, the
+/// union of the lanes' kept columns).  Past the chunk's end a lane reads
+/// the zero row (a symbol the pattern lacks); such columns lie beyond its
+/// own reach, and a lane is answered only for its own columns, up to its
+/// own reach.  Scores are stored column-major, the kept deltas word-major
+/// with one word per lane, so the lanes of a column are adjacent.
+///
+/// `bounded(lane, len, k)` then returns, without running a kernel, exactly
+/// what `edit_distance_myers_bounded(shorter, longer, k, &words)` returns
+/// for the pattern against the lane's text[0, len), the shorter side being
+/// the pattern (on a tie, the pass's pattern) — the distance and the word
+/// meter:
 ///   * len >= m: the run aborts at the first column c with
 ///     D[m][c] + c > k + len, a monotone sum (adjacent scores differ by at
 ///     most 1), else answers D[m][len];
@@ -96,9 +108,24 @@ struct MyersMasks;
 ///     pattern the text, so the run aborts at the first row i in 1..m with
 ///     D[i][len] + i > k + m, read from column len's deltas down from
 ///     D[0][len] = len, else answers D[m][len].
-/// Scalar, like `scalar_run`: no thread-local mask cache, no dispatch.
+///
+/// The lanes run on the widest lane kernel `active_isa()` allows
+/// (myers_kernel.hpp): eight lanes in one AVX-512 vector, four per AVX2
+/// vector, or the scalar blocked loop one lane after another.  Every kernel
+/// computes the same scores and deltas, and no answer depends on which
+/// lanes share a pass, so a one-lane pass answers as an eight-lane one.
+/// No thread-local mask cache.
 class MyersPrefixPass {
  public:
+  /// Most lanes one pass runs.
+  static constexpr std::size_t kMaxLanes = 8;
+
+  /// One lane's text: chunk[offset, offset + reach) is what it answers.
+  struct Lane {
+    std::int64_t offset = 0;
+    std::int64_t reach = 0;
+  };
+
   /// What the equivalent bounded run returns and meters.
   struct Answer {
     std::optional<std::int64_t> distance;
@@ -110,19 +137,24 @@ class MyersPrefixPass {
   MyersPrefixPass(const MyersPrefixPass&) = delete;
   MyersPrefixPass& operator=(const MyersPrefixPass&) = delete;
 
-  /// `keep` ascending, each in [1, min(m - 1, |text|)].
-  void run(SymView text, const std::vector<std::int64_t>& keep);
+  /// 1 to kMaxLanes lanes, each with offset >= 0, reach >= 0 and
+  /// offset + reach <= |chunk|; `keep` ascending and distinct, each in
+  /// [1, min(m - 1, largest reach)].
+  void run(SymView chunk, std::span<const Lane> lanes,
+           std::span<const std::int64_t> keep);
 
-  /// `len` <= |text| of the last run; a `len` in [1, m) must be kept.
-  [[nodiscard]] Answer bounded(std::int64_t len, std::int64_t k) const;
+  /// `lane` < the last run's lane count and `len` <= its reach; a `len`
+  /// in [1, m) must be kept.
+  [[nodiscard]] Answer bounded(std::size_t lane, std::int64_t len,
+                               std::int64_t k) const;
 
  private:
   std::unique_ptr<const detail::MyersMasks> masks_;
-  std::vector<std::int64_t> scores_;  ///< scores_[c] = D[m][c]
+  std::vector<Lane> lanes_;
   std::vector<std::int64_t> keep_;
-  std::vector<std::uint64_t> kept_;   ///< per kept column: Pv then Mv words
-  std::vector<std::uint64_t> pv_;
-  std::vector<std::uint64_t> mv_;
+  std::vector<std::uint64_t> rows_;    ///< per column, per lane: a mask row
+  std::vector<std::int64_t> scores_;   ///< scores_[c * kMaxLanes + l] = D[m][c]
+  std::vector<std::uint64_t> kept_;    ///< per kept column: Pv then Mv words
 };
 
 /// The ISA level the blocked engine dispatches to for a pattern of

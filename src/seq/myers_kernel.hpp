@@ -18,6 +18,18 @@
 //     and the resolved carry bits are re-injected per lane.  Shift carries
 //     are the lanes' top bits, moved one lane up as a mask.
 //
+// The prefix pass (`MyersPrefixPass`) has lane kernels of its own that
+// split the other way: a vector lane is one *text*, not one pattern word.
+// Up to eight texts (the windows of one chunk at eight candidate starts)
+// run against the same pattern, each word of the pattern being one vector
+// of the texts' words, and Hyyrö's blocked step runs unchanged in every
+// lane, its horizontal delta `hin` threaded word to word as a lane mask.
+// Nothing crosses lanes but the gathers of each lane's mask row, so short
+// patterns (the 2–5 words of an edit block) fill the vector where the
+// stripe kernels would leave it idle.  The AVX-512 kernel runs all eight
+// lanes in one vector, the AVX2 kernel four per vector, and the scalar
+// kernel (myers.cpp) one lane after another.
+//
 // All kernels return identical scores and charge identical modelled work
 // (`blocks` words per text column, aborting on the same column under a
 // bound), so ISA dispatch can never perturb metering, golden traces, or
@@ -124,7 +136,40 @@ using MyersRunFn = std::optional<std::int64_t> (*)(const MyersMasks& masks,
 MyersRunFn myers_run_avx2();
 MyersRunFn myers_run_avx512();
 
-/// Lane-parallel kernels pay per-column fixed costs (mask gathers, carry
+/// Lanes of one prefix pass (`MyersPrefixPass::kMaxLanes`).
+inline constexpr std::size_t kPassLanes = 8;
+
+/// One prefix pass for a lane kernel.  Every array is laid out with
+/// kPassLanes slots per column or word, lane l at slot l, whatever the
+/// number of lanes run; slots of lanes at or past `lanes` hold the zero
+/// row's offset in `rows`, and a kernel may compute them or not.
+struct LanePass {
+  std::size_t lanes = 0;            ///< 1..kPassLanes lanes to run
+  std::size_t columns = 0;          ///< text columns every lane runs
+  const std::uint64_t* rows = nullptr;  ///< columns × kPassLanes offsets
+                                        ///< of mask rows into masks.eq
+  const std::int64_t* keep = nullptr;   ///< ascending columns in [1, columns]
+  std::size_t keep_count = 0;
+  std::int64_t* scores = nullptr;   ///< (columns + 1) × kPassLanes scores,
+                                    ///< column-major; column 0 is m
+  std::uint64_t* kept = nullptr;    ///< keep_count × 2 × blocks × kPassLanes:
+                                    ///< a kept column's Pv words, then its
+                                    ///< Mv words, word-major
+};
+
+/// One lane kernel: runs every lane of `pass` over all its columns from
+/// the all-+1 start (Pv = ~0, Mv = 0, score m), with the top boundary row
+/// feeding +1, writes the score of each column and copies the state of
+/// each kept column.
+using MyersLanesFn = void (*)(const MyersMasks& masks, const LanePass& pass);
+
+/// Per-ISA lane kernels, registered like the stripe kernels above:
+/// nullptr when the toolchain could not build them, legal to run only when
+/// `cpu::detected_isa()` reports the level.
+MyersLanesFn myers_lanes_avx2();
+MyersLanesFn myers_lanes_avx512();
+
+/// The stripe kernels pay per-column fixed costs (mask gathers, carry
 /// resolution), so they only dispatch at and above these block counts;
 /// below them the scalar blocked loop wins.  Thresholds are functions of
 /// the pattern length only — deterministic across hosts.

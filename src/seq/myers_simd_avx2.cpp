@@ -6,6 +6,9 @@
 // binary stays portable.  When the toolchain cannot target AVX2 at all,
 // the TU degrades to a nullptr registration and dispatch falls through to
 // the scalar kernel.
+//
+// The TU also holds the prefix pass's lane kernel (four texts per vector;
+// see myers_kernel.hpp).
 #include "seq/myers_kernel.hpp"
 
 #if defined(__AVX2__) && defined(__x86_64__)
@@ -174,9 +177,94 @@ std::optional<std::int64_t> run(const MyersMasks& masks, SymView b,
   return score;
 }
 
+/// The prefix pass's lane kernel over V vectors of four texts each (V = 2
+/// runs all kPassLanes).  The horizontal delta threaded word to word is a
+/// pair of vectors holding 1 in the +1 lanes and the -1 lanes; the V
+/// vectors of one word are independent and interleave.
+template <std::size_t V>
+void lanes_of(const MyersMasks& masks, const LanePass& pass) {
+  static_assert(V * kLaneWords <= kPassLanes);
+  const std::size_t blocks = masks.blocks;
+  const auto* eq = reinterpret_cast<const long long*>(masks.eq.data());
+  std::vector<std::uint64_t> state(2 * blocks * kPassLanes, 0);
+  std::uint64_t* pv = state.data();
+  std::uint64_t* mv = state.data() + blocks * kPassLanes;
+  std::fill(pv, pv + blocks * kPassLanes, ~0ULL);
+
+  const __m256i vones = _mm256_set1_epi64x(-1);
+  const __m256i vone = _mm256_set1_epi64x(1);
+  const __m256i vlast = _mm256_set1_epi64x((masks.m - 1) & 63);
+  __m256i score[V];
+  for (std::size_t v = 0; v < V; ++v) score[v] = _mm256_set1_epi64x(masks.m);
+  std::size_t next_keep = 0;
+
+  for (std::size_t j = 0; j < pass.columns; ++j) {
+    __m256i rows[V];
+    __m256i hp[V];  // top boundary row: d[0][j] = j, so +1
+    __m256i hm[V];
+    for (std::size_t v = 0; v < V; ++v) {
+      rows[v] = loadu(pass.rows + j * kPassLanes + v * kLaneWords);
+      hp[v] = vone;
+      hm[v] = _mm256_setzero_si256();
+    }
+    for (std::size_t k = 0; k < blocks; ++k) {
+      const bool last = k + 1 == blocks;
+      for (std::size_t v = 0; v < V; ++v) {
+        const std::size_t w = k * kPassLanes + v * kLaneWords;
+        const __m256i e = _mm256_mask_i64gather_epi64(_mm256_setzero_si256(), eq + k,
+                                                      rows[v], vones, 8);
+        const __m256i vpv = loadu(pv + w);
+        const __m256i vmv = loadu(mv + w);
+        const __m256i xv = _mm256_or_si256(e, vmv);
+        const __m256i eh = _mm256_or_si256(e, hm[v]);  // hin < 0
+        const __m256i t = _mm256_and_si256(eh, vpv);
+        const __m256i xh =
+            _mm256_or_si256(_mm256_xor_si256(_mm256_add_epi64(t, vpv), vpv), eh);
+        const __m256i ph = _mm256_or_si256(
+            vmv, _mm256_xor_si256(_mm256_or_si256(xh, vpv), vones));
+        const __m256i mh = _mm256_and_si256(vpv, xh);
+        const __m256i hp_out =
+            last ? _mm256_and_si256(_mm256_srlv_epi64(ph, vlast), vone)
+                 : _mm256_srli_epi64(ph, 63);
+        const __m256i hm_out =
+            last ? _mm256_and_si256(_mm256_srlv_epi64(mh, vlast), vone)
+                 : _mm256_srli_epi64(mh, 63);
+        const __m256i ph2 = _mm256_or_si256(_mm256_slli_epi64(ph, 1), hp[v]);
+        const __m256i mh2 = _mm256_or_si256(_mm256_slli_epi64(mh, 1), hm[v]);
+        storeu(pv + w,
+               _mm256_or_si256(mh2, _mm256_xor_si256(_mm256_or_si256(xv, ph2), vones)));
+        storeu(mv + w, _mm256_and_si256(ph2, xv));
+        hp[v] = hp_out;
+        hm[v] = hm_out;
+      }
+    }
+    for (std::size_t v = 0; v < V; ++v) {
+      score[v] = _mm256_sub_epi64(_mm256_add_epi64(score[v], hp[v]), hm[v]);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pass.scores + (j + 1) * kPassLanes +
+                                                     v * kLaneWords),
+                          score[v]);
+    }
+    if (next_keep < pass.keep_count &&
+        pass.keep[next_keep] == static_cast<std::int64_t>(j + 1)) {
+      std::copy(state.begin(), state.end(),
+                pass.kept + next_keep * 2 * blocks * kPassLanes);
+      ++next_keep;
+    }
+  }
+}
+
+void lanes(const MyersMasks& masks, const LanePass& pass) {
+  if (pass.lanes > kLaneWords) {
+    lanes_of<2>(masks, pass);
+  } else {
+    lanes_of<1>(masks, pass);
+  }
+}
+
 }  // namespace
 
 MyersRunFn myers_run_avx2() { return &run; }
+MyersLanesFn myers_lanes_avx2() { return &lanes; }
 
 }  // namespace mpcsd::seq::detail
 
@@ -184,6 +272,7 @@ MyersRunFn myers_run_avx2() { return &run; }
 
 namespace mpcsd::seq::detail {
 MyersRunFn myers_run_avx2() { return nullptr; }
+MyersLanesFn myers_lanes_avx2() { return nullptr; }
 }  // namespace mpcsd::seq::detail
 
 #endif

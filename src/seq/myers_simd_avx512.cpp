@@ -6,6 +6,9 @@
 // `_mm512_maskz_set1_epi64` re-injects resolved carry and shift bits.
 // Compiled with -mavx512f/bw/dq/vl per-TU; selected only after the runtime
 // CPU probe reports all four extensions.
+//
+// The TU also holds the prefix pass's lane kernel (eight texts per vector;
+// see myers_kernel.hpp).
 #include "seq/myers_kernel.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
@@ -136,9 +139,76 @@ std::optional<std::int64_t> run(const MyersMasks& masks, SymView b,
   return score;
 }
 
+/// The prefix pass's lane kernel: all kPassLanes texts in one vector, one
+/// vector per pattern word.  The horizontal delta threaded word to word is
+/// a pair of lane masks (+1 lanes, -1 lanes), as is each word's outgoing
+/// delta, read at bit 63 or, in the last word, at the pattern's last row.
+/// Inactive lanes read the zero row and are computed like the others.
+void lanes(const MyersMasks& masks, const LanePass& pass) {
+  static_assert(kPassLanes == kLaneWords);
+  const std::size_t blocks = masks.blocks;
+  const std::uint64_t* eq = masks.eq.data();
+  std::vector<std::uint64_t> state(2 * blocks * kLaneWords, 0);
+  std::uint64_t* pv = state.data();
+  std::uint64_t* mv = state.data() + blocks * kLaneWords;
+  std::fill(pv, pv + blocks * kLaneWords, ~0ULL);
+
+  const __m512i vones = _mm512_set1_epi64(-1);
+  const __m512i vone = _mm512_set1_epi64(1);
+  const __m512i vtop = _mm512_set1_epi64(INT64_MIN);  // bit 63 probe
+  const __m512i vlast = _mm512_set1_epi64(
+      static_cast<std::int64_t>(1ULL << ((masks.m - 1) & 63)));
+  __m512i score = _mm512_set1_epi64(masks.m);
+  std::size_t next_keep = 0;
+
+  for (std::size_t j = 0; j < pass.columns; ++j) {
+    const __m512i rows = loadu(pass.rows + j * kLaneWords);
+    __mmask8 hp = 0xFF;  // top boundary row: d[0][j] = j, so +1
+    __mmask8 hm = 0;
+    for (std::size_t k = 0; k < blocks; ++k) {
+      const __m512i e = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, rows,
+                                                    eq + k, 8);
+      const __m512i vpv = loadu(pv + k * kLaneWords);
+      const __m512i vmv = loadu(mv + k * kLaneWords);
+      const __m512i xv = _mm512_or_si512(e, vmv);
+      const __m512i eh = _mm512_mask_or_epi64(e, hm, e, vone);  // hin < 0
+      const __m512i t = _mm512_and_si512(eh, vpv);
+      const __m512i xh =
+          _mm512_or_si512(_mm512_xor_si512(_mm512_add_epi64(t, vpv), vpv), eh);
+      const __m512i ph = _mm512_or_si512(
+          vmv, _mm512_xor_si512(_mm512_or_si512(xh, vpv), vones));
+      const __m512i mh = _mm512_and_si512(vpv, xh);
+      const __m512i probe = k + 1 == blocks ? vlast : vtop;
+      const __mmask8 hp_out = _mm512_test_epi64_mask(ph, probe);
+      const __mmask8 hm_out = _mm512_test_epi64_mask(mh, probe);
+      // v + v == v << 1 (see `run`).
+      const __m512i ph2 = _mm512_mask_or_epi64(_mm512_add_epi64(ph, ph), hp,
+                                               _mm512_add_epi64(ph, ph), vone);
+      const __m512i mh2 = _mm512_mask_or_epi64(_mm512_add_epi64(mh, mh), hm,
+                                               _mm512_add_epi64(mh, mh), vone);
+      _mm512_storeu_si512(
+          pv + k * kLaneWords,
+          _mm512_or_si512(mh2, _mm512_xor_si512(_mm512_or_si512(xv, ph2), vones)));
+      _mm512_storeu_si512(mv + k * kLaneWords, _mm512_and_si512(ph2, xv));
+      hp = hp_out;
+      hm = hm_out;
+    }
+    score = _mm512_mask_add_epi64(score, hp, score, vone);
+    score = _mm512_mask_sub_epi64(score, hm, score, vone);
+    _mm512_storeu_si512(pass.scores + (j + 1) * kLaneWords, score);
+    if (next_keep < pass.keep_count &&
+        pass.keep[next_keep] == static_cast<std::int64_t>(j + 1)) {
+      std::copy(state.begin(), state.end(),
+                pass.kept + next_keep * 2 * blocks * kLaneWords);
+      ++next_keep;
+    }
+  }
+}
+
 }  // namespace
 
 MyersRunFn myers_run_avx512() { return &run; }
+MyersLanesFn myers_lanes_avx512() { return &lanes; }
 
 }  // namespace mpcsd::seq::detail
 
@@ -146,6 +216,7 @@ MyersRunFn myers_run_avx512() { return &run; }
 
 namespace mpcsd::seq::detail {
 MyersRunFn myers_run_avx512() { return nullptr; }
+MyersLanesFn myers_lanes_avx512() { return nullptr; }
 }  // namespace mpcsd::seq::detail
 
 #endif

@@ -13,6 +13,7 @@
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "core/workload.hpp"
+#include "edit_mpc/small_distance.hpp"
 #include "seq/combine.hpp"
 #include "seq/edit_distance.hpp"
 #include "seq/types.hpp"
@@ -364,6 +365,129 @@ TEST(Combine, WideCoordinatesStayOnTheCdq) {
       expect_max_paths_agree(tuples, wide.n, wide.n_bar);
     }
   }
+}
+
+/// The kSum dispatch rule of `combine_tuples`: the dense sweep runs when
+/// T >= 2, its (n_bar + 1) + (n + 2) + T words fit in 2·T tuples, and
+/// E·(n_bar + 1) + n <= T·⌈log2 T⌉ for E distinct block_begins; otherwise
+/// the Fenwick runs.
+bool takes_dense_sum(const std::vector<Tuple>& tuples, std::int64_t n,
+                     std::int64_t n_bar) {
+  const auto m = static_cast<std::uint64_t>(tuples.size());
+  const auto words = static_cast<std::uint64_t>(n_bar + 1 + n + 2) + m;
+  if (m < 2 || words * sizeof(std::int64_t) > 2 * m * sizeof(Tuple)) return false;
+  std::set<std::int64_t> begins;
+  for (const Tuple& t : tuples) begins.insert(t.block_begin);
+  const auto log_m = static_cast<std::uint64_t>(std::bit_width(m - 1));
+  return begins.size() * static_cast<std::uint64_t>(n_bar + 1) +
+             static_cast<std::uint64_t>(n) <=
+         m * log_m;
+}
+
+/// The kSum combine of `tuples`, which must take the dense sweep, equals
+/// the naive reference and the Fenwick's answer, and both fast paths add
+/// exactly 6·T to the work.  The Fenwick answers the same instance moved
+/// `shift` cells into both strings: every transformation then pays 2·shift
+/// more at its start, and n and n_bar of that size no longer fit the dense
+/// sweep.
+void expect_sum_paths_agree(std::vector<Tuple> tuples, std::int64_t n, std::int64_t n_bar) {
+  ASSERT_TRUE(takes_dense_sum(tuples, n, n_bar));
+  const auto want = combine_tuples_naive(tuples, n, n_bar, {GapCost::kSum, false, false});
+  std::uint64_t work = 5;
+  ASSERT_EQ(combine_tuples(tuples, n, n_bar, {GapCost::kSum, true, false}, &work), want);
+  EXPECT_EQ(work, 5 + 6 * tuples.size());
+  const std::int64_t shift = 10 * static_cast<std::int64_t>(tuples.size()) + 1000;
+  for (Tuple& t : tuples) {
+    t.block_begin += shift;
+    t.block_end += shift;
+    t.window_begin += shift;
+    t.window_end += shift;
+  }
+  ASSERT_FALSE(takes_dense_sum(tuples, n + shift, n_bar + shift));
+  std::uint64_t fenwick_work = 5;
+  ASSERT_EQ(combine_tuples(tuples, n + shift, n_bar + shift, {GapCost::kSum, true, false},
+                           &fenwick_work),
+            want + 2 * shift);
+  EXPECT_EQ(fenwick_work, work);
+}
+
+TEST(Combine, DenseSumMatchesNaiveOnEditInboxes) {
+  // Algorithm 3's own output: every task's tuples of a planted pair at
+  // several guesses, in the block order a combine machine receives them,
+  // and shuffled (combine_tuples then sorts).
+  for (const std::int64_t n : {300, 700}) {
+    const auto s = core::random_string(n, 4, static_cast<std::uint64_t>(n));
+    const auto t = core::plant_edits(s, n / 16, 3, false, 4).text;
+    const auto n_bar = static_cast<std::int64_t>(t.size());
+    for (const std::int64_t guess : {n / 32, n / 16, n / 4}) {
+      edit_mpc::SmallDistanceParams params;
+      params.eps_prime = 0.15;
+      params.x = 0.25;
+      params.delta_guess = guess;
+      const auto geo = edit_mpc::small_geometry(n, n_bar, params);
+      std::vector<Tuple> tuples;
+      for (const auto& task : edit_mpc::make_small_tasks(s, t, params, geo)) {
+        const auto out = edit_mpc::small_task_tuples(task, params, geo, nullptr);
+        tuples.insert(tuples.end(), out.begin(), out.end());
+      }
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " guess=" << guess
+                                        << " tuples=" << tuples.size());
+      expect_sum_paths_agree(tuples, n, n_bar);
+      Pcg32 rng = derive_stream(static_cast<std::uint64_t>(guess), 0x74);
+      for (std::size_t i = tuples.size(); i > 1; --i) {
+        const auto j = rng.uniform(0, static_cast<std::int64_t>(i) - 1);
+        std::swap(tuples[i - 1], tuples[static_cast<std::size_t>(j)]);
+      }
+      expect_sum_paths_agree(tuples, n, n_bar);
+    }
+  }
+}
+
+TEST(Combine, DenseSumMatchesNaiveOnBlockPartitions) {
+  // The dense array's corners: empty windows, windows at 0 and at n_bar
+  // (window_end == n_bar reads and writes its last cell), n != n_bar both
+  // ways, short last blocks, tuples no cheap chain reaches.
+  struct Shape {
+    std::int64_t n, n_bar, block;
+  };
+  for (const Shape& shape : {Shape{60, 45, 6}, Shape{45, 70, 7}, Shape{61, 61, 6},
+                             Shape{100, 1, 9}, Shape{2, 80, 1}, Shape{1, 0, 1}}) {
+    for (std::uint64_t seed = 0; seed < 30; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "n=" << shape.n << " n_bar=" << shape.n_bar
+                                        << " block=" << shape.block << " seed=" << seed);
+      expect_sum_paths_agree(sweep_corner_tuples(shape.n, shape.n_bar, shape.block, 250, seed),
+                             shape.n, shape.n_bar);
+    }
+  }
+}
+
+TEST(Combine, WideSumInputsStayOnTheFenwick) {
+  // Many block boundaries over a wide s̄ (BM_CombineSum's shape) and few
+  // tuples over wide coordinates: the dense sweep does not pay or does
+  // not fit, so the Fenwick answers, exactly and for 6·T.
+  const Universe wide{1 << 20, (1 << 20) + 17, 0};
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    for (const bool blocks : {false, true}) {
+      const auto tuples = blocks ? block_partitioned_tuples(wide, 300, seed)
+                                 : random_tuples(wide, 300, seed);
+      ASSERT_FALSE(takes_dense_sum(tuples, wide.n, wide.n_bar));
+      std::uint64_t work = 0;
+      ASSERT_EQ(combine_tuples(tuples, wide.n, wide.n_bar, {GapCost::kSum, true, false}, &work),
+                combine_tuples_naive(tuples, wide.n, wide.n_bar, {GapCost::kSum, false, false}))
+          << "seed=" << seed << " blocks=" << blocks;
+      EXPECT_EQ(work, 6U * tuples.size());
+    }
+  }
+  const Universe many{10'000, 10'000, 0};
+  std::vector<Tuple> tuples;
+  for (std::int64_t b = 0; b < many.n; b += 100) {
+    for (std::int64_t i = 0; i < 40; ++i) {
+      tuples.push_back({b, b + 100, b, std::min<std::int64_t>(many.n_bar, b + 100 + i % 5), i});
+    }
+  }
+  ASSERT_FALSE(takes_dense_sum(tuples, many.n, many.n_bar));
+  ASSERT_EQ(combine_tuples(tuples, many.n, many.n_bar, {GapCost::kSum, true, false}),
+            combine_tuples_naive(tuples, many.n, many.n_bar, {GapCost::kSum, false, false}));
 }
 
 TEST(Combine, ExactTuplesUpperBoundTrueDistance) {

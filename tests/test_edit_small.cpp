@@ -3,6 +3,9 @@
 // discipline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "core/workload.hpp"
 #include "edit_mpc/small_distance.hpp"
 #include "edit_mpc/solver.hpp"
@@ -44,7 +47,9 @@ struct DiffCounts {
 };
 
 /// Every task of (s, t) at `block` x `guess`: the evaluator's tuples and
-/// per-task work equal the oracle's.
+/// per-task work equal the oracle's, with the task's starts evaluated in
+/// groups of eight (as `small_task_tuples` runs them) and of five (groups
+/// that straddle eight-lane boundaries and leave a short last group).
 DiffCounts expect_evaluator_matches(SymView s, SymView t, std::int64_t block,
                                     const SmallDistanceParams& params) {
   CandidateGeometry geo = small_geometry(static_cast<std::int64_t>(s.size()),
@@ -54,21 +59,33 @@ DiffCounts expect_evaluator_matches(SymView s, SymView t, std::int64_t block,
   for (const SmallTask& task : make_small_tasks(s, t, params, geo)) {
     std::uint64_t want_work = 0;
     const auto want = reference_tuples(task, params, geo, &want_work);
-    BlockEvaluator evaluator(task, params, geo);
-    std::uint64_t got_work = 0;
-    std::vector<seq::Tuple> got;
     for (const std::int64_t sp : task.starts) {
-      evaluator.evaluate_start(sp, got, &got_work);
       counts.candidates +=
           candidate_ends(sp, static_cast<std::int64_t>(task.block.size()), geo).size();
     }
-    EXPECT_EQ(got, want) << "block " << task.block_begin << " len "
-                         << task.block.size() << " guess " << params.delta_guess;
-    EXPECT_EQ(got_work, want_work) << "block " << task.block_begin << " len "
-                                   << task.block.size() << " guess "
-                                   << params.delta_guess;
-    counts.fallbacks += evaluator.fallbacks();
-    counts.tuples += got.size();
+    std::size_t fallbacks = 0;
+    for (const std::size_t group : {seq::MyersPrefixPass::kMaxLanes, std::size_t{5}}) {
+      BlockEvaluator evaluator(task, params, geo);
+      std::uint64_t got_work = 0;
+      std::vector<seq::Tuple> got;
+      const std::span<const std::int64_t> starts(task.starts);
+      for (std::size_t i = 0; i < starts.size(); i += group) {
+        evaluator.evaluate_starts(starts.subspan(i, std::min(group, starts.size() - i)),
+                                  got, &got_work);
+      }
+      EXPECT_EQ(got, want) << "block " << task.block_begin << " len "
+                           << task.block.size() << " guess " << params.delta_guess
+                           << " group " << group;
+      EXPECT_EQ(got_work, want_work) << "block " << task.block_begin << " len "
+                                     << task.block.size() << " guess "
+                                     << params.delta_guess << " group " << group;
+      if (group != seq::MyersPrefixPass::kMaxLanes) {
+        EXPECT_EQ(evaluator.fallbacks(), fallbacks) << "group " << group;
+      }
+      fallbacks = evaluator.fallbacks();
+    }
+    counts.fallbacks += fallbacks;
+    counts.tuples += want.size();
   }
   return counts;
 }

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
 #include <optional>
+#include <set>
+#include <vector>
 
+#include "common/cpu.hpp"
+#include "common/rng.hpp"
 #include "core/workload.hpp"
 #include "seq/edit_distance.hpp"
 #include "seq/edit_distance_fast.hpp"
@@ -327,6 +330,140 @@ TEST(OutputSensitive, NearDuplicateWorkIsOutputSensitive) {
   std::uint64_t work = 0;
   ASSERT_EQ(edit_distance_output_sensitive(a, b, &work), edit_distance(a, b));
   EXPECT_LT(work, 4000u * 4000u / 50u);
+}
+
+/// Restores the entry ISA level when a test scope ends, pass or fail.
+struct IsaGuard {
+  Isa saved = active_isa();
+  ~IsaGuard() { force_isa(saved); }
+};
+
+/// One lane pass of `pattern` over `chunk` checked against the bounded
+/// kernel: under every lane kernel the host can run, every prefix of every
+/// lane that the pass may answer (len >= m, or a kept column within the
+/// lane's reach) returns what `edit_distance_myers_bounded(shorter, longer,
+/// k)` returns on the lane's own text, distance and word meter, for each
+/// bound in `bounds`.
+void expect_lanes_match(const SymString& pattern, const SymString& chunk,
+                        const std::vector<MyersPrefixPass::Lane>& lanes,
+                        const std::vector<std::int64_t>& keep,
+                        const std::vector<std::int64_t>& bounds) {
+  using Answer = MyersPrefixPass::Answer;
+  const auto m = static_cast<std::int64_t>(pattern.size());
+  // want[l][len][bound index]; an empty row marks a prefix not answered.
+  std::vector<std::vector<std::vector<Answer>>> want(lanes.size());
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    for (std::int64_t len = 0; len <= lanes[l].reach; ++len) {
+      want[l].emplace_back();
+      if (len > 0 && len < m && !std::binary_search(keep.begin(), keep.end(), len)) continue;
+      const SymView text = SymView(chunk).subspan(static_cast<std::size_t>(lanes[l].offset),
+                                                  static_cast<std::size_t>(len));
+      for (const std::int64_t k : bounds) {
+        std::uint64_t words = 0;
+        const auto d = len >= m ? edit_distance_myers_bounded(pattern, text, k, &words)
+                                : edit_distance_myers_bounded(text, pattern, k, &words);
+        want[l].back().push_back({d, words});
+      }
+    }
+  }
+  const IsaGuard guard;
+  for (const Isa level : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (force_isa(level) != level) continue;  // the host lacks the level
+    MyersPrefixPass pass(pattern);
+    pass.run(chunk, lanes, keep);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      for (std::int64_t len = 0; len <= lanes[l].reach; ++len) {
+        const auto& row = want[l][static_cast<std::size_t>(len)];
+        for (std::size_t b = 0; b < row.size(); ++b) {
+          const auto got = pass.bounded(l, len, bounds[b]);
+          ASSERT_EQ(got.distance, row[b].distance)
+              << isa_name(level) << " m=" << m << " lane " << l << " of " << lanes.size()
+              << " offset " << lanes[l].offset << " len " << len << " k " << bounds[b];
+          ASSERT_EQ(got.words, row[b].words)
+              << isa_name(level) << " m=" << m << " lane " << l << " len " << len
+              << " k " << bounds[b];
+        }
+      }
+    }
+  }
+}
+
+TEST(MyersPrefixPass, LanesMatchBoundedOnEveryPrefix) {
+  // Patterns of 1 to 10 words, texts planted from the pattern (near, so
+  // bounds keep some prefixes) and drawn at random (far, so reads abort),
+  // sigma 4 on the dense symbol table and sigma 1000 spread wide onto the
+  // hashed ids.  1 to 8 lanes: lane 0 reaches the chunk's end, so every
+  // later lane runs past it on the zero row; the others start anywhere and
+  // stop anywhere, and each keeps its own random columns below m, the pass
+  // keeping their union.
+  const std::int64_t lengths[] = {1, 40, 64, 65, 130, 200, 320, 449, 577, 640};
+  std::uint64_t seed = 0;
+  for (const std::int64_t m : lengths) {
+    for (const bool spread : {false, true}) {
+      ++seed;
+      const Symbol sigma = spread ? 1000 : 4;
+      auto pattern = core::random_string(m, sigma, seed);
+      auto chunk = seed % 2 == 0 ? core::plant_edits(pattern, m / 8 + 1, seed + 1, false,
+                                                     sigma)
+                                       .text
+                                 : core::random_string(m + m / 3, sigma, seed + 2);
+      const auto extra = core::random_string(m / 2 + 3, sigma, seed + 3);
+      chunk.insert(chunk.begin(), extra.begin(), extra.end());
+      if (spread) {
+        for (Symbol& c : pattern) c = c * 4099 + 7;
+        for (Symbol& c : chunk) c = c * 4099 + 7;
+      }
+      const auto size = static_cast<std::int64_t>(chunk.size());
+      Pcg32 rng = derive_stream(seed, 0x51);
+      const std::size_t count = 1 + (seed * 3) % MyersPrefixPass::kMaxLanes;
+      std::vector<MyersPrefixPass::Lane> lanes = {{0, size}};
+      std::set<std::int64_t> keep;
+      for (std::size_t l = 0; l < count; ++l) {
+        if (l > 0) {
+          const std::int64_t offset = rng.uniform(0, size);
+          lanes.push_back({offset, rng.uniform(0, size - offset)});
+        }
+        for (std::int64_t len = 1; len < std::min(m, lanes[l].reach + 1); ++len) {
+          if (rng.uniform(0, 3) == 0) keep.insert(len);
+        }
+      }
+      SCOPED_TRACE(::testing::Message() << "m=" << m << " sigma=" << sigma
+                                        << " lanes=" << lanes.size());
+      expect_lanes_match(pattern, chunk, lanes, {keep.begin(), keep.end()},
+                         {0, m / 8 + 1, m / 2 + 2, 2 * size});
+    }
+  }
+}
+
+TEST(MyersPrefixPass, EightLanesAtOneStartEqualOneLane) {
+  // Lanes are independent: eight copies of one lane, and eight lanes one
+  // column apart, answer as the same lanes run alone.
+  const auto pattern = core::random_string(150, 4, 90);
+  auto chunk = core::plant_edits(pattern, 12, 91, false, 4).text;
+  const auto tail = core::random_string(40, 4, 92);
+  chunk.insert(chunk.end(), tail.begin(), tail.end());
+  const auto size = static_cast<std::int64_t>(chunk.size());
+  std::vector<std::int64_t> keep;
+  for (std::int64_t len = 1; len < 150; ++len) keep.push_back(len);
+  MyersPrefixPass alone(pattern);
+  MyersPrefixPass group(pattern);
+  for (const std::int64_t step : {0, 1}) {
+    std::vector<MyersPrefixPass::Lane> lanes;
+    for (std::int64_t l = 0; l < 8; ++l) lanes.push_back({l * step, size - 8});
+    group.run(chunk, lanes, keep);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      const MyersPrefixPass::Lane one[] = {lanes[l]};
+      alone.run(chunk, one, keep);
+      for (std::int64_t len = 0; len <= size - 8; ++len) {
+        for (const std::int64_t k : {3, 20, 400}) {
+          const auto want = alone.bounded(0, len, k);
+          const auto got = group.bounded(l, len, k);
+          ASSERT_EQ(got.distance, want.distance) << "lane " << l << " len " << len;
+          ASSERT_EQ(got.words, want.words) << "lane " << l << " len " << len;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
